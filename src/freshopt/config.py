@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .demand import DemandDistribution, make_distribution
 from .profit import MarketParams, OptionContract
-from .sweep import MODE_FIXED_CONTRACT, MODE_FIXED_EXERCISE, MODE_FIXED_PREMIUM, MODES
+from .sweep import MODE_FIXED_CONTRACT, MODE_FIXED_EXERCISE, MODE_FIXED_PREMIUM, MODES, _k_range
 
 SCHEMA_VERSION = 1
 
@@ -339,7 +339,6 @@ def _parse_k_grid(raw, problems: list[str]) -> tuple[float, ...] | None:
                 f"sweep.k_grid: need 0 < start <= stop and step > 0, got "
                 f"start={start}, stop={stop}, step={step}")
             return None
-        count = int(round((stop - start) / step)) + 1
-        return tuple(round(start + i * step, 12) for i in range(count))
+        return _k_range(start, stop, step)
     problems.append("sweep.k_grid: expected a list of numbers or {start, stop, step}")
     return None

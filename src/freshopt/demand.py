@@ -17,8 +17,6 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 
@@ -26,8 +24,7 @@ class OutOfRange(ValueError):
     """Quantile level outside the open interval (0, 1)."""
 
 
-# Target absolute accuracy of the partial integral of F.
-_QUAD_ABS_TOL = 1e-9
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _scalar_or_array(values: np.ndarray, scalar_input: bool):
@@ -183,6 +180,11 @@ class TruncatedNormal(DemandDistribution):
     def _mass_above_zero(self) -> float:
         return float(ndtr(self.mu / self.sigma))
 
+    @cached_property
+    def _density_at_cut(self) -> float:
+        alpha = -self.mu / self.sigma
+        return math.exp(-0.5 * alpha * alpha) / _SQRT_2PI
+
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
         z = (arr - self.mu) / self.sigma
@@ -191,34 +193,23 @@ class TruncatedNormal(DemandDistribution):
         return _scalar_or_array(vals, arr.ndim == 0)
 
     def mean(self) -> float:
-        alpha = -self.mu / self.sigma
-        density_at_cut = math.exp(-0.5 * alpha * alpha) / math.sqrt(2.0 * math.pi)
-        return self.mu + self.sigma * density_at_cut / self._mass_above_zero
+        return self.mu + self.sigma * self._density_at_cut / self._mass_above_zero
 
     def _quantile(self, q: float) -> float:
-        hi = max(self.mu + 10.0 * self.sigma, self.sigma)
-        while self.cdf(hi) < q:
-            hi *= 2.0
-        root = brentq(lambda x: self.cdf(x) - q, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-        return float(root)
+        if q < 0.5:
+            return self._inverse_transform(q)
+        # Upper tail through 1 - q (exact for q >= 1/2), so levels near 1 keep their digits.
+        return max(float(self.mu - self.sigma * ndtri((1.0 - q) * self._mass_above_zero)), 0.0)
 
     def _cdf_integral(self, a):
-        flat = np.atleast_1d(np.asarray(a, dtype=float))
-        order = np.argsort(flat, kind="stable")
-        out = np.empty_like(flat)
-        # Integrate incrementally along the sorted points: each adaptive
-        # segment is tiny, so accumulated error stays far below the target.
-        total = 0.0
-        prev = 0.0
-        for idx in order:
-            target = flat[idx]
-            if target > prev:
-                piece, _ = quad(self.cdf, prev, target,
-                                epsabs=_QUAD_ABS_TOL * 1e-3, epsrel=1e-12, limit=200)
-                total += piece
-                prev = target
-            out[idx] = total
-        return out.reshape(np.shape(a))
+        # (sigma [G(z_a) - G(z_0)] - a Phi(z_0)) / Phi(mu/sigma) with G(z) = z Phi(z) + phi(z),
+        # regrouped as (a - mu) F(a) + sigma (phi(z_a) - phi(z_0)) / Phi(mu/sigma) so that
+        # rounding scales with the terms; the clamp absorbs what is left near a = 0.
+        z = (a - self.mu) / self.sigma
+        density = np.exp(-0.5 * z * z) / _SQRT_2PI
+        vals = ((a - self.mu) * self.cdf(a)
+                + self.sigma * (density - self._density_at_cut) / self._mass_above_zero)
+        return np.maximum(vals, 0.0)
 
     def _inverse_transform(self, u):
         inner = self._mass_below_zero + np.asarray(u, dtype=float) * self._mass_above_zero

@@ -14,8 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .demand import DemandDistribution
 from .profit import MarketParams, OptionContract, OrderPlan
 
@@ -41,7 +39,7 @@ class NonCoordinable(ValueError):
 
 
 class NoRoot(ValueError):
-    """No exercise price inside the admissible bracket solves coordination."""
+    """No admissible exercise price, in (0, p+g-c0), coordinates the channel."""
 
 
 @dataclass(frozen=True)
@@ -169,8 +167,7 @@ def coordinating_premium(d: DemandDistribution, m: MarketParams, ce: float,
             f"fractile-range-total: ce={ce} >= p+g={m.p + m.g} leaves no option margin")
 
     x_central = _centralized_quantile(d, m)
-    believed_quantile = x_central / k
-    mass_below = d.cdf(believed_quantile)
+    mass_below = d.cdf(x_central / k)
     if mass_below >= 1.0:
         # Bounded-support families: the shrunk quantile fell past the top of
         # the demand support, so no positive premium can coordinate.
@@ -190,15 +187,19 @@ def coordinating_premium(d: DemandDistribution, m: MarketParams, ce: float,
         raise NonCoordinable(
             f"assumption-4: coordinating premium c0={c0:.6g} gives w0={m.w0} >= c0+ce={c0 + ce:.6g}")
 
-    # Verify the identity the premium was derived from.
-    contract = OptionContract(c0=c0, ce=ce)
+    _check_coordination(d, m, OptionContract(c0=c0, ce=ce), k, x_central)
+    return float(c0)
+
+
+def _check_coordination(d: DemandDistribution, m: MarketParams, contract: OptionContract,
+                        k: float, x_central: float) -> None:
+    """Re-derive Q*(k) at the solved contract; it must equal Q** to _COORDINATION_TOL."""
     q_total = (k * m.theta / (1.0 - m.beta)) * d.quantile(total_fractile(m, contract))
     q_central = (m.theta / (1.0 - m.beta)) * x_central
     if abs(q_total - q_central) > _COORDINATION_TOL * q_central:
         raise ArithmeticError(
             f"coordination identity failed: decentralized total {q_total!r} vs "
             f"centralized {q_central!r}")
-    return float(c0)
 
 
 def _k_floor_for_premium(d: DemandDistribution, x_central: float) -> float | None:
@@ -213,10 +214,10 @@ def coordinating_exercise_price(d: DemandDistribution, m: MarketParams, c0: floa
                                 k: float) -> float:
     """Exercise price coordinating the channel at a fixed premium.
 
-    Found by bracketed root-finding on the residual between the
-    decentralized total and the centralized total.  The residual is
-    strictly decreasing in ce on (0, p+g-c0); when it has no sign change
-    there, no admissible price exists and NoRoot explains the k-range
+    Equating the decentralized total with the centralized one gives
+    ``(p+g-ce-c0)/(p+g-ce) = F(x_c/k)``, so ``ce = (p+g) - c0/(1 - F(x_c/k))``.
+    That price is admissible, inside (0, p+g-c0), exactly when
+    ``0 < F(x_c/k) < 1 - c0/(p+g)``; otherwise NoRoot explains the k-range
     that would admit one.
     """
     if not (c0 > 0.0):
@@ -228,31 +229,18 @@ def coordinating_exercise_price(d: DemandDistribution, m: MarketParams, c0: floa
         raise NoRoot(f"premium c0={c0} >= p+g={pg}: no exercise price can be admissible")
 
     x_central = _centralized_quantile(d, m)
-    q_central = (m.theta / (1.0 - m.beta)) * x_central
-    scale = k * m.theta / (1.0 - m.beta)
-
-    def residual(ce: float) -> float:
-        fractile = (pg - ce - c0) / (pg - ce)
-        return scale * d.quantile(fractile) - q_central
-
-    pad = 1e-9 * pg
-    lo, hi = pad, pg - c0 - pad
-    if not (lo < hi):
-        raise NoRoot(f"degenerate bracket for exercise price: c0={c0} too close to p+g={pg}")
-    res_lo, res_hi = residual(lo), residual(hi)
-    if res_lo <= 0.0:
+    mass_below = d.cdf(x_central / k)
+    if mass_below >= 1.0 - c0 / pg:
         k_floor = x_central / d.quantile(1.0 - c0 / pg)
         raise NoRoot(
             f"no coordinating exercise price in (0, {pg - c0:.6g}) at k={k}: "
             f"coordination at this premium requires k > {k_floor:.6g}")
-    if res_hi >= 0.0:
+    if mass_below <= 0.0:
         # Possible only when demand has a positive lower support bound.
         raise NoRoot(
             f"no coordinating exercise price in (0, {pg - c0:.6g}) at k={k}: "
             f"even the maximal admissible price leaves the decentralized total "
             f"above the centralized one (k too large for this demand floor)")
-    ce = brentq(residual, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=300)
-    if abs(residual(ce)) > _COORDINATION_TOL * q_central:
-        raise ArithmeticError(
-            f"root-finder left coordination residual {residual(ce)!r} above tolerance")
+    ce = pg - c0 / (1.0 - mass_below)
+    _check_coordination(d, m, OptionContract(c0=c0, ce=ce), k, x_central)
     return float(ce)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 from .demand import DemandDistribution
@@ -58,7 +59,8 @@ def default_k_grid(mode: str) -> tuple[float, ...]:
 
 
 def _k_range(start: float, stop: float, step: float) -> tuple[float, ...]:
-    count = int(round((stop - start) / step)) + 1
+    """start, start+step, ... up to stop (never past it), rounded to 12 decimals."""
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return tuple(round(start + i * step, 12) for i in range(count))
 
 
@@ -178,7 +180,9 @@ class MonotonicityReport:
 def monotonicity_report(rows: list[SweepRow]) -> MonotonicityReport:
     """Classify each numeric column over the feasible k range.
 
-    A column is strict in one direction only if every adjacent pair is;
+    Values are compared as ``write_csv`` prints them, so rounding noise
+    below six decimals neither breaks a trend nor moves a violation.  A
+    column is strict in one direction only if every adjacent pair is;
     anything else (including a constant column) is non-monotone, reported
     with the first adjacent pair that breaks the direction suggested by
     the first step.
@@ -190,7 +194,7 @@ def monotonicity_report(rows: list[SweepRow]) -> MonotonicityReport:
     trends: dict[str, ColumnTrend] = {}
     ks = [r.k for r in feasible]
     for column in _NUMERIC_COLUMNS:
-        values = [getattr(r, column) for r in feasible]
+        values = [float(_format_cell(getattr(r, column))) for r in feasible]
         diffs = [b - a for a, b in zip(values, values[1:])]
         if all(dv > 0.0 for dv in diffs):
             trends[column] = ColumnTrend("strictly-increasing")

@@ -40,6 +40,10 @@ class TestLoadConfig:
         assert config.sweep.ce == 35.0
         assert config.sweep.k_grid[0] == 0.8
         assert config.sweep.k_grid[-1] == 1.5
+        assert len(config.sweep.k_grid) == 15
+        raw = _baseline_raw()
+        raw["sweep"]["k_grid"]["step"] = 0.4  # a third point, 1.6, would pass stop
+        assert parse_config(raw).sweep.k_grid == (0.8, 1.2)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigNotFound):

@@ -81,6 +81,22 @@ class TestQuantile:
         for q in np.arange(0.01, 1.0, 0.01):
             assert abs(d.cdf(d.quantile(q)) - q) <= 1e-9
 
+    @pytest.mark.parametrize("mu,sigma", [(50.0, 20.0), (0.0, 10.0), (-20.0, 10.0)])
+    def test_truncated_normal_against_high_precision(self, mu, sigma):
+        # Independent oracle: invert the truncated CDF with 50-digit arithmetic.
+        mpmath = pytest.importorskip("mpmath")
+        d = TruncatedNormal(mu=mu, sigma=sigma)
+        levels = [1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9]
+        for q in levels:
+            with mpmath.workdps(50):
+                below = mpmath.ncdf(mpmath.mpf(-mu) / sigma)
+                above = mpmath.ncdf(mpmath.mpf(mu) / sigma)
+                z = mpmath.sqrt(2) * mpmath.erfinv(2 * (below + mpmath.mpf(q) * above) - 1)
+                expected = float(mu + sigma * z)
+            # The 1e-12 absolute floor (pytest's default) governs only quantiles
+            # below about 1, which come out as differences of numbers of size mu.
+            assert d.quantile(q) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.3])
     def test_out_of_range(self, q):
         with pytest.raises(OutOfRange):
@@ -143,6 +159,13 @@ class TestCdfIntegral:
         assert np.all(diffs >= -1e-12)
         assert np.all(np.diff(diffs) >= -1e-9)
 
+    def test_heavy_truncation_near_zero(self):
+        # Most of the normal's mass lies below 0, where cancellation is worst.
+        d = TruncatedNormal(mu=-20.0, sigma=10.0)
+        values = np.asarray(d.cdf_integral(np.geomspace(1e-12, 1e3, 2001)))
+        assert np.all(values >= 0.0)
+        assert np.all(np.diff(values) >= -1e-12)
+
     def test_vector_matches_scalar(self):
         d = TruncatedNormal(mu=50.0, sigma=20.0)
         points = np.array([120.0, 3.0, 0.0, 55.5, 17.0])
@@ -190,7 +213,7 @@ class TestSampling:
         assert np.all(draws >= 0.0)
 
     def test_truncated_normal_sampling_matches_quantile(self):
-        # The vectorized sampling inverse and the root-found quantile agree.
+        # The vectorized sampling inverse and the two-branch quantile agree.
         d = TruncatedNormal(mu=50.0, sigma=20.0)
         for q in (0.01, 0.2, 0.5, 0.9, 0.99):
             assert d.sample(_FixedStream(q)) == pytest.approx(d.quantile(q), abs=1e-9)

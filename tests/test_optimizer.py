@@ -202,6 +202,12 @@ class TestCoordinatingExercisePrice:
         with pytest.raises(NoRoot):
             coordinating_exercise_price(baseline_demand, baseline_market, 5.0, 0.75)
 
+    def test_no_root_below_demand_floor(self, baseline_market):
+        # With a positive support floor, a large k leaves F(x_c/k) = 0: even
+        # the largest admissible price cannot pull the total down far enough.
+        with pytest.raises(NoRoot, match="demand floor"):
+            coordinating_exercise_price(Uniform(20.0, 100.0), baseline_market, 5.0, 5.0)
+
     def test_residual_below_tolerance(self, baseline_demand, baseline_market):
         d, m = baseline_demand, baseline_market
         for k in (0.85, 1.0, 1.3, 1.5):

@@ -6,8 +6,10 @@ import pytest
 
 from freshopt import (
     MODES,
+    Exponential,
     SweepScenario,
     TooFewRows,
+    TruncatedNormal,
     default_k_grid,
     monotonicity_report,
     rows_to_csv,
@@ -171,6 +173,18 @@ class TestMonotonicityReport:
         trend = report.trends["c0"]
         assert trend.direction == "non-monotone"
         assert trend.first_violation == (0.9, 1.0)
+
+    @pytest.mark.parametrize("build,demand,expected", [
+        (_scenario_a, TruncatedNormal(50.0, 20.0), (0.8, 0.85)),
+        (_scenario_b, Exponential(0.02), (0.75, 0.76)),
+    ], ids=["fixed-exercise-price", "fixed-premium"])
+    def test_coordinated_total_constant_at_printed_precision(self, baseline_market,
+                                                            build, demand, expected):
+        # Coordination pins q_total; rounding noise below 6 decimals must not
+        # move the reported violation off the first feasible pair.
+        trend = monotonicity_report(run_sweep(build(demand, baseline_market))).trends["q_total"]
+        assert trend.direction == "non-monotone"
+        assert trend.first_violation == expected
 
     def test_too_few_rows(self, baseline_demand, baseline_market, baseline_contract):
         scenario = SweepScenario(
