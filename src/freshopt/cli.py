@@ -168,6 +168,10 @@ def cmd_simulate(config: ScenarioConfig, args, out) -> int:
     d, m = config.demand, config.market
     n = args.n if args.n is not None else config.oracle.samples
     seed = args.seed if args.seed is not None else config.oracle.seed
+    if n < 1:
+        raise _UsageError(f"sample count must be >= 1, got {n}")
+    if seed < 0:
+        raise _UsageError(f"seed must be >= 0, got {seed}")
     if args.q1 is not None or args.qq is not None:
         if args.q1 is None or args.qq is None:
             raise _UsageError("provide both --q1 and --qq, or neither")

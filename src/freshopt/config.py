@@ -264,6 +264,8 @@ def _parse_oracle(raw, problems: list[str]) -> OracleSettings:
     if samples is not None and samples < 1:
         problems.append(f"oracle.samples: must be >= 1, got {samples}")
     seed = _integer(raw.get("seed", DEFAULT_SEED), "oracle.seed", problems)
+    if seed is not None and seed < 0:
+        problems.append(f"oracle.seed: must be >= 0, got {seed}")
     step = _number(raw.get("grid_step", DEFAULT_GRID_STEP), "oracle.grid_step", problems)
     if step is not None and step <= 0.0:
         problems.append(f"oracle.grid_step: must be > 0, got {step}")

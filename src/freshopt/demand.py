@@ -188,7 +188,12 @@ class TruncatedNormal(DemandDistribution):
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
         z = (arr - self.mu) / self.sigma
-        vals = (ndtr(z) - self._mass_below_zero) / self._mass_above_zero
+        if self.mu > 0.0:
+            vals = (ndtr(z) - self._mass_below_zero) / self._mass_above_zero
+        else:
+            # z >= -mu/sigma >= 0 on the support: upper tails keep the digits that
+            # Phi(z) - Phi(-mu/sigma), a difference of two numbers near 1, would lose.
+            vals = 1.0 - ndtr(-z) / self._mass_above_zero
         vals = np.where(arr <= 0.0, 0.0, np.clip(vals, 0.0, 1.0))
         return _scalar_or_array(vals, arr.ndim == 0)
 

@@ -8,6 +8,12 @@ retailer's profit surface by brute force, checking the fractile optimizer.
 Sampling is chunked: every chunk owns a child stream spawned from
 (seed, chunk index) and chunks are reduced in fixed order, so a serial
 run and any worker-parallel run of the same (seed, n) agree bit for bit.
+A chunk is drawn and evaluated in cache-sized blocks into one buffer that
+the whole call reuses.  The generator yields the same doubles block by
+block as in one draw, and the chunk's mean and squared deviations are
+reduced over the same contiguous array, so the result is bit-identical to
+drawing each chunk at once; a call allocates one buffer of at most
+``_CHUNK`` doubles (1 MB) plus per-block temporaries of ``_BLOCK`` doubles.
 """
 from __future__ import annotations
 
@@ -30,6 +36,7 @@ from .profit import (
 MC_KINDS = ("retailer", "supplier", "chain")
 
 _CHUNK = 1 << 17
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -58,10 +65,14 @@ class GridSpec:
             raise ValueError(f"step must be > 0, got {self.step}")
 
 
+def chunk_stream(seed: int, index: int) -> np.random.SeedSequence:
+    """Seed sequence of sample chunk ``index``; equals ``SeedSequence(seed).spawn(...)[index]``."""
+    return np.random.SeedSequence(seed, spawn_key=(index,))
+
+
 def chunk_streams(seed: int, n: int) -> list[np.random.SeedSequence]:
     """Child seed sequences for the fixed-size sample chunks of a run."""
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    return list(np.random.SeedSequence(seed).spawn(n_chunks))
+    return [chunk_stream(seed, i) for i in range((n + _CHUNK - 1) // _CHUNK)]
 
 
 def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionContract,
@@ -75,6 +86,8 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
         raise ValueError(f"kind must be one of {MC_KINDS}, got {kind!r}")
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"sample count must be an integer >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if kind in ("retailer", "supplier"):
         require_feasible_contract(m, o)
 
@@ -86,17 +99,20 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
     else:
         evaluate = lambda x: realized_chain_profit(x, m, plan.q_total)
 
+    buffer = np.empty(min(n, _CHUNK))
     count = 0
     mean = 0.0
     m2 = 0.0
-    remaining = n
-    for child in chunk_streams(seed, n):
-        take = min(_CHUNK, remaining)
-        remaining -= take
-        rng = np.random.Generator(np.random.PCG64(child))
-        profits = np.asarray(evaluate(d.sample(rng, size=take)), dtype=float)
+    for index, start in enumerate(range(0, n, _CHUNK)):
+        take = min(_CHUNK, n - start)
+        rng = np.random.Generator(np.random.PCG64(chunk_stream(seed, index)))
+        profits = buffer[:take]
+        for lo in range(0, take, _BLOCK):
+            hi = min(lo + _BLOCK, take)
+            profits[lo:hi] = evaluate(d.sample(rng, size=hi - lo))
         chunk_mean = float(profits.mean())
-        chunk_m2 = float(np.sum((profits - chunk_mean) ** 2))
+        np.subtract(profits, chunk_mean, out=profits)
+        chunk_m2 = float(np.sum(np.square(profits, out=profits)))
         delta = chunk_mean - mean
         total = count + take
         mean += delta * take / total

@@ -182,3 +182,23 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "--config", str(stripped), "optimize")
         assert code == 2
         assert "contract" in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--n", "0"), "sample count must be >= 1"),
+        (("--n", "-3"), "sample count must be >= 1"),
+        (("--seed", "-1"), "seed must be >= 0"),
+    ])
+    def test_bad_sample_count_or_seed_exits_two(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "simulate", "--kind", "retailer", *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_negative_config_seed_exits_two(self, capsys, tmp_path):
+        raw = json.loads(default_config_path().read_text(encoding="utf-8"))
+        raw["oracle"]["seed"] = -1
+        bad = tmp_path / "seed.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        code, _, err = run_cli(capsys, "--config", str(bad), "simulate", "--kind", "chain")
+        assert code == 2
+        assert "oracle.seed" in err

@@ -137,6 +137,14 @@ class TestValidation:
             parse_config(raw)
         assert any("overconfidence" in p for p in err.value.problems)
 
+    @pytest.mark.parametrize("key,value", [("seed", -1), ("samples", 0), ("samples", -3)])
+    def test_oracle_seed_and_samples_in_range(self, key, value):
+        raw = _baseline_raw()
+        raw["oracle"][key] = value
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(raw)
+        assert any(p.startswith(f"oracle.{key}: must be >=") for p in err.value.problems)
+
     def test_numbers_not_strings(self):
         raw = _baseline_raw()
         raw["market"]["p"] = "50"

@@ -56,6 +56,21 @@ class TestCdf:
         assert d.cdf(0.0) == 0.0
         assert d.cdf(1e9) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mu,sigma", [(-40.0, 10.0), (50.0, 10.0)])
+    def test_truncated_normal_against_high_precision(self, mu, sigma):
+        # Independent oracle: the truncated CDF in 40-digit arithmetic.  At mu = -40
+        # the lower-tail difference Phi(z) - Phi(-mu/sigma) cancels to about 1e-12;
+        # at mu = 50 the upper-tail form would keep only 1e-4 of small F's digits.
+        mpmath = pytest.importorskip("mpmath")
+        d = TruncatedNormal(mu=mu, sigma=sigma)
+        for x in (1e-6, 1e-3, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 80.0):
+            with mpmath.workdps(40):
+                below = mpmath.ncdf(mpmath.mpf(-mu) / sigma)
+                above = mpmath.ncdf(mpmath.mpf(mu) / sigma)
+                expected = float((mpmath.ncdf((mpmath.mpf(x) - mu) / sigma) - below) / above)
+            assert d.cdf(x) == pytest.approx(expected, abs=1e-14)
+            assert d.cdf(x) == pytest.approx(expected, rel=1e-6, abs=0.0)
+
 
 class TestQuantile:
     def test_uniform_linear(self):

@@ -1,6 +1,8 @@
 """Oracle tests: seeded Monte-Carlo estimates and brute-force grid search."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,13 @@ from freshopt import (
     grid_search_plan,
     mc_expected,
     optimal_plan,
+    realized_chain_profit,
     realized_retailer_profit,
+    realized_supplier_profit,
     retailer_expected_profit,
     supplier_expected_profit,
 )
-from freshopt.oracle import chunk_streams
+from freshopt.oracle import MC_KINDS, chunk_stream, chunk_streams
 
 REFERENCE_PLAN = OrderPlan(q_spot=240.0 / 6.3, q_option=2080.0 / 63.0)
 
@@ -93,6 +97,48 @@ class TestMcExpected:
         with pytest.raises(ValueError):
             mc_expected("retailer", baseline_demand, baseline_market, baseline_contract,
                         1.0, REFERENCE_PLAN, 0, 1)
+
+    def test_rejects_negative_seed(self, baseline_demand, baseline_market,
+                                   baseline_contract):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            mc_expected("chain", baseline_demand, baseline_market, baseline_contract,
+                        1.0, REFERENCE_PLAN, 10, -1)
+
+    def test_chunk_stream_is_spawned_child(self):
+        for seed in (0, 7, 2**40):
+            for i in (0, 1, 5):
+                expected = np.random.SeedSequence(seed).spawn(i + 1)[i]
+                assert (chunk_stream(seed, i).generate_state(4)
+                        == expected.generate_state(4)).all()
+        assert [s.spawn_key for s in chunk_streams(3, 3 * 131072 + 1)] == [(0,), (1,), (2,), (3,)]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bit_identical_to_one_draw_per_chunk(self, family):
+        # Reference fold: one draw of the whole chunk, then mean and squared deviations.
+        d, m, o, k = random_feasible_setup(np.random.default_rng(31), family)
+        plan = optimal_plan(d, m, o, k)
+        evaluators = {
+            "retailer": lambda x: realized_retailer_profit(x, m.theta * k, m, o, plan),
+            "supplier": lambda x: realized_supplier_profit(x, m, o, plan),
+            "chain": lambda x: realized_chain_profit(x, m, plan.q_total),
+        }
+        chunk = 1 << 17
+        for kind in MC_KINDS:
+            for n in (1, 8193, chunk, chunk + 1, 3 * chunk + 17):
+                count, mean, m2 = 0, 0.0, 0.0
+                for i, child in enumerate(np.random.SeedSequence(11).spawn(-(-n // chunk))):
+                    take = min(chunk, n - i * chunk)
+                    rng = np.random.Generator(np.random.PCG64(child))
+                    p = evaluators[kind](d.sample(rng, size=take))
+                    chunk_mean = float(p.mean())
+                    chunk_m2 = float(np.sum((p - chunk_mean) ** 2))
+                    delta, total = chunk_mean - mean, count + take
+                    mean += delta * take / total
+                    m2 += chunk_m2 + delta * delta * count * take / total
+                    count = total
+                est = mc_expected(kind, d, m, o, k, plan, n, 11)
+                assert est.mean == mean, (kind, n)
+                assert est.stderr == (math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0), (kind, n)
 
     def test_random_configurations_within_three_sigma(self):
         rng = np.random.default_rng(404)
