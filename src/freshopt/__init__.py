@@ -9,6 +9,7 @@ oracles that verify every closed form independently.
 from .demand import (
     DemandDistribution,
     Exponential,
+    InvalidValue,
     OutOfRange,
     TruncatedNormal,
     Uniform,
@@ -27,7 +28,7 @@ from .profit import (
     retailer_expected_profit,
     retailer_profit_gradient,
     supplier_expected_profit,
-    supplier_profit_gap,
+    total_fractile,
 )
 from .optimizer import (
     FeasibilityReport,
@@ -41,7 +42,7 @@ from .optimizer import (
     optimal_centralized,
     optimal_plan,
     spot_fractile,
-    total_fractile,
+    supplier_profit_gap,
 )
 from .oracle import (
     GridSpec,
@@ -78,7 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DemandDistribution", "Uniform", "Exponential", "TruncatedNormal",
-    "make_distribution", "OutOfRange",
+    "make_distribution", "OutOfRange", "InvalidValue",
     "MarketParams", "OptionContract", "OrderPlan", "ProfitBreakdown",
     "InfeasibleContract",
     "retailer_expected_profit", "retailer_profit_gradient",

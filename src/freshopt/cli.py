@@ -9,7 +9,8 @@ profit breakdown), ``evaluate`` (profits at a user-given plan),
 Flag values override config values, which override defaults.  Numeric
 output is fixed at 6 decimal places and identical inputs produce
 byte-identical output.  Exit codes: 0 success, 1 model infeasibility
-(or a simulation check outside 3 standard errors), 2 configuration error.
+(or a simulation check outside 3 standard errors), 2 configuration error
+or a value outside its domain.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .config import ConfigError, ScenarioConfig, load_config
-from .demand import OutOfRange
+from .config import ConfigError, OracleSettings, ScenarioConfig, load_config
+from .demand import InvalidValue, OutOfRange, _check_positive
 from .optimizer import (
     Infeasible,
     NonCoordinable,
@@ -79,16 +80,12 @@ def _resolve_contract(config: ScenarioConfig, args) -> OptionContract:
     if c0 is None or ce is None:
         raise _UsageError(
             "no option contract available: provide --c0/--ce or a contract section in the config")
-    try:
-        return OptionContract(c0=c0, ce=ce)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return OptionContract(c0=c0, ce=ce)
 
 
 def _resolve_k(config: ScenarioConfig, args) -> float:
     k = args.k if args.k is not None else config.overconfidence
-    if k <= 0.0:
-        raise _UsageError(f"k must be > 0, got {k}")
+    _check_positive("k", k)
     return k
 
 
@@ -110,17 +107,10 @@ def cmd_optimize(config: ScenarioConfig, args, out) -> int:
     return 0
 
 
-def _plan_from_flags(q1: float, qq: float) -> OrderPlan:
-    try:
-        return OrderPlan(q_spot=q1, q_option=qq)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def cmd_evaluate(config: ScenarioConfig, args, out) -> int:
     contract = _resolve_contract(config, args)
     k = _resolve_k(config, args)
-    plan = _plan_from_flags(args.q1, args.qq)
+    plan = OrderPlan(q_spot=args.q1, q_option=args.qq)
     believed = retailer_expected_profit(config.demand, config.market, contract, k, plan)
     true_view = retailer_expected_profit(config.demand, config.market, contract, 1.0, plan)
     _emit(out, "Q", plan.q_total)
@@ -143,16 +133,12 @@ def cmd_coordinate(config: ScenarioConfig, args, out) -> int:
         c0 = args.c0 if args.c0 is not None else (config.contract.c0 if config.contract else None)
         if c0 is None:
             raise _UsageError("--solve-exercise needs --c0 or a contract section in the config")
-        if c0 <= 0.0:
-            raise _UsageError(f"option premium must be > 0, got {c0}")
         ce = coordinating_exercise_price(d, m, c0, k)
         _emit(out, "ce", ce)
     else:
         ce = args.ce if args.ce is not None else (config.contract.ce if config.contract else None)
         if ce is None:
             raise _UsageError("coordinate needs --ce or a contract section in the config")
-        if ce <= 0.0:
-            raise _UsageError(f"exercise price must be > 0, got {ce}")
         c0 = coordinating_premium(d, m, ce, k)
         _emit(out, "c0", c0)
     report = check_feasibility(m, OptionContract(c0=c0, ce=ce), k)
@@ -166,16 +152,12 @@ def cmd_simulate(config: ScenarioConfig, args, out) -> int:
     contract = _resolve_contract(config, args)
     k = _resolve_k(config, args)
     d, m = config.demand, config.market
-    n = args.n if args.n is not None else config.oracle.samples
-    seed = args.seed if args.seed is not None else config.oracle.seed
-    if n < 1:
-        raise _UsageError(f"sample count must be >= 1, got {n}")
-    if seed < 0:
-        raise _UsageError(f"seed must be >= 0, got {seed}")
+    draws = OracleSettings(samples=args.n if args.n is not None else config.oracle.samples,
+                           seed=args.seed if args.seed is not None else config.oracle.seed)
     if args.q1 is not None or args.qq is not None:
         if args.q1 is None or args.qq is None:
             raise _UsageError("provide both --q1 and --qq, or neither")
-        plan = _plan_from_flags(args.q1, args.qq)
+        plan = OrderPlan(q_spot=args.q1, q_option=args.qq)
     else:
         plan = optimal_plan(d, m, contract, k)
 
@@ -185,7 +167,7 @@ def cmd_simulate(config: ScenarioConfig, args, out) -> int:
         analytic = supplier_expected_profit(d, m, contract, plan)
     else:
         analytic = chain_expected_profit(d, m, plan.q_total)
-    estimate = mc_expected(args.kind, d, m, contract, k, plan, n, seed)
+    estimate = mc_expected(args.kind, d, m, contract, k, plan, draws.samples, draws.seed)
     distance = abs(estimate.mean - analytic) / estimate.stderr if estimate.stderr > 0 else 0.0
 
     _emit(out, "kind", args.kind)
@@ -309,7 +291,7 @@ def main(argv=None) -> int:
             "sweep": cmd_sweep,
         }[args.command]
         return handler(config, args, out)
-    except (ConfigError, _UsageError) as exc:
+    except (ConfigError, _UsageError, InvalidValue) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _MODEL_ERRORS as exc:

@@ -10,9 +10,24 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .demand import DemandDistribution, make_distribution
+from .demand import (
+    _FAMILIES,
+    DemandDistribution,
+    InvalidValue,
+    _check_positive,
+    _param_names,
+    make_distribution,
+)
+from .oracle import _check_draws
 from .profit import MarketParams, OptionContract
-from .sweep import MODE_FIXED_CONTRACT, MODE_FIXED_EXERCISE, MODE_FIXED_PREMIUM, MODES, _k_range
+from .sweep import (
+    MODE_FIXED_CONTRACT,
+    MODE_FIXED_EXERCISE,
+    MODE_FIXED_PREMIUM,
+    MODES,
+    _check_k_grid,
+    _k_range,
+)
 
 SCHEMA_VERSION = 1
 
@@ -27,11 +42,6 @@ _CONTRACT_KEYS = {"c0", "ce"}
 _ORACLE_KEYS = {"samples", "seed", "grid_step"}
 _SWEEP_KEYS = {"mode", "c0", "ce", "k_grid"}
 _DEMAND_KEYS = {"family", "params"}
-_DEMAND_PARAMS = {
-    "uniform": {"lo", "hi"},
-    "exponential": {"rate"},
-    "truncated-normal": {"mu", "sigma"},
-}
 _KGRID_KEYS = {"start", "stop", "step"}
 
 
@@ -61,6 +71,10 @@ class OracleSettings:
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
     grid_step: float = DEFAULT_GRID_STEP
+
+    def __post_init__(self):
+        _check_draws(self.samples, self.seed)
+        _check_positive("grid_step", self.grid_step)
 
 
 @dataclass(frozen=True)
@@ -115,8 +129,8 @@ def parse_config(raw) -> ScenarioConfig:
     market = _parse_market(raw.get("market"), problems)
     contract = _parse_contract(raw.get("contract"), problems) if "contract" in raw else None
     overconfidence = _number(raw.get("overconfidence", 1.0), "overconfidence", problems)
-    if overconfidence is not None and overconfidence <= 0.0:
-        problems.append(f"overconfidence: must be > 0, got {overconfidence}")
+    if overconfidence is not None:
+        _checked(problems, "", lambda: _check_positive("overconfidence", overconfidence))
     oracle = _parse_oracle(raw.get("oracle"), problems) if "oracle" in raw else OracleSettings()
     sweep = _parse_sweep(raw.get("sweep"), contract, problems) if "sweep" in raw else None
 
@@ -138,11 +152,33 @@ def _reject_unknown(mapping: dict, allowed: set[str], prefix: str, problems: lis
             problems.append(f"{prefix}{key}: unknown key")
 
 
+def _checked(problems: list[str], prefix: str, build):
+    """build(), or None after recording each InvalidValue problem under prefix + field."""
+    try:
+        return build()
+    except InvalidValue as exc:
+        problems.extend(f"{prefix}{field}: {rule}" for field, rule in exc.problems)
+        return None
+
+
 def _number(value, path: str, problems: list[str]) -> float | None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{path}: expected a number, got {value!r}")
         return None
     return float(value)
+
+
+def _numbers(raw: dict, names: set[str], prefix: str, problems: list[str]) -> dict[str, float] | None:
+    """Each of names as a number, or None after recording what is unknown, missing or not one."""
+    _reject_unknown(raw, names, prefix, problems)
+    before = len(problems)
+    values = {}
+    for name in sorted(names):
+        if name not in raw:
+            problems.append(f"{prefix}{name}: required")
+        else:
+            values[name] = _number(raw[name], f"{prefix}{name}", problems)
+    return values if len(problems) == before else None
 
 
 def _integer(value, path: str, problems: list[str]) -> int | None:
@@ -161,35 +197,18 @@ def _parse_demand(raw, problems: list[str]) -> DemandDistribution | None:
         return None
     _reject_unknown(raw, _DEMAND_KEYS, "demand.", problems)
     family = raw.get("family")
-    if family not in _DEMAND_PARAMS:
+    if family not in _FAMILIES:
         problems.append(
-            f"demand.family: expected one of {sorted(_DEMAND_PARAMS)}, got {family!r}")
+            f"demand.family: expected one of {sorted(_FAMILIES)}, got {family!r}")
         return None
     params_raw = raw.get("params")
     if not isinstance(params_raw, dict):
         problems.append("demand.params: expected an object")
         return None
-    expected = _DEMAND_PARAMS[family]
-    _reject_unknown(params_raw, expected, "demand.params.", problems)
-    params: dict[str, float] = {}
-    ok = True
-    for name in sorted(expected):
-        if name not in params_raw:
-            problems.append(f"demand.params.{name}: required for family {family!r}")
-            ok = False
-            continue
-        value = _number(params_raw[name], f"demand.params.{name}", problems)
-        if value is None:
-            ok = False
-        else:
-            params[name] = value
-    if not ok:
+    params = _numbers(params_raw, _param_names(_FAMILIES[family]), "demand.params.", problems)
+    if params is None:
         return None
-    try:
-        return make_distribution(family, **params)
-    except ValueError as exc:
-        problems.append(f"demand: {exc}")
-        return None
+    return _checked(problems, "demand.params.", lambda: make_distribution(family, **params))
 
 
 def _parse_market(raw, problems: list[str]) -> MarketParams | None:
@@ -199,81 +218,34 @@ def _parse_market(raw, problems: list[str]) -> MarketParams | None:
     if not isinstance(raw, dict):
         problems.append("market: expected an object")
         return None
-    _reject_unknown(raw, _MARKET_KEYS, "market.", problems)
-    values: dict[str, float] = {}
-    ok = True
-    for name in sorted(_MARKET_KEYS):
-        if name not in raw:
-            problems.append(f"market.{name}: required")
-            ok = False
-            continue
-        value = _number(raw[name], f"market.{name}", problems)
-        if value is None:
-            ok = False
-        else:
-            values[name] = value
-    if not ok:
+    values = _numbers(raw, _MARKET_KEYS, "market.", problems)
+    if values is None:
         return None
-    before = len(problems)
-    if not values["p"] > values["w0"]:
-        problems.append(f"market.p: must exceed w0, got p={values['p']}, w0={values['w0']}")
-    if not values["w0"] > values["c"]:
-        problems.append(f"market.w0: must exceed c, got w0={values['w0']}, c={values['c']}")
-    if values["c"] < 0.0:
-        problems.append(f"market.c: must be >= 0, got {values['c']}")
-    if values["g"] < 0.0:
-        problems.append(f"market.g: must be >= 0, got {values['g']}")
-    if not 0.0 < values["beta"] < 1.0:
-        problems.append(f"market.beta: must satisfy 0 < beta < 1, got {values['beta']}")
-    if not 0.0 < values["theta"] <= 1.0:
-        problems.append(f"market.theta: must satisfy 0 < theta <= 1, got {values['theta']}")
-    if len(problems) > before:
-        return None
-    return MarketParams(**values)
+    return _checked(problems, "market.", lambda: MarketParams(**values))
 
 
 def _parse_contract(raw, problems: list[str]) -> OptionContract | None:
     if not isinstance(raw, dict):
         problems.append("contract: expected an object")
         return None
-    _reject_unknown(raw, _CONTRACT_KEYS, "contract.", problems)
-    ok = True
-    values: dict[str, float] = {}
-    for name in sorted(_CONTRACT_KEYS):
-        if name not in raw:
-            problems.append(f"contract.{name}: required")
-            ok = False
-            continue
-        value = _number(raw[name], f"contract.{name}", problems)
-        if value is None:
-            ok = False
-        elif value <= 0.0:
-            problems.append(f"contract.{name}: must be > 0, got {value}")
-            ok = False
-        else:
-            values[name] = value
-    return OptionContract(**values) if ok else None
+    values = _numbers(raw, _CONTRACT_KEYS, "contract.", problems)
+    if values is None:
+        return None
+    return _checked(problems, "contract.", lambda: OptionContract(**values))
 
 
-def _parse_oracle(raw, problems: list[str]) -> OracleSettings:
+def _parse_oracle(raw, problems: list[str]) -> OracleSettings | None:
     if not isinstance(raw, dict):
         problems.append("oracle: expected an object")
-        return OracleSettings()
+        return None
     _reject_unknown(raw, _ORACLE_KEYS, "oracle.", problems)
-    samples = _integer(raw.get("samples", DEFAULT_SAMPLES), "oracle.samples", problems)
-    if samples is not None and samples < 1:
-        problems.append(f"oracle.samples: must be >= 1, got {samples}")
-    seed = _integer(raw.get("seed", DEFAULT_SEED), "oracle.seed", problems)
-    if seed is not None and seed < 0:
-        problems.append(f"oracle.seed: must be >= 0, got {seed}")
-    step = _number(raw.get("grid_step", DEFAULT_GRID_STEP), "oracle.grid_step", problems)
-    if step is not None and step <= 0.0:
-        problems.append(f"oracle.grid_step: must be > 0, got {step}")
-    return OracleSettings(
-        samples=samples if samples is not None else DEFAULT_SAMPLES,
-        seed=seed if seed is not None else DEFAULT_SEED,
-        grid_step=step if step is not None else DEFAULT_GRID_STEP,
-    )
+    values = {}
+    for name, parse in (("samples", _integer), ("seed", _integer), ("grid_step", _number)):
+        if name in raw:
+            value = parse(raw[name], f"oracle.{name}", problems)
+            if value is not None:
+                values[name] = value
+    return _checked(problems, "oracle.", lambda: OracleSettings(**values))
 
 
 def _parse_sweep(raw, contract: OptionContract | None, problems: list[str]) -> SweepSettings | None:
@@ -285,62 +257,36 @@ def _parse_sweep(raw, contract: OptionContract | None, problems: list[str]) -> S
     if mode not in MODES:
         problems.append(f"sweep.mode: expected one of {MODES}, got {mode!r}")
         return None
-    c0 = ce = None
-    if mode == MODE_FIXED_EXERCISE:
-        if "ce" not in raw:
-            problems.append("sweep.ce: required for fixed-exercise-price mode")
+    fixed = {MODE_FIXED_EXERCISE: "ce", MODE_FIXED_PREMIUM: "c0"}.get(mode)
+    prices: dict[str, float | None] = {}
+    if fixed is not None:
+        if fixed not in raw:
+            problems.append(f"sweep.{fixed}: required for {mode} mode")
             return None
-        ce = _number(raw["ce"], "sweep.ce", problems)
-        if ce is not None and ce <= 0.0:
-            problems.append(f"sweep.ce: must be > 0, got {ce}")
-    elif mode == MODE_FIXED_PREMIUM:
-        if "c0" not in raw:
-            problems.append("sweep.c0: required for fixed-premium mode")
-            return None
-        c0 = _number(raw["c0"], "sweep.c0", problems)
-        if c0 is not None and c0 <= 0.0:
-            problems.append(f"sweep.c0: must be > 0, got {c0}")
+        price = prices[fixed] = _number(raw[fixed], f"sweep.{fixed}", problems)
+        if price is not None:
+            _checked(problems, "sweep.", lambda: _check_positive(fixed, price))
     elif mode == MODE_FIXED_CONTRACT and contract is None:
         problems.append("sweep.mode: fixed-contract mode requires the contract section")
         return None
     k_grid = _parse_k_grid(raw.get("k_grid"), problems) if "k_grid" in raw else None
-    return SweepSettings(mode=mode, c0=c0, ce=ce, k_grid=k_grid)
+    return SweepSettings(mode=mode, k_grid=k_grid, **prices)
 
 
 def _parse_k_grid(raw, problems: list[str]) -> tuple[float, ...] | None:
     if isinstance(raw, list):
-        values: list[float] = []
-        for i, item in enumerate(raw):
-            value = _number(item, f"sweep.k_grid[{i}]", problems)
-            if value is None:
-                return None
-            values.append(value)
-        if len(values) == 0:
-            problems.append("sweep.k_grid: must not be empty")
+        grid = tuple(_number(item, f"sweep.k_grid[{i}]", problems) for i, item in enumerate(raw))
+        if None in grid:
             return None
-        if any(v <= 0.0 for v in values):
-            problems.append("sweep.k_grid: all values must be > 0")
+    elif isinstance(raw, dict):
+        bounds = _numbers(raw, _KGRID_KEYS, "sweep.k_grid.", problems)
+        if bounds is None:
             return None
-        if any(b <= a for a, b in zip(values, values[1:])):
-            problems.append("sweep.k_grid: values must be strictly increasing")
+        grid = _checked(problems, "sweep.k_grid.", lambda: _k_range(**bounds))
+        if grid is None:
             return None
-        return tuple(values)
-    if isinstance(raw, dict):
-        _reject_unknown(raw, _KGRID_KEYS, "sweep.k_grid.", problems)
-        missing = [k for k in sorted(_KGRID_KEYS) if k not in raw]
-        if missing:
-            problems.append(f"sweep.k_grid: missing {', '.join(missing)}")
-            return None
-        start = _number(raw["start"], "sweep.k_grid.start", problems)
-        stop = _number(raw["stop"], "sweep.k_grid.stop", problems)
-        step = _number(raw["step"], "sweep.k_grid.step", problems)
-        if None in (start, stop, step):
-            return None
-        if start <= 0.0 or stop < start or step <= 0.0:
-            problems.append(
-                f"sweep.k_grid: need 0 < start <= stop and step > 0, got "
-                f"start={start}, stop={stop}, step={step}")
-            return None
-        return _k_range(start, stop, step)
-    problems.append("sweep.k_grid: expected a list of numbers or {start, stop, step}")
-    return None
+    else:
+        problems.append("sweep.k_grid: expected a list of numbers or {start, stop, step}")
+        return None
+    _checked(problems, "sweep.", lambda: _check_k_grid(grid))
+    return grid

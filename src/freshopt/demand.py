@@ -24,6 +24,35 @@ class OutOfRange(ValueError):
     """Quantile level outside the open interval (0, 1)."""
 
 
+class InvalidValue(ValueError):
+    """Values that break a domain rule, each stated once by the type or helper owning it.
+
+    ``problems`` lists ``(field, rule)`` pairs, e.g. ``("beta", "must satisfy
+    0 < beta < 1, got 1.0")``, which the message reads as "beta must ...".
+    """
+
+    def __init__(self, problems: list[tuple[str, str]]):
+        self.problems = list(problems)
+        super().__init__("; ".join(f"{_NOUNS.get(field, field)} {rule}"
+                                   for field, rule in self.problems))
+
+
+# Fields whose identifier reads poorly as the subject of a message.
+_NOUNS = {"samples": "sample count"}
+
+
+def _check_positive(field: str, value: float) -> None:
+    """Raise InvalidValue unless value is finite and > 0."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise InvalidValue([(field, f"must be finite and > 0, got {value}")])
+
+
+def _check_nonnegative(field: str, value: float) -> None:
+    """Raise InvalidValue unless value is finite and >= 0."""
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise InvalidValue([(field, f"must be finite and >= 0, got {value}")])
+
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -97,10 +126,9 @@ class Uniform(DemandDistribution):
     family: ClassVar[str] = "uniform"
 
     def __post_init__(self):
-        if not (0.0 <= self.lo < self.hi) or not math.isfinite(self.hi):
-            raise ValueError(
-                f"uniform demand requires 0 <= lo < hi, got lo={self.lo}, hi={self.hi}"
-            )
+        _check_nonnegative("lo", self.lo)
+        if not (self.hi > self.lo and math.isfinite(self.hi)):
+            raise InvalidValue([("hi", f"must be finite and > lo, got lo={self.lo}, hi={self.hi}")])
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -130,8 +158,7 @@ class Exponential(DemandDistribution):
     family: ClassVar[str] = "exponential"
 
     def __post_init__(self):
-        if not (self.rate > 0.0) or not math.isfinite(self.rate):
-            raise ValueError(f"exponential demand requires rate > 0, got {self.rate}")
+        _check_positive("rate", self.rate)
 
     def cdf(self, x):
         arr = np.asarray(x, dtype=float)
@@ -166,11 +193,9 @@ class TruncatedNormal(DemandDistribution):
     family: ClassVar[str] = "truncated-normal"
 
     def __post_init__(self):
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma) or not math.isfinite(self.mu):
-            raise ValueError(
-                f"truncated-normal demand requires finite mu and sigma > 0, "
-                f"got mu={self.mu}, sigma={self.sigma}"
-            )
+        if not math.isfinite(self.mu):
+            raise InvalidValue([("mu", f"must be finite, got {self.mu}")])
+        _check_positive("sigma", self.sigma)
 
     @cached_property
     def _mass_below_zero(self) -> float:
@@ -229,6 +254,10 @@ _FAMILIES: dict[str, type[DemandDistribution]] = {
 }
 
 
+def _param_names(cls: type[DemandDistribution]) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}  # type: ignore[arg-type]
+
+
 def make_distribution(family: str, **params: float) -> DemandDistribution:
     """Build a demand distribution from a family name and its parameters."""
     try:
@@ -236,7 +265,7 @@ def make_distribution(family: str, **params: float) -> DemandDistribution:
     except KeyError:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown demand family {family!r}; expected one of: {known}") from None
-    expected = {f.name for f in dataclasses.fields(cls)}  # type: ignore[arg-type]
+    expected = _param_names(cls)
     given = set(params)
     if given != expected:
         raise ValueError(

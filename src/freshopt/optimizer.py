@@ -10,12 +10,19 @@ equals the centralized one.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
-from .demand import DemandDistribution
-from .profit import MarketParams, OptionContract, OrderPlan
+from .demand import DemandDistribution, InvalidValue, _check_positive
+from .profit import (
+    MarketParams,
+    OptionContract,
+    OrderPlan,
+    _contract_violations,
+    require_feasible_contract,
+    supplier_expected_profit,
+    total_fractile,
+)
 
 # Critical fractiles exactly 0 or 1 (e.g. zero production cost) are nudged
 # inside (0,1) before quantile evaluation; unbounded families have no
@@ -67,11 +74,6 @@ class FeasibilityReport:
         return "; ".join(f"{v.name} ({v.message})" for v in self.violations)
 
 
-def total_fractile(m: MarketParams, o: OptionContract) -> float:
-    """Critical fractile for the believed total stock."""
-    return (m.p + m.g - o.ce - o.c0) / (m.p + m.g - o.ce)
-
-
 def spot_fractile(m: MarketParams, o: OptionContract) -> float:
     """Critical fractile for the believed spot stock."""
     return (o.c0 + o.ce - m.w0) / o.ce
@@ -80,29 +82,24 @@ def spot_fractile(m: MarketParams, o: OptionContract) -> float:
 def check_feasibility(m: MarketParams, o: OptionContract, k: float) -> FeasibilityReport:
     """Screen the model's preconditions; reports, never raises."""
     violations: list[Violation] = []
-    if not (k > 0.0 and math.isfinite(k)):
-        violations.append(Violation("k-domain", f"k must be finite and > 0, got {k}"))
+    try:
+        _check_positive("k", k)
+    except InvalidValue as exc:
+        violations.append(Violation("k-domain", str(exc)))
 
-    if not (m.w0 < o.c0 + o.ce):
-        violations.append(Violation(
-            "assumption-4", f"w0={m.w0} >= c0+ce={o.c0 + o.ce}: all orders would move to options"))
-
-    pg_net = m.p + m.g - o.ce
-    tf = total_fractile(m, o) if pg_net > 0.0 else None
-    if tf is None or not (0.0 < tf < 1.0):
-        shown = "undefined" if tf is None else f"{tf:.6g}"
-        violations.append(Violation(
-            "fractile-range-total", f"(p+g-ce-c0)/(p+g-ce) = {shown} outside (0, 1)"))
+    contract = _contract_violations(m, o)
+    violations += map(Violation, contract, contract.values())
 
     sf = spot_fractile(m, o)
     if not (0.0 < sf < 1.0):
         violations.append(Violation(
             "fractile-range-spot", f"(c0+ce-w0)/ce = {sf:.6g} outside (0, 1)"))
-
-    if tf is not None and 0.0 < tf < 1.0 and 0.0 < sf < 1.0 and tf < sf:
-        violations.append(Violation(
-            "negative-option-quantity",
-            f"total fractile {tf:.6g} below spot fractile {sf:.6g}: optimal option quantity < 0"))
+    elif "fractile-range-total" not in contract:
+        tf = total_fractile(m, o)
+        if tf < sf:
+            violations.append(Violation(
+                "negative-option-quantity",
+                f"total fractile {tf:.6g} below spot fractile {sf:.6g}: optimal option quantity < 0"))
 
     return FeasibilityReport(tuple(violations))
 
@@ -157,10 +154,8 @@ def coordinating_premium(d: DemandDistribution, m: MarketParams, ce: float,
     The resulting (c0, ce) pair must still be a workable contract;
     otherwise NonCoordinable reports which condition broke.
     """
-    if not (ce > 0.0):
-        raise ValueError(f"exercise price must be > 0, got {ce}")
-    if not (k > 0.0 and math.isfinite(k)):
-        raise ValueError(f"k must be finite and > 0, got {k}")
+    _check_positive("ce", ce)
+    _check_positive("k", k)
     margin = m.p + m.g - ce
     if not (margin > 0.0):
         raise NonCoordinable(
@@ -193,11 +188,16 @@ def coordinating_premium(d: DemandDistribution, m: MarketParams, ce: float,
 
 def _check_coordination(d: DemandDistribution, m: MarketParams, contract: OptionContract,
                         k: float, x_central: float) -> None:
-    """Re-derive Q*(k) at the solved contract; it must equal Q** to _COORDINATION_TOL."""
-    q_total = (k * m.theta / (1.0 - m.beta)) * d.quantile(total_fractile(m, contract))
+    """Re-derive Q*(k) at the solved contract; it must equal Q** to _COORDINATION_TOL.
+
+    At extreme k the solved price can be right yet leave a total fractile
+    that rounds to 0 or too coarsely to reproduce Q**; that is Infeasible.
+    """
+    tf = total_fractile(m, contract)
+    q_total = (k * m.theta / (1.0 - m.beta)) * d.quantile(tf) if 0.0 < tf < 1.0 else None
     q_central = (m.theta / (1.0 - m.beta)) * x_central
-    if abs(q_total - q_central) > _COORDINATION_TOL * q_central:
-        raise ArithmeticError(
+    if q_total is None or abs(q_total - q_central) > _COORDINATION_TOL * q_central:
+        raise Infeasible(
             f"coordination identity failed: decentralized total {q_total!r} vs "
             f"centralized {q_central!r}")
 
@@ -220,10 +220,8 @@ def coordinating_exercise_price(d: DemandDistribution, m: MarketParams, c0: floa
     ``0 < F(x_c/k) < 1 - c0/(p+g)``; otherwise NoRoot explains the k-range
     that would admit one.
     """
-    if not (c0 > 0.0):
-        raise ValueError(f"option premium must be > 0, got {c0}")
-    if not (k > 0.0 and math.isfinite(k)):
-        raise ValueError(f"k must be finite and > 0, got {k}")
+    _check_positive("c0", c0)
+    _check_positive("k", k)
     pg = m.p + m.g
     if not (c0 < pg):
         raise NoRoot(f"premium c0={c0} >= p+g={pg}: no exercise price can be admissible")
@@ -242,5 +240,26 @@ def coordinating_exercise_price(d: DemandDistribution, m: MarketParams, c0: floa
             f"even the maximal admissible price leaves the decentralized total "
             f"above the centralized one (k too large for this demand floor)")
     ce = pg - c0 / (1.0 - mass_below)
+    if not 0.0 < ce < pg - c0:
+        raise NoRoot(
+            f"no coordinating exercise price in (0, {pg - c0:.6g}) at k={k}: "
+            f"the closed form rounds to {ce!r}")
     _check_coordination(d, m, OptionContract(c0=c0, ce=ce), k, x_central)
     return float(ce)
+
+
+def supplier_profit_gap(d: DemandDistribution, m: MarketParams, o: OptionContract,
+                        k: float) -> float:
+    """Supplier profit at the rational optimum minus at the biased optimum.
+
+    Both profits come from ``supplier_expected_profit`` evaluated at the
+    closed-form optimal plans for k=1 and for the given k.  The sign tells
+    whether the retailer's belief bias costs the supplier money; with the
+    shipped example parameters the sign is governed by the production cost
+    (a high c makes extra biased-up orders a net loss for the supplier).
+    """
+    require_feasible_contract(m, o)
+    _check_positive("k", k)
+    biased = optimal_plan(d, m, o, k)
+    rational = optimal_plan(d, m, o, 1.0)
+    return supplier_expected_profit(d, m, o, rational) - supplier_expected_profit(d, m, o, biased)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import DemandDistribution
+from .demand import DemandDistribution, InvalidValue, _check_positive
 from .profit import (
     MarketParams,
     OptionContract,
@@ -59,10 +59,20 @@ class GridSpec:
 
     def __post_init__(self):
         for name, (lo, hi) in (("q1_range", self.q1_range), ("qq_range", self.qq_range)):
-            if not (0.0 <= lo <= hi):
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
-        if not (self.step > 0.0):
-            raise ValueError(f"step must be > 0, got {self.step}")
+            if not (0.0 <= lo <= hi and math.isfinite(hi)):
+                raise InvalidValue([(name, f"must satisfy 0 <= lo <= hi < inf, got ({lo}, {hi})")])
+        _check_positive("step", self.step)
+
+
+def _check_draws(samples: int, seed: int) -> None:
+    """Raise InvalidValue unless samples is an integer >= 1 and seed is >= 0."""
+    problems = []
+    if not (isinstance(samples, int) and samples >= 1):
+        problems.append(("samples", f"must be >= 1 and an integer, got {samples}"))
+    if not seed >= 0:
+        problems.append(("seed", f"must be >= 0, got {seed}"))
+    if problems:
+        raise InvalidValue(problems)
 
 
 def chunk_stream(seed: int, index: int) -> np.random.SeedSequence:
@@ -84,10 +94,7 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
     """
     if kind not in MC_KINDS:
         raise ValueError(f"kind must be one of {MC_KINDS}, got {kind!r}")
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"sample count must be an integer >= 1, got {n}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_draws(n, seed)
     if kind in ("retailer", "supplier"):
         require_feasible_contract(m, o)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import DemandDistribution
+from .demand import DemandDistribution, InvalidValue, _check_nonnegative, _check_positive
 
 
 class InfeasibleContract(ValueError):
@@ -47,21 +47,22 @@ class MarketParams:
     theta: float
 
     def __post_init__(self):
+        p, g, w0, c, beta, theta = self.p, self.g, self.w0, self.c, self.beta, self.theta
         problems = []
-        if not (self.p > self.w0):
-            problems.append(f"need p > w0, got p={self.p}, w0={self.w0}")
-        if not (self.w0 > self.c):
-            problems.append(f"need w0 > c, got w0={self.w0}, c={self.c}")
-        if not (self.c >= 0.0):
-            problems.append(f"need c >= 0, got c={self.c}")
-        if not (self.g >= 0.0):
-            problems.append(f"need g >= 0, got g={self.g}")
-        if not (0.0 < self.beta < 1.0):
-            problems.append(f"need 0 < beta < 1, got beta={self.beta}")
-        if not (0.0 < self.theta <= 1.0):
-            problems.append(f"need 0 < theta <= 1, got theta={self.theta}")
+        if not (p > w0 and math.isfinite(p)):
+            problems.append(("p", f"must be finite with p > w0, got p={p}, w0={w0}"))
+        if not w0 > c:
+            problems.append(("w0", f"must satisfy w0 > c, got w0={w0}, c={c}"))
+        if not c >= 0.0:
+            problems.append(("c", f"must be >= 0, got {c}"))
+        if not (g >= 0.0 and math.isfinite(g)):
+            problems.append(("g", f"must be finite and >= 0, got {g}"))
+        if not 0.0 < beta < 1.0:
+            problems.append(("beta", f"must satisfy 0 < beta < 1, got {beta}"))
+        if not 0.0 < theta <= 1.0:
+            problems.append(("theta", f"must satisfy 0 < theta <= 1, got {theta}"))
         if problems:
-            raise ValueError("invalid market parameters: " + "; ".join(problems))
+            raise InvalidValue(problems)
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,8 @@ class OptionContract:
     ce: float
 
     def __post_init__(self):
-        if not (self.c0 > 0.0 and self.ce > 0.0):
-            raise ValueError(
-                f"option contract requires c0 > 0 and ce > 0, got c0={self.c0}, ce={self.ce}"
-            )
+        _check_positive("c0", self.c0)
+        _check_positive("ce", self.ce)
 
 
 @dataclass(frozen=True)
@@ -86,11 +85,8 @@ class OrderPlan:
     q_option: float
 
     def __post_init__(self):
-        if not (self.q_spot >= 0.0 and self.q_option >= 0.0):
-            raise ValueError(
-                f"order quantities must be nonnegative, got "
-                f"q_spot={self.q_spot}, q_option={self.q_option}"
-            )
+        _check_nonnegative("q_spot", self.q_spot)
+        _check_nonnegative("q_option", self.q_option)
 
     @property
     def q_total(self) -> float:
@@ -105,26 +101,35 @@ class ProfitBreakdown:
     terms: dict[str, float]
 
 
-def require_feasible_contract(m: MarketParams, o: OptionContract) -> None:
-    """Raise InfeasibleContract unless the contract respects the market.
+def total_fractile(m: MarketParams, o: OptionContract) -> float:
+    """Critical fractile for the believed total stock."""
+    return (m.p + m.g - o.ce - o.c0) / (m.p + m.g - o.ce)
+
+
+def _contract_violations(m: MarketParams, o: OptionContract) -> dict[str, str]:
+    """Message of each contract-level precondition the terms break, by violation name.
 
     A workable contract needs w0 < c0 + ce (otherwise every unit would be
-    ordered through options) and c0 + ce < p + g (otherwise the total
-    critical fractile leaves (0, 1) and options are worthless).
+    ordered through options) and a total critical fractile inside (0, 1),
+    that is c0 + ce < p + g (otherwise options are worthless).
     """
+    violations = {}
     if not (m.w0 < o.c0 + o.ce):
-        raise InfeasibleContract(
-            f"assumption-4 violated: w0={m.w0} >= c0+ce={o.c0 + o.ce}"
-        )
-    if not (o.c0 + o.ce < m.p + m.g):
-        raise InfeasibleContract(
-            f"fractile-range-total violated: c0+ce={o.c0 + o.ce} >= p+g={m.p + m.g}"
-        )
+        violations["assumption-4"] = (
+            f"w0={m.w0} >= c0+ce={o.c0 + o.ce}: all orders would move to options")
+    tf = total_fractile(m, o) if m.p + m.g - o.ce > 0.0 else None
+    if tf is None or not (0.0 < tf < 1.0):
+        shown = "undefined" if tf is None else f"{tf:.6g}"
+        violations["fractile-range-total"] = f"(p+g-ce-c0)/(p+g-ce) = {shown} outside (0, 1)"
+    return violations
 
 
-def _require_positive_k(k: float) -> None:
-    if not (k > 0.0) or not math.isfinite(k):
-        raise ValueError(f"overconfidence multiplier k must be finite and > 0, got {k}")
+def require_feasible_contract(m: MarketParams, o: OptionContract) -> None:
+    """Raise InfeasibleContract unless the contract respects the market."""
+    violations = _contract_violations(m, o)
+    if violations:
+        raise InfeasibleContract("; ".join(f"{name} violated: {message}"
+                                           for name, message in violations.items()))
 
 
 def _retailer_terms(d: DemandDistribution, m: MarketParams, o: OptionContract,
@@ -160,7 +165,7 @@ def retailer_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
     covers the believed demand the stock cannot serve).
     """
     require_feasible_contract(m, o)
-    _require_positive_k(k)
+    _check_positive("k", k)
     terms = {name: float(v) for name, v in
              _retailer_terms(d, m, o, k, plan.q_spot, plan.q_option).items()}
     return ProfitBreakdown(total=float(sum(terms.values())), terms=terms)
@@ -170,7 +175,7 @@ def retailer_profit_gradient(d: DemandDistribution, m: MarketParams, o: OptionCo
                              k: float, plan: OrderPlan) -> tuple[float, float]:
     """Partials of the retailer's expected profit w.r.t. (q_spot, q_option)."""
     require_feasible_contract(m, o)
-    _require_positive_k(k)
+    _check_positive("k", k)
     eff = 1.0 - m.beta
     scale = m.theta * k
     cdf_total = d.cdf(plan.q_total * eff / scale)
@@ -205,29 +210,9 @@ def supplier_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
     )
 
 
-def supplier_profit_gap(d: DemandDistribution, m: MarketParams, o: OptionContract,
-                        k: float) -> float:
-    """Supplier profit at the rational optimum minus at the biased optimum.
-
-    Both profits come from ``supplier_expected_profit`` evaluated at the
-    closed-form optimal plans for k=1 and for the given k.  The sign tells
-    whether the retailer's belief bias costs the supplier money; with the
-    shipped example parameters the sign is governed by the production cost
-    (a high c makes extra biased-up orders a net loss for the supplier).
-    """
-    require_feasible_contract(m, o)
-    _require_positive_k(k)
-    from .optimizer import optimal_plan  # local import: optimizer depends on this module
-
-    biased = optimal_plan(d, m, o, k)
-    rational = optimal_plan(d, m, o, 1.0)
-    return supplier_expected_profit(d, m, o, rational) - supplier_expected_profit(d, m, o, biased)
-
-
 def chain_expected_profit(d: DemandDistribution, m: MarketParams, q_total: float) -> float:
     """Expected profit of the integrated chain stocking q_total in total."""
-    if not (q_total >= 0.0):
-        raise ValueError(f"q_total must be nonnegative, got {q_total}")
+    _check_nonnegative("q_total", q_total)
     eff = 1.0 - m.beta
     stock = q_total * eff
     pg = m.p + m.g

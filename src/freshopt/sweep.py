@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .demand import DemandDistribution
+from .demand import DemandDistribution, InvalidValue, _check_positive
 from .optimizer import (
     Infeasible,
     NonCoordinable,
@@ -45,6 +45,9 @@ CSV_COLUMNS = (
 
 _NUMERIC_COLUMNS = CSV_COLUMNS[1:10]
 
+# Largest {start, stop, step} range built; the default grids have 15 and 76 points.
+_MAX_K_POINTS = 100_000
+
 
 class TooFewRows(ValueError):
     """Not enough feasible rows to classify monotonicity."""
@@ -59,9 +62,31 @@ def default_k_grid(mode: str) -> tuple[float, ...]:
 
 
 def _k_range(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """start, start+step, ... up to stop (never past it), rounded to 12 decimals."""
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(round(start + i * step, 12) for i in range(count))
+    """start, start+step, ... up to stop (never past it), rounded to 12 decimals.
+
+    Raises InvalidValue, before building anything, for bounds that are not
+    finite and ordered or a range of more than _MAX_K_POINTS points.
+    """
+    _check_positive("start", start)
+    _check_positive("step", step)
+    if not (stop >= start and math.isfinite(stop)):
+        raise InvalidValue([("stop", f"must be finite and >= start, got start={start}, stop={stop}")])
+    intervals = (stop - start) / step + 1e-9
+    if not intervals < _MAX_K_POINTS:
+        raise InvalidValue([("step", f"gives more than {_MAX_K_POINTS} points from {start} to {stop}, "
+                                     f"got {step}")])
+    return tuple(round(start + i * step, 12) for i in range(int(math.floor(intervals)) + 1))
+
+
+def _check_k_grid(k_grid: tuple[float, ...]) -> None:
+    """Raise InvalidValue unless k_grid is non-empty, strictly increasing, finite and > 0."""
+    if len(k_grid) == 0:
+        raise InvalidValue([("k_grid", "must not be empty")])
+    if not all(b > a for a, b in zip(k_grid, k_grid[1:])):
+        raise InvalidValue([("k_grid", "must be strictly increasing")])
+    # Increasing, so its two ends bound every value.
+    _check_positive("k_grid[0]", k_grid[0])
+    _check_positive(f"k_grid[{len(k_grid) - 1}]", k_grid[-1])
 
 
 @dataclass(frozen=True)
@@ -78,19 +103,12 @@ class SweepScenario:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if len(self.k_grid) == 0:
-            raise ValueError("k_grid must not be empty")
-        if any(k <= 0.0 for k in self.k_grid):
-            raise ValueError("k_grid values must all be > 0")
-        if any(b <= a for a, b in zip(self.k_grid, self.k_grid[1:])):
-            raise ValueError("k_grid must be strictly increasing")
-        if self.mode == MODE_FIXED_EXERCISE and self.fixed_ce is None:
-            raise ValueError("fixed-exercise-price mode requires fixed_ce")
-        if self.mode == MODE_FIXED_PREMIUM and self.fixed_c0 is None:
-            raise ValueError("fixed-premium mode requires fixed_c0")
-        if self.mode == MODE_FIXED_CONTRACT and self.contract is None:
-            raise ValueError("fixed-contract mode requires a contract")
+            raise InvalidValue([("mode", f"must be one of {MODES}, got {self.mode!r}")])
+        _check_k_grid(self.k_grid)
+        required = {MODE_FIXED_EXERCISE: "fixed_ce", MODE_FIXED_PREMIUM: "fixed_c0",
+                    MODE_FIXED_CONTRACT: "contract"}[self.mode]
+        if getattr(self, required) is None:
+            raise InvalidValue([(required, f"is required in {self.mode} mode")])
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -202,3 +203,42 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "--config", str(bad), "simulate", "--kind", "chain")
         assert code == 2
         assert "oracle.seed" in err
+
+
+# Out-of-domain values that once exited 0 or 1, or escaped as a traceback.
+OUT_OF_DOMAIN = [
+    ({}, ("optimize", "--k", "nan")),
+    ({}, ("optimize", "--k", "inf")),
+    ({}, ("coordinate", "--ce", "nan")),
+    ({}, ("coordinate", "--solve-exercise", "--c0", "nan")),
+    ({}, ("evaluate", "--q1", "inf", "--qq", "1")),
+    ({("market", "p"): math.inf}, ("optimize",)),
+    ({("market", "g"): math.inf}, ("optimize",)),
+    ({("contract", "c0"): math.inf}, ("optimize",)),
+    ({("contract", "ce"): math.nan}, ("optimize",)),
+    ({("overconfidence",): math.inf}, ("optimize",)),
+    ({("overconfidence",): math.nan}, ("optimize",)),
+    ({("oracle", "grid_step"): math.nan}, ("optimize",)),
+    ({("sweep",): {"mode": "fixed-premium", "c0": math.nan}}, ("optimize",)),
+    ({("sweep", "k_grid"): [math.nan]}, ("optimize",)),
+    ({("sweep", "k_grid"): {"start": 1.0, "stop": math.inf, "step": 0.1}}, ("optimize",)),
+    ({("sweep", "k_grid"): {"start": 1.0, "stop": 2.0, "step": 1e-6}}, ("optimize",)),
+]
+
+
+@pytest.mark.parametrize("overrides,argv", OUT_OF_DOMAIN,
+                         ids=[" ".join(argv) + "".join(f" {'.'.join(p)}={v!r}" for p, v in o.items())
+                              for o, argv in OUT_OF_DOMAIN])
+def test_out_of_domain_value_exits_two(capsys, tmp_path, overrides, argv):
+    raw = json.loads(default_config_path().read_text(encoding="utf-8"))
+    for (*parents, key), value in overrides.items():
+        section = raw
+        for name in parents:
+            section = section[name]
+        section[key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run_cli(capsys, "--config", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

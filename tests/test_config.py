@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -184,3 +185,47 @@ class TestDefaultsAndOptional:
         with pytest.raises(ConfigValidationError) as err:
             parse_config(raw)
         assert any("sweep.c0" in p for p in err.value.problems)
+
+
+def _baseline_with(path: tuple, value) -> dict:
+    raw = _baseline_raw()
+    *parents, key = path
+    section = raw
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    return raw
+
+
+# Values that once passed validation or escaped it as another exception.
+OUT_OF_DOMAIN = [
+    (("market", "p"), math.inf, "market.p"),
+    (("market", "g"), math.inf, "market.g"),
+    (("contract", "c0"), math.inf, "contract.c0"),
+    (("contract", "ce"), math.nan, "contract.ce"),
+    (("overconfidence",), math.inf, "overconfidence"),
+    (("overconfidence",), math.nan, "overconfidence"),
+    (("oracle", "grid_step"), math.nan, "oracle.grid_step"),
+    (("sweep",), {"mode": "fixed-premium", "c0": math.nan}, "sweep.c0"),
+    (("sweep", "k_grid"), [math.nan], "sweep.k_grid[0]"),
+    (("sweep", "k_grid"), {"start": 1.0, "stop": math.inf, "step": 0.1}, "sweep.k_grid.stop"),
+    (("sweep", "k_grid"), {"start": 1.0, "stop": 2.0, "step": 1e-6}, "sweep.k_grid.step"),
+]
+
+
+class TestNonFiniteAndUnbounded:
+    @pytest.mark.parametrize("path,value,field", OUT_OF_DOMAIN,
+                             ids=[c[2] + "=" + repr(c[1]) for c in OUT_OF_DOMAIN])
+    def test_rejected_with_field_path(self, path, value, field):
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(_baseline_with(path, value))
+        assert any(p.startswith(f"{field}: ") for p in err.value.problems), err.value.problems
+
+    def test_json_literals_reach_validation(self, tmp_path):
+        # Python's json module accepts NaN and Infinity, so a file can carry them.
+        text = json.dumps(_baseline_with(("market", "p"), math.inf))
+        assert "Infinity" in text
+        path = tmp_path / "inf.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigValidationError, match="market.p: must be finite"):
+            load_config(path)

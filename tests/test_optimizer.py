@@ -173,6 +173,12 @@ class TestCoordinatingPremium:
         with pytest.raises(NonCoordinable, match="k-domain"):
             coordinating_premium(d, baseline_market, 35.0, 5.0)
 
+    def test_unresolvable_identity_is_infeasible(self, baseline_demand, baseline_market):
+        # At k = 1e10 the total fractile is about 7e-11, too coarse after rounding
+        # to give back Q** within the tolerance.
+        with pytest.raises(Infeasible, match="coordination identity failed"):
+            coordinating_premium(baseline_demand, baseline_market, 35.0, 1e10)
+
     def test_chain_prefers_centralized_total(self, baseline_demand, baseline_market,
                                              baseline_contract):
         d, m, o = baseline_demand, baseline_market, baseline_contract
@@ -207,6 +213,11 @@ class TestCoordinatingExercisePrice:
         # the largest admissible price cannot pull the total down far enough.
         with pytest.raises(NoRoot, match="demand floor"):
             coordinating_exercise_price(Uniform(20.0, 100.0), baseline_market, 5.0, 5.0)
+
+    def test_no_root_when_price_rounds_to_the_margin(self, baseline_demand, baseline_market):
+        # c0/(1 - F) vanishes next to p+g = 60, so the closed form rounds to 60 itself.
+        with pytest.raises(NoRoot, match="rounds to 60.0"):
+            coordinating_exercise_price(baseline_demand, baseline_market, 1e-300, 1.0)
 
     def test_residual_below_tolerance(self, baseline_demand, baseline_market):
         d, m = baseline_demand, baseline_market

@@ -13,6 +13,7 @@ import pytest
 
 from freshopt import (
     InfeasibleContract,
+    InvalidValue,
     MarketParams,
     OptionContract,
     OrderPlan,
@@ -317,6 +318,11 @@ class TestTypes:
             MarketParams(p=20.0, g=10.0, w0=25.0, c=15.0, beta=0.1, theta=0.8)
         with pytest.raises(ValueError, match="w0 > c"):
             MarketParams(p=50.0, g=10.0, w0=25.0, c=30.0, beta=0.1, theta=0.8)
+
+    def test_market_params_report_every_broken_field(self):
+        with pytest.raises(InvalidValue) as err:
+            MarketParams(p=math.inf, g=math.nan, w0=25.0, c=15.0, beta=1.0, theta=0.8)
+        assert [field for field, _ in err.value.problems] == ["p", "g", "beta"]
 
     def test_zero_production_cost_allowed(self):
         # c = 0 is the free-production boundary used by the centralized limit.
