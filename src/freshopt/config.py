@@ -68,6 +68,8 @@ class ConfigValidationError(ConfigError):
 
 @dataclass(frozen=True)
 class OracleSettings:
+    """Monte-Carlo draws and seed; ``grid_step`` is validated but unread, kept so schema-1 files load."""
+
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
     grid_step: float = DEFAULT_GRID_STEP
@@ -165,7 +167,11 @@ def _number(value, path: str, problems: list[str]) -> float | None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{path}: expected a number, got {value!r}")
         return None
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # JSON integers are unbounded
+        problems.append(f"{path}: must be finite, got an integer beyond the float range")
+        return None
 
 
 def _numbers(raw: dict, names: set[str], prefix: str, problems: list[str]) -> dict[str, float] | None:
@@ -197,7 +203,7 @@ def _parse_demand(raw, problems: list[str]) -> DemandDistribution | None:
         return None
     _reject_unknown(raw, _DEMAND_KEYS, "demand.", problems)
     family = raw.get("family")
-    if family not in _FAMILIES:
+    if not (isinstance(family, str) and family in _FAMILIES):
         problems.append(
             f"demand.family: expected one of {sorted(_FAMILIES)}, got {family!r}")
         return None

@@ -3,7 +3,8 @@
 ``mc_expected`` estimates each expected profit by averaging realized
 profits over inverse-transform samples, sharing no code path with the
 partial-integral algebra it checks.  ``grid_search_plan`` maximizes the
-retailer's profit surface by brute force, checking the fractile optimizer.
+closed forms' own expected-profit objective over a lattice, one window
+maximum per spot row: it checks the optimizer, Monte-Carlo the profits.
 
 Sampling is chunked: every chunk owns a child stream spawned from
 (seed, chunk index) and chunks are reduced in fixed order, so a serial
@@ -21,12 +22,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .demand import DemandDistribution, InvalidValue, _check_positive
 from .profit import (
     MarketParams,
     OptionContract,
     OrderPlan,
+    _retailer_terms,
     realized_chain_profit,
     realized_retailer_profit,
     realized_supplier_profit,
@@ -140,35 +143,26 @@ def grid_search_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
                      k: float, spec: GridSpec) -> OrderPlan:
     """Grid point maximizing the retailer's expected profit.
 
-    Evaluates the raw profit surface (no contract screening, so degenerate
-    contracts can be probed too).  The surface separates into a function
-    of the total quantity plus a function of the spot quantity, which lets
-    the search price every lattice cell from two one-dimensional passes.
-    Ties break toward smaller q_spot, then smaller q_option.
+    Prices the raw surface (no contract screening, so degenerate contracts
+    can be probed too) as ``T(q_total) + S(q_spot)`` with ``T = profit(0, .)``
+    and ``S(q) = profit(q, 0) - profit(0, q)``.  Ties break toward smaller
+    q_spot, then smaller q_option.
     """
     q1s = _lattice(spec.q1_range, spec.step)
     qqs = _lattice(spec.qq_range, spec.step)
-    n1, nq = len(q1s), len(qqs)
+    nq = len(qqs)
+    totals = (q1s[0] + qqs[0]) + spec.step * np.arange(len(q1s) + nq - 1)
 
-    eff = 1.0 - m.beta
-    scale = m.theta * k
-    pg = m.p + m.g
-    totals = (q1s[0] + qqs[0]) + spec.step * np.arange(n1 + nq - 1)
+    def profit(q_spot, q_option):
+        return sum(_retailer_terms(d, m, o, k, q_spot, q_option).values())
 
-    partial_total = np.asarray(d.cdf_integral(totals * eff / scale), dtype=float)
-    partial_spot = np.asarray(d.cdf_integral(q1s * eff / scale), dtype=float)
-    total_part = pg * eff * totals - (pg - o.ce) * scale * partial_total - (o.c0 + o.ce) * eff * totals
-    spot_part = (o.c0 + o.ce - m.w0) * eff * q1s - o.ce * scale * partial_spot
-
-    best_value = -math.inf
-    best_i = best_j = 0
-    for i in range(n1):
-        candidates = total_part[i:i + nq] + spot_part[i]
-        j = int(np.argmax(candidates))
-        value = float(candidates[j])
-        if value > best_value:
-            best_value, best_i, best_j = value, i, j
-    return OrderPlan(q_spot=float(q1s[best_i]), q_option=float(qqs[best_j]))
+    total_part = profit(0.0, totals)
+    spot_part = profit(q1s, 0.0) - profit(0.0, q1s)
+    # Adding a row's spot part is monotone in floating point, so the row
+    # maximum of T + S is the window maximum of T plus S.
+    i = int(np.argmax(sliding_window_view(total_part, nq).max(axis=1) + spot_part))
+    j = int(np.argmax(total_part[i:i + nq] + spot_part[i]))
+    return OrderPlan(q_spot=float(q1s[i]), q_option=float(qqs[j]))
 
 
 def default_grid_spec(d: DemandDistribution, m: MarketParams, k: float,

@@ -132,27 +132,34 @@ def require_feasible_contract(m: MarketParams, o: OptionContract) -> None:
                                            for name, message in violations.items()))
 
 
+def _expected_flows(d: DemandDistribution, scale: float, stock, spot_stock=None,
+                    option_stock=None):
+    """E[sales], E[shortage] and E[exercised] of ``stock`` units against demand ``scale * x``.
+
+    The exact expectations of the ``realized_*`` min, max and clip; stocks may be
+    arrays.  Without the spot/option split, E[exercised] is None and costs nothing.
+    """
+    partial = d.cdf_integral(stock / scale)
+    sales = stock - scale * partial
+    shortage = scale * d.mean() - stock + scale * partial
+    if spot_stock is None:
+        return sales, shortage, None
+    return sales, shortage, option_stock - scale * (partial - d.cdf_integral(spot_stock / scale))
+
+
 def _retailer_terms(d: DemandDistribution, m: MarketParams, o: OptionContract,
                     k: float, q_spot, q_option) -> dict[str, float]:
-    # Closed-form expectations under the believed demand scale theta*k.
-    scale = m.theta * k
     eff = 1.0 - m.beta
-    stock = (q_spot + q_option) * eff
     spot_stock = q_spot * eff
     option_stock = q_option * eff
-    partial_total = d.cdf_integral(stock / scale)
-    partial_spot = d.cdf_integral(spot_stock / scale)
-
-    expected_sales = stock - scale * partial_total
-    expected_exercised = option_stock - scale * (partial_total - partial_spot)
-    expected_shortage = scale * d.mean() - stock + scale * partial_total
-
+    sales, shortage, exercised = _expected_flows(
+        d, m.theta * k, (q_spot + q_option) * eff, spot_stock, option_stock)
     return {
-        "revenue": m.p * expected_sales,
+        "revenue": m.p * sales,
         "premium_cost": -o.c0 * option_stock,
-        "exercise_cost": -o.ce * expected_exercised,
+        "exercise_cost": -o.ce * exercised,
         "wholesale_cost": -m.w0 * spot_stock,
-        "shortage_cost": -m.g * expected_shortage,
+        "shortage_cost": -m.g * shortage,
     }
 
 
@@ -196,16 +203,13 @@ def supplier_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
     """
     require_feasible_contract(m, o)
     eff = 1.0 - m.beta
-    stock = plan.q_total * eff
     spot_stock = plan.q_spot * eff
     option_stock = plan.q_option * eff
-    partial_total = d.cdf_integral(stock / m.theta)
-    partial_spot = d.cdf_integral(spot_stock / m.theta)
-    expected_exercised = option_stock - m.theta * (partial_total - partial_spot)
+    _, _, exercised = _expected_flows(d, m.theta, plan.q_total * eff, spot_stock, option_stock)
     return float(
         m.w0 * spot_stock
         + o.c0 * option_stock
-        + o.ce * expected_exercised
+        + o.ce * exercised
         - m.c * plan.q_total
     )
 
@@ -213,11 +217,8 @@ def supplier_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
 def chain_expected_profit(d: DemandDistribution, m: MarketParams, q_total: float) -> float:
     """Expected profit of the integrated chain stocking q_total in total."""
     _check_nonnegative("q_total", q_total)
-    eff = 1.0 - m.beta
-    stock = q_total * eff
-    pg = m.p + m.g
-    partial = d.cdf_integral(stock / m.theta)
-    return float(pg * stock - pg * m.theta * partial - m.c * q_total - m.g * m.theta * d.mean())
+    sales, shortage, _ = _expected_flows(d, m.theta, q_total * (1.0 - m.beta))
+    return float(m.p * sales - m.g * shortage - m.c * q_total)
 
 
 def realized_retailer_profit(x, demand_scale: float, m: MarketParams, o: OptionContract,

@@ -19,7 +19,6 @@ from .optimizer import (
     Infeasible,
     NonCoordinable,
     NoRoot,
-    check_feasibility,
     coordinating_exercise_price,
     coordinating_premium,
     optimal_plan,
@@ -154,11 +153,10 @@ def _solve_row(s: SweepScenario, k: float) -> SweepRow:
         c0, ce = s.contract.c0, s.contract.ce
 
     contract = OptionContract(c0=c0, ce=ce)
-    report = check_feasibility(m, contract, k)
-    if not report.ok:
-        return SweepRow(k=k, c0=c0, ce=ce, note=";".join(report.names()))
-
-    plan = optimal_plan(d, m, contract, k)
+    try:
+        plan = optimal_plan(d, m, contract, k)
+    except Infeasible as exc:
+        return SweepRow(k=k, c0=c0, ce=ce, note=";".join(exc.report.names()))
     return SweepRow(
         k=k,
         c0=c0,

@@ -223,11 +223,13 @@ OUT_OF_DOMAIN = [
     ({("sweep", "k_grid"): [math.nan]}, ("optimize",)),
     ({("sweep", "k_grid"): {"start": 1.0, "stop": math.inf, "step": 0.1}}, ("optimize",)),
     ({("sweep", "k_grid"): {"start": 1.0, "stop": 2.0, "step": 1e-6}}, ("optimize",)),
+    ({("market", "p"): 10**400}, ("optimize",)),
+    ({("demand", "family"): ["uniform"]}, ("optimize",)),
 ]
 
 
 @pytest.mark.parametrize("overrides,argv", OUT_OF_DOMAIN,
-                         ids=[" ".join(argv) + "".join(f" {'.'.join(p)}={v!r}" for p, v in o.items())
+                         ids=[" ".join(argv) + "".join(f" {'.'.join(p)}={v!r:.50}" for p, v in o.items())
                               for o, argv in OUT_OF_DOMAIN])
 def test_out_of_domain_value_exits_two(capsys, tmp_path, overrides, argv):
     raw = json.loads(default_config_path().read_text(encoding="utf-8"))

@@ -210,12 +210,14 @@ OUT_OF_DOMAIN = [
     (("sweep", "k_grid"), [math.nan], "sweep.k_grid[0]"),
     (("sweep", "k_grid"), {"start": 1.0, "stop": math.inf, "step": 0.1}, "sweep.k_grid.stop"),
     (("sweep", "k_grid"), {"start": 1.0, "stop": 2.0, "step": 1e-6}, "sweep.k_grid.step"),
+    (("market", "p"), 10**400, "market.p"),
+    (("demand", "family"), ["uniform"], "demand.family"),
 ]
 
 
 class TestNonFiniteAndUnbounded:
     @pytest.mark.parametrize("path,value,field", OUT_OF_DOMAIN,
-                             ids=[c[2] + "=" + repr(c[1]) for c in OUT_OF_DOMAIN])
+                             ids=[f"{c[2]}={c[1]!r:.50}" for c in OUT_OF_DOMAIN])
     def test_rejected_with_field_path(self, path, value, field):
         with pytest.raises(ConfigValidationError) as err:
             parse_config(_baseline_with(path, value))

@@ -22,7 +22,7 @@ from freshopt import (
     retailer_expected_profit,
     supplier_expected_profit,
 )
-from freshopt.oracle import MC_KINDS, chunk_stream, chunk_streams
+from freshopt.oracle import MC_KINDS, _lattice, chunk_stream, chunk_streams
 
 REFERENCE_PLAN = OrderPlan(q_spot=240.0 / 6.3, q_option=2080.0 / 63.0)
 
@@ -222,6 +222,44 @@ class TestGridSearch:
                 if value > brute_best:
                     brute_best, brute_plan = value, (q1, qq)
         assert (best.q_spot, best.q_option) == pytest.approx(brute_plan, abs=1e-9)
+
+    @staticmethod
+    def _per_row_loop(d, m, o, k, spec):
+        # Reference: the search with its own separable algebra and one argmax per spot row.
+        q1s = _lattice(spec.q1_range, spec.step)
+        qqs = _lattice(spec.qq_range, spec.step)
+        n1, nq = len(q1s), len(qqs)
+        eff = 1.0 - m.beta
+        scale = m.theta * k
+        pg = m.p + m.g
+        totals = (q1s[0] + qqs[0]) + spec.step * np.arange(n1 + nq - 1)
+        partial_total = np.asarray(d.cdf_integral(totals * eff / scale), dtype=float)
+        partial_spot = np.asarray(d.cdf_integral(q1s * eff / scale), dtype=float)
+        total_part = (pg * eff * totals - (pg - o.ce) * scale * partial_total
+                      - (o.c0 + o.ce) * eff * totals)
+        spot_part = (o.c0 + o.ce - m.w0) * eff * q1s - o.ce * scale * partial_spot
+        best_value = -math.inf
+        best_i = best_j = 0
+        for i in range(n1):
+            candidates = total_part[i:i + nq] + spot_part[i]
+            j = int(np.argmax(candidates))
+            value = float(candidates[j])
+            if value > best_value:
+                best_value, best_i, best_j = value, i, j
+        return OrderPlan(q_spot=float(q1s[best_i]), q_option=float(qqs[best_j]))
+
+    def test_matches_per_row_loop(self):
+        rng = np.random.default_rng(606)
+        cases = []
+        for family in FAMILIES:
+            for _ in range(4):
+                d, m, o, k = random_feasible_setup(rng, family)
+                cases.append((d, m, o, k, default_grid_spec(d, m, k, 0.05)))
+        d, m, o, k, _ = cases[0]
+        cases.append((d, m, o, k, GridSpec((0.0, 60.0), (7.5, 7.5), 0.05)))   # nq = 1
+        cases.append((d, m, o, k, GridSpec((12.0, 12.0), (0.0, 60.0), 0.05)))  # n1 = 1
+        for d, m, o, k, spec in cases:
+            assert grid_search_plan(d, m, o, k, spec) == self._per_row_loop(d, m, o, k, spec)
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import FAMILIES, random_feasible_setup
 from freshopt import (
     InfeasibleContract,
     InvalidValue,
@@ -18,6 +19,7 @@ from freshopt import (
     OptionContract,
     OrderPlan,
     chain_expected_profit,
+    optimal_plan,
     realized_chain_profit,
     realized_retailer_profit,
     realized_supplier_profit,
@@ -231,6 +233,19 @@ class TestChainExpectedProfit:
     def test_rejects_negative_quantity(self, baseline_demand, baseline_market):
         with pytest.raises(ValueError):
             chain_expected_profit(baseline_demand, baseline_market, -1.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_retailer_plus_supplier_at_true_scale(self, family):
+        # At k = 1 both parties price the true demand, so every transfer cancels.
+        rng = np.random.default_rng(72)
+        for _ in range(5):
+            d, m, o, k = random_feasible_setup(rng, family)
+            optimum = optimal_plan(d, m, o, k)
+            for plan in (optimum, OrderPlan(optimum.q_spot * float(rng.uniform(0.5, 1.5)),
+                                            optimum.q_option * float(rng.uniform(0.5, 1.5)))):
+                parts = (retailer_expected_profit(d, m, o, 1.0, plan).total
+                         + supplier_expected_profit(d, m, o, plan))
+                assert chain_expected_profit(d, m, plan.q_total) == pytest.approx(parts, rel=1e-12)
 
 
 class TestRealizedProfits:
