@@ -46,6 +46,7 @@ from .sweep import (
     MODES,
     SweepScenario,
     TooFewRows,
+    _format_cell,
     default_k_grid,
     monotonicity_report,
     run_sweep,
@@ -64,14 +65,8 @@ def default_config_path() -> Path:
     return Path(str(resources.files("freshopt").joinpath("data/default_scenario.json")))
 
 
-def _fmt(value: float) -> str:
-    text = f"{value:.6f}"
-    return "0.000000" if text == "-0.000000" else text
-
-
 def _emit(out, key: str, value) -> None:
-    shown = _fmt(value) if isinstance(value, float) else str(value)
-    print(f"{key}={shown}", file=out)
+    print(f"{key}={_format_cell(value)}", file=out)
 
 
 def _resolve_contract(config: ScenarioConfig, args) -> OptionContract:
@@ -243,10 +238,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="scenario file (default: the packaged example scenario)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, plan_flags=False):
-        p.add_argument("--k", type=float, default=None, help="overconfidence multiplier")
+    def add_prices(p):
         p.add_argument("--c0", type=float, default=None, help="option premium override")
         p.add_argument("--ce", type=float, default=None, help="exercise price override")
+
+    def add_common(p, plan_flags=False):
+        p.add_argument("--k", type=float, default=None, help="overconfidence multiplier")
+        add_prices(p)
         if plan_flags:
             p.add_argument("--q1", type=float, default=None, help="spot order quantity")
             p.add_argument("--qq", type=float, default=None, help="option order quantity")
@@ -271,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="stream seed")
 
     p = sub.add_parser("sweep", help="overconfidence sweep as CSV")
-    add_common(p)
+    add_prices(p)
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     return parser

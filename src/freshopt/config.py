@@ -110,6 +110,8 @@ def load_config(path) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(str(file_path), exc.lineno, exc.colno, exc.msg) from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"{file_path}: {exc}") from None
     return parse_config(raw)
 
 
@@ -264,6 +266,8 @@ def _parse_sweep(raw, contract: OptionContract | None, problems: list[str]) -> S
         problems.append(f"sweep.mode: expected one of {MODES}, got {mode!r}")
         return None
     fixed = {MODE_FIXED_EXERCISE: "ce", MODE_FIXED_PREMIUM: "c0"}.get(mode)
+    for name in sorted((_CONTRACT_KEYS - {fixed}) & raw.keys()):
+        problems.append(f"sweep.{name}: not read in {mode} mode")
     prices: dict[str, float | None] = {}
     if fixed is not None:
         if fixed not in raw:

@@ -29,7 +29,7 @@ from .profit import (
     MarketParams,
     OptionContract,
     OrderPlan,
-    _retailer_terms,
+    _ledger,
     realized_chain_profit,
     realized_retailer_profit,
     realized_supplier_profit,
@@ -154,7 +154,7 @@ def grid_search_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
     totals = (q1s[0] + qqs[0]) + spec.step * np.arange(len(q1s) + nq - 1)
 
     def profit(q_spot, q_option):
-        return sum(_retailer_terms(d, m, o, k, q_spot, q_option).values())
+        return sum(_ledger(d, m, o.c0, o.ce, m.theta * k, q_spot, q_option)[0].values())
 
     total_part = profit(0.0, totals)
     spot_part = profit(q1s, 0.0) - profit(0.0, q1s)

@@ -11,6 +11,10 @@ Ordered units shrink by the transport-loss fraction ``beta`` before they
 can serve demand: a plan (Q1, Qq) puts ``Q1*(1-beta)`` firm units and
 ``Qq*(1-beta)`` option units on the shelf.
 
+Every expected profit (retailer, supplier, chain; scalars or arrays) is
+priced by one private ledger, ``_ledger``, from a single evaluation of
+E[sales], E[shortage] and E[exercised].
+
 The stockout penalty ``g`` sits on the retailer's ledger: the retailer's
 profit carries the shortage term while the supplier's carries none.
 Who ultimately bears that cost is a matter of negotiation the model does
@@ -132,35 +136,31 @@ def require_feasible_contract(m: MarketParams, o: OptionContract) -> None:
                                            for name, message in violations.items()))
 
 
-def _expected_flows(d: DemandDistribution, scale: float, stock, spot_stock=None,
-                    option_stock=None):
-    """E[sales], E[shortage] and E[exercised] of ``stock`` units against demand ``scale * x``.
+def _ledger(d: DemandDistribution, m: MarketParams, c0, ce, scale, q_spot, q_option):
+    """(retailer's five terms, supplier profit, chain profit) expected under demand ``scale * x``.
 
-    The exact expectations of the ``realized_*`` min, max and clip; stocks may be
-    arrays.  Without the spot/option split, E[exercised] is None and costs nothing.
+    Priced from the exact expectations of the ``realized_*`` min, max and clip
+    (sales, shortage, exercised); any argument but d and m may be an array.
     """
+    eff = 1.0 - m.beta
+    q_total = q_spot + q_option
+    stock = q_total * eff
+    spot_stock = q_spot * eff
+    option_stock = q_option * eff
     partial = d.cdf_integral(stock / scale)
     sales = stock - scale * partial
     shortage = scale * d.mean() - stock + scale * partial
-    if spot_stock is None:
-        return sales, shortage, None
-    return sales, shortage, option_stock - scale * (partial - d.cdf_integral(spot_stock / scale))
-
-
-def _retailer_terms(d: DemandDistribution, m: MarketParams, o: OptionContract,
-                    k: float, q_spot, q_option) -> dict[str, float]:
-    eff = 1.0 - m.beta
-    spot_stock = q_spot * eff
-    option_stock = q_option * eff
-    sales, shortage, exercised = _expected_flows(
-        d, m.theta * k, (q_spot + q_option) * eff, spot_stock, option_stock)
-    return {
+    exercised = option_stock - scale * (partial - d.cdf_integral(spot_stock / scale))
+    retailer = {
         "revenue": m.p * sales,
-        "premium_cost": -o.c0 * option_stock,
-        "exercise_cost": -o.ce * exercised,
+        "premium_cost": -c0 * option_stock,
+        "exercise_cost": -ce * exercised,
         "wholesale_cost": -m.w0 * spot_stock,
         "shortage_cost": -m.g * shortage,
     }
+    supplier = m.w0 * spot_stock + c0 * option_stock + ce * exercised - m.c * q_total
+    chain = m.p * sales - m.g * shortage - m.c * q_total
+    return retailer, supplier, chain
 
 
 def retailer_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionContract,
@@ -173,8 +173,8 @@ def retailer_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
     """
     require_feasible_contract(m, o)
     _check_positive("k", k)
-    terms = {name: float(v) for name, v in
-             _retailer_terms(d, m, o, k, plan.q_spot, plan.q_option).items()}
+    terms, _, _ = _ledger(d, m, o.c0, o.ce, m.theta * k, plan.q_spot, plan.q_option)
+    terms = {name: float(v) for name, v in terms.items()}
     return ProfitBreakdown(total=float(sum(terms.values())), terms=terms)
 
 
@@ -202,23 +202,15 @@ def supplier_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
     actual demand theta*x, regardless of what the retailer believes.
     """
     require_feasible_contract(m, o)
-    eff = 1.0 - m.beta
-    spot_stock = plan.q_spot * eff
-    option_stock = plan.q_option * eff
-    _, _, exercised = _expected_flows(d, m.theta, plan.q_total * eff, spot_stock, option_stock)
-    return float(
-        m.w0 * spot_stock
-        + o.c0 * option_stock
-        + o.ce * exercised
-        - m.c * plan.q_total
-    )
+    _, supplier, _ = _ledger(d, m, o.c0, o.ce, m.theta, plan.q_spot, plan.q_option)
+    return float(supplier)
 
 
 def chain_expected_profit(d: DemandDistribution, m: MarketParams, q_total: float) -> float:
     """Expected profit of the integrated chain stocking q_total in total."""
     _check_nonnegative("q_total", q_total)
-    sales, shortage, _ = _expected_flows(d, m.theta, q_total * (1.0 - m.beta))
-    return float(m.p * sales - m.g * shortage - m.c * q_total)
+    _, _, chain = _ledger(d, m, 0.0, 0.0, m.theta, q_total, 0.0)
+    return float(chain)
 
 
 def realized_retailer_profit(x, demand_scale: float, m: MarketParams, o: OptionContract,

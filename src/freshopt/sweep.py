@@ -5,14 +5,17 @@ premium at every k; hold the premium fixed and re-coordinate via the
 exercise price; or hold the whole contract fixed.  Rows that cannot be
 solved or fail feasibility are flagged with a reason instead of aborting
 the sweep, so singular k regions show up in the output rather than
-silently vanishing.
+silently vanishing.  Rows are solved and screened one by one, then all
+solved rows are priced together by two array ledger calls (theta*k, theta).
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .demand import DemandDistribution, InvalidValue, _check_positive
 from .optimizer import (
@@ -23,13 +26,7 @@ from .optimizer import (
     coordinating_premium,
     optimal_plan,
 )
-from .profit import (
-    MarketParams,
-    OptionContract,
-    chain_expected_profit,
-    retailer_expected_profit,
-    supplier_expected_profit,
-)
+from .profit import MarketParams, OptionContract, _ledger
 
 MODE_FIXED_EXERCISE = "fixed-exercise-price"
 MODE_FIXED_PREMIUM = "fixed-premium"
@@ -130,7 +127,9 @@ class SweepRow:
 
 def run_sweep(scenario: SweepScenario) -> list[SweepRow]:
     """Solve every k on the grid; failures yield flagged rows, never raise."""
-    return [_solve_row(scenario, k) for k in scenario.k_grid]
+    rows = [_solve_row(scenario, k) for k in scenario.k_grid]
+    priced = iter(_price_rows(scenario, [r for r in rows if r.feasible]))
+    return [next(priced) if r.feasible else r for r in rows]
 
 
 def _solve_row(s: SweepScenario, k: float) -> SweepRow:
@@ -157,19 +156,22 @@ def _solve_row(s: SweepScenario, k: float) -> SweepRow:
         plan = optimal_plan(d, m, contract, k)
     except Infeasible as exc:
         return SweepRow(k=k, c0=c0, ce=ce, note=";".join(exc.report.names()))
-    return SweepRow(
-        k=k,
-        c0=c0,
-        ce=ce,
-        q_total=plan.q_total,
-        q_spot=plan.q_spot,
-        q_option=plan.q_option,
-        retailer_profit_believed=retailer_expected_profit(d, m, contract, k, plan).total,
-        retailer_profit_true=retailer_expected_profit(d, m, contract, 1.0, plan).total,
-        supplier_profit=supplier_expected_profit(d, m, contract, plan),
-        chain_profit=chain_expected_profit(d, m, plan.q_total),
-        feasible=True,
-    )
+    return SweepRow(k=k, c0=c0, ce=ce, q_total=plan.q_total, q_spot=plan.q_spot,
+                    q_option=plan.q_option, feasible=True)
+
+
+def _price_rows(s: SweepScenario, rows: list[SweepRow]) -> list[SweepRow]:
+    """The solved rows with their four profit cells; optimal_plan has screened each."""
+    m = s.market
+    k, c0, ce, q_spot, q_option = (np.array([getattr(r, name) for r in rows], dtype=float)
+                                   for name in ("k", "c0", "ce", "q_spot", "q_option"))
+    believed, _, _ = _ledger(s.demand, m, c0, ce, m.theta * k, q_spot, q_option)
+    true_view, supplier, chain = _ledger(s.demand, m, c0, ce, m.theta, q_spot, q_option)
+    columns = zip(sum(believed.values()).tolist(), sum(true_view.values()).tolist(),
+                  supplier.tolist(), chain.tolist())
+    return [replace(row, retailer_profit_believed=rb, retailer_profit_true=rt,
+                    supplier_profit=sp, chain_profit=ch)
+            for row, (rb, rt, sp, ch) in zip(rows, columns)]
 
 
 @dataclass(frozen=True)

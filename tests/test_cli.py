@@ -152,6 +152,12 @@ class TestSweep:
         body = out.splitlines()[1:]
         assert all(line.split(",")[1] == "5.000000" for line in body)
 
+    def test_k_flag_rejected(self, capsys):
+        # A sweep walks its k grid, so a single --k would be silently ignored.
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--k", "1.2"])
+        assert err.value.code == 2
+
 
 class TestErrorPaths:
     def test_missing_config_exits_two(self, capsys):
@@ -173,6 +179,16 @@ class TestErrorPaths:
         bad.write_text("{", encoding="utf-8")
         code, _, err = run_cli(capsys, "--config", str(bad), "optimize")
         assert code == 2
+
+    def test_integer_past_digit_limit_exits_two(self, capsys, tmp_path):
+        # Written as text: json.dumps refuses the integer for the same reason json.loads does.
+        text = default_config_path().read_text(encoding="utf-8")
+        huge = tmp_path / "huge.json"
+        huge.write_text(text.replace('"p": 50.0', '"p": 1' + "0" * 5000), encoding="utf-8")
+        code, out, err = run_cli(capsys, "--config", str(huge), "optimize")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {huge}: ")
 
     def test_no_contract_available_exits_two(self, capsys, tmp_path):
         raw = json.loads(default_config_path().read_text(encoding="utf-8"))

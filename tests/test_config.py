@@ -207,6 +207,9 @@ OUT_OF_DOMAIN = [
     (("overconfidence",), math.nan, "overconfidence"),
     (("oracle", "grid_step"), math.nan, "oracle.grid_step"),
     (("sweep",), {"mode": "fixed-premium", "c0": math.nan}, "sweep.c0"),
+    (("sweep",), {"mode": "fixed-exercise-price", "ce": 35.0, "c0": "abc"}, "sweep.c0"),
+    (("sweep",), {"mode": "fixed-premium", "c0": 5.0, "ce": 35.0}, "sweep.ce"),
+    (("sweep",), {"mode": "fixed-contract", "ce": 35.0}, "sweep.ce"),
     (("sweep", "k_grid"), [math.nan], "sweep.k_grid[0]"),
     (("sweep", "k_grid"), {"start": 1.0, "stop": math.inf, "step": 0.1}, "sweep.k_grid.stop"),
     (("sweep", "k_grid"), {"start": 1.0, "stop": 2.0, "step": 1e-6}, "sweep.k_grid.step"),

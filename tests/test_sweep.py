@@ -6,14 +6,21 @@ import pytest
 
 from freshopt import (
     MODES,
+    DemandDistribution,
     Exponential,
+    OptionContract,
     SweepScenario,
     TooFewRows,
     TruncatedNormal,
+    Uniform,
+    chain_expected_profit,
     default_k_grid,
     monotonicity_report,
+    optimal_plan,
+    retailer_expected_profit,
     rows_to_csv,
     run_sweep,
+    supplier_expected_profit,
 )
 
 Q_CENTRAL = 5200.0 / 81.0
@@ -213,3 +220,74 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="contract"):
             SweepScenario(mode="fixed-contract", demand=baseline_demand,
                           market=baseline_market, k_grid=(1.0,))
+
+
+DEMANDS = {
+    "uniform": Uniform(0.0, 100.0),
+    "exponential": Exponential(0.02),
+    "truncated-normal": TruncatedNormal(50.0, 20.0),
+}
+
+# From deep in the low-k region to far past the high-k one: in both coordinating
+# modes every family has flagged rows on each side of its solved ones.  A fixed
+# contract screens the same at every k, so that mode solves every row.
+WIDE_GRID = (0.05, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0)
+
+PLAN_AND_PROFIT = ("q_total", "q_spot", "q_option", "retailer_profit_believed",
+                   "retailer_profit_true", "supplier_profit", "chain_profit")
+
+
+def _mode_scenario(mode, d, m, grid):
+    fixed = {"fixed-exercise-price": {"fixed_ce": 35.0}, "fixed-premium": {"fixed_c0": 5.0},
+             "fixed-contract": {"contract": OptionContract(c0=5.0, ce=35.0)}}[mode]
+    return SweepScenario(mode=mode, demand=d, market=m, k_grid=grid, **fixed)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("family", sorted(DEMANDS))
+class TestColumnPricing:
+    """Rows are solved one by one, then priced together; each must read as if priced alone."""
+
+    def test_profit_cells_equal_public_functions(self, baseline_market, family, mode):
+        d, m = DEMANDS[family], baseline_market
+        rows = run_sweep(_mode_scenario(mode, d, m, WIDE_GRID))
+        solved = [r for r in rows if r.feasible]
+        assert len(solved) >= 3
+        for row in solved:
+            contract = OptionContract(c0=row.c0, ce=row.ce)
+            plan = optimal_plan(d, m, contract, row.k)
+            assert (row.q_spot, row.q_option) == (plan.q_spot, plan.q_option)
+            assert row.retailer_profit_believed == retailer_expected_profit(
+                d, m, contract, row.k, plan).total
+            assert row.retailer_profit_true == retailer_expected_profit(
+                d, m, contract, 1.0, plan).total
+            assert row.supplier_profit == supplier_expected_profit(d, m, contract, plan)
+            assert row.chain_profit == chain_expected_profit(d, m, plan.q_total)
+
+    def test_flagged_rows_keep_place_note_and_empty_cells(self, baseline_market, family, mode):
+        d, m = DEMANDS[family], baseline_market
+        rows = run_sweep(_mode_scenario(mode, d, m, WIDE_GRID))
+        assert [r.k for r in rows] == list(WIDE_GRID)
+        feasible = [r.feasible for r in rows]
+        if mode != "fixed-contract":
+            assert not feasible[0] and True in feasible and not feasible[-1]
+        for row in rows:
+            assert row == run_sweep(_mode_scenario(mode, d, m, (row.k,)))[0]
+            if not row.feasible:
+                assert row.note != ""
+                assert all(getattr(row, c) is None for c in PLAN_AND_PROFIT)
+
+    def test_cdf_integral_calls_do_not_grow_with_rows(self, baseline_market, monkeypatch,
+                                                      family, mode):
+        calls = []
+        original = DemandDistribution.cdf_integral
+
+        def counting(self, a):
+            calls.append(a)
+            return original(self, a)
+
+        monkeypatch.setattr(DemandDistribution, "cdf_integral", counting)
+        rows = run_sweep(_mode_scenario(mode, DEMANDS[family], baseline_market,
+                                        default_k_grid(mode)))
+        assert sum(r.feasible for r in rows) >= 5
+        assert len(calls) <= 4
