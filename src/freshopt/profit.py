@@ -148,9 +148,11 @@ def _ledger(d: DemandDistribution, m: MarketParams, c0, ce, scale, q_spot, q_opt
     spot_stock = q_spot * eff
     option_stock = q_option * eff
     partial = d.cdf_integral(stock / scale)
+    # With no options the spot stock is the whole stock: its partial is the same.
+    spot_partial = d.cdf_integral(spot_stock / scale) if np.any(q_option) else partial
     sales = stock - scale * partial
     shortage = scale * d.mean() - stock + scale * partial
-    exercised = option_stock - scale * (partial - d.cdf_integral(spot_stock / scale))
+    exercised = option_stock - scale * (partial - spot_partial)
     retailer = {
         "revenue": m.p * sales,
         "premium_cost": -c0 * option_stock,
@@ -206,11 +208,12 @@ def supplier_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
     return float(supplier)
 
 
-def chain_expected_profit(d: DemandDistribution, m: MarketParams, q_total: float) -> float:
-    """Expected profit of the integrated chain stocking q_total in total."""
-    _check_nonnegative("q_total", q_total)
+def chain_expected_profit(d: DemandDistribution, m: MarketParams, q_total):
+    """Expected profit of the integrated chain stocking q_total in total.  Vectorized."""
+    for q in np.ravel(q_total):
+        _check_nonnegative("q_total", q)
     _, _, chain = _ledger(d, m, 0.0, 0.0, m.theta, q_total, 0.0)
-    return float(chain)
+    return float(chain) if np.ndim(chain) == 0 else chain
 
 
 def realized_retailer_profit(x, demand_scale: float, m: MarketParams, o: OptionContract,
@@ -235,10 +238,7 @@ def realized_retailer_profit(x, demand_scale: float, m: MarketParams, o: OptionC
 
 
 def realized_supplier_profit(x, m: MarketParams, o: OptionContract, plan: OrderPlan):
-    """Supplier profit for one demand outcome x; exercise follows true demand.
-
-    Vectorized over x.
-    """
+    """Supplier profit for one demand outcome x, exercised on true demand.  Vectorized over x."""
     demand = m.theta * np.asarray(x, dtype=float)
     eff = 1.0 - m.beta
     spot_stock = plan.q_spot * eff

@@ -6,7 +6,8 @@ exercise price; or hold the whole contract fixed.  Rows that cannot be
 solved or fail feasibility are flagged with a reason instead of aborting
 the sweep, so singular k regions show up in the output rather than
 silently vanishing.  Rows are solved and screened one by one, then all
-solved rows are priced together by two array ledger calls (theta*k, theta).
+solved rows are priced together: two array ledger calls (theta*k, theta)
+and one array call of chain_expected_profit.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .optimizer import (
     coordinating_premium,
     optimal_plan,
 )
-from .profit import MarketParams, OptionContract, _ledger
+from .profit import MarketParams, OptionContract, _ledger, chain_expected_profit
 
 MODE_FIXED_EXERCISE = "fixed-exercise-price"
 MODE_FIXED_PREMIUM = "fixed-premium"
@@ -166,7 +167,9 @@ def _price_rows(s: SweepScenario, rows: list[SweepRow]) -> list[SweepRow]:
     k, c0, ce, q_spot, q_option = (np.array([getattr(r, name) for r in rows], dtype=float)
                                    for name in ("k", "c0", "ce", "q_spot", "q_option"))
     believed, _, _ = _ledger(s.demand, m, c0, ce, m.theta * k, q_spot, q_option)
-    true_view, supplier, chain = _ledger(s.demand, m, c0, ce, m.theta, q_spot, q_option)
+    true_view, supplier, _ = _ledger(s.demand, m, c0, ce, m.theta, q_spot, q_option)
+    # Through the public function by name, so a patched chain_expected_profit reaches every cell.
+    chain = chain_expected_profit(s.demand, m, q_spot + q_option)
     columns = zip(sum(believed.values()).tolist(), sum(true_view.values()).tolist(),
                   supplier.tolist(), chain.tolist())
     return [replace(row, retailer_profit_believed=rb, retailer_profit_true=rt,

@@ -235,6 +235,19 @@ class TestChainExpectedProfit:
             chain_expected_profit(baseline_demand, baseline_market, -1.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
+    def test_array_of_totals_matches_scalar_calls(self, family):
+        d, m, _, _ = random_feasible_setup(np.random.default_rng(73), family)
+        totals = np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 50.0]) * d.quantile(0.5)
+        got = chain_expected_profit(d, m, totals)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [chain_expected_profit(d, m, float(q)) for q in totals]
+
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_array_rejects_any_bad_total(self, baseline_demand, baseline_market, bad):
+        with pytest.raises(InvalidValue, match="q_total"):
+            chain_expected_profit(baseline_demand, baseline_market, np.array([10.0, bad, 20.0]))
+
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_retailer_plus_supplier_at_true_scale(self, family):
         # At k = 1 both parties price the true demand, so every transfer cancels.
         rng = np.random.default_rng(72)
