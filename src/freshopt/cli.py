@@ -108,15 +108,15 @@ def cmd_evaluate(config: ScenarioConfig, args, out) -> int:
     plan = OrderPlan(q_spot=args.q1, q_option=args.qq)
     believed = retailer_expected_profit(config.demand, config.market, contract, k, plan)
     true_view = retailer_expected_profit(config.demand, config.market, contract, 1.0, plan)
+    supplier = supplier_expected_profit(config.demand, config.market, contract, plan)
+    chain = chain_expected_profit(config.demand, config.market, plan.q_total)
     _emit(out, "Q", plan.q_total)
     _emit(out, "Q1", plan.q_spot)
     _emit(out, "Qq", plan.q_option)
     _emit(out, "retailer_profit_believed", believed.total)
     _emit(out, "retailer_profit_true", true_view.total)
-    _emit(out, "supplier_profit",
-          supplier_expected_profit(config.demand, config.market, contract, plan))
-    _emit(out, "chain_profit",
-          chain_expected_profit(config.demand, config.market, plan.q_total))
+    _emit(out, "supplier_profit", supplier)
+    _emit(out, "chain_profit", chain)
     _print_breakdown(out, believed)
     return 0
 

@@ -110,7 +110,7 @@ def load_config(path) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(str(file_path), exc.lineno, exc.colno, exc.msg) from None
-    except ValueError as exc:  # an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # past Python's integer-digit or nesting limit
         raise ConfigError(f"{file_path}: {exc}") from None
     return parse_config(raw)
 

@@ -13,11 +13,10 @@ import dataclasses
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 
 class OutOfRange(ValueError):
@@ -58,6 +57,17 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def _scalar_or_array(values: np.ndarray, scalar_input: bool):
     return float(values) if scalar_input else values
+
+
+@cache
+def _normal():
+    """scipy.special's (ndtr, ndtri), imported on first truncated-normal use.
+
+    Only TruncatedNormal needs them, so uniform and exponential demand never
+    load scipy.
+    """
+    from scipy.special import ndtr, ndtri
+    return ndtr, ndtri
 
 
 class DemandDistribution(ABC):
@@ -196,13 +206,19 @@ class TruncatedNormal(DemandDistribution):
         if not math.isfinite(self.mu):
             raise InvalidValue([("mu", f"must be finite, got {self.mu}")])
         _check_positive("sigma", self.sigma)
+        # Every formula divides by the mass kept above zero.
+        if self._mass_above_zero == 0.0:
+            raise InvalidValue([("mu", f"must leave demand mass above 0, got mu={self.mu}, "
+                                       f"sigma={self.sigma}: Phi(mu/sigma) underflows to 0")])
 
     @cached_property
     def _mass_below_zero(self) -> float:
+        ndtr, _ = _normal()
         return float(ndtr(-self.mu / self.sigma))
 
     @cached_property
     def _mass_above_zero(self) -> float:
+        ndtr, _ = _normal()
         return float(ndtr(self.mu / self.sigma))
 
     @cached_property
@@ -211,6 +227,7 @@ class TruncatedNormal(DemandDistribution):
         return math.exp(-0.5 * alpha * alpha) / _SQRT_2PI
 
     def cdf(self, x):
+        ndtr, _ = _normal()
         arr = np.asarray(x, dtype=float)
         z = (arr - self.mu) / self.sigma
         if self.mu > 0.0:
@@ -226,9 +243,11 @@ class TruncatedNormal(DemandDistribution):
         return self.mu + self.sigma * self._density_at_cut / self._mass_above_zero
 
     def _quantile(self, q: float) -> float:
-        if q < 0.5:
+        if q < 0.5 and self.mu > 0.0:
             return self._inverse_transform(q)
-        # Upper tail through 1 - q (exact for q >= 1/2), so levels near 1 keep their digits.
+        # Upper tail through 1 - q (exact for q >= 1/2), so levels near 1 keep their digits;
+        # for mu <= 0 every level goes this way, as _inverse_transform explains.
+        _, ndtri = _normal()
         return max(float(self.mu - self.sigma * ndtri((1.0 - q) * self._mass_above_zero)), 0.0)
 
     def _cdf_integral(self, a):
@@ -242,8 +261,14 @@ class TruncatedNormal(DemandDistribution):
         return np.maximum(vals, 0.0)
 
     def _inverse_transform(self, u):
-        inner = self._mass_below_zero + np.asarray(u, dtype=float) * self._mass_above_zero
-        x = self.mu + self.sigma * ndtri(inner)
+        _, ndtri = _normal()
+        u = np.asarray(u, dtype=float)
+        if self.mu > 0.0:
+            x = self.mu + self.sigma * ndtri(self._mass_below_zero + u * self._mass_above_zero)
+        else:
+            # Phi(-mu/sigma) + u Phi(mu/sigma) rounds to 1 once mu/sigma is strongly
+            # negative; the upper tail (1 - u) Phi(mu/sigma) keeps every level apart.
+            x = self.mu - self.sigma * ndtri((1.0 - u) * self._mass_above_zero)
         return np.maximum(x, 0.0) if np.ndim(x) else max(float(x), 0.0)
 
 

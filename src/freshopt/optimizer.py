@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 from .demand import DemandDistribution, InvalidValue, _check_positive
 from .profit import (
+    Infeasible,
     MarketParams,
     OptionContract,
     OrderPlan,
     _contract_violations,
+    _require_finite,
     require_feasible_contract,
     supplier_expected_profit,
     total_fractile,
@@ -31,14 +33,6 @@ _FRACTILE_CLAMP = 1e-12
 
 # Acceptable relative error on the coordination identity Q* == Q**.
 _COORDINATION_TOL = 1e-9
-
-
-class Infeasible(ValueError):
-    """Requested optimum does not exist for these parameters."""
-
-    def __init__(self, message: str, report: "FeasibilityReport | None" = None):
-        super().__init__(message)
-        self.report = report
 
 
 class NonCoordinable(ValueError):
@@ -117,7 +111,8 @@ def optimal_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
     scale = k * m.theta / (1.0 - m.beta)
     q_total = scale * d.quantile(total_fractile(m, o))
     q_spot = scale * d.quantile(spot_fractile(m, o))
-    # max() only absorbs rounding dust; tf >= sf is already guaranteed
+    # q_spot <= q_total, since tf >= sf is already guaranteed; max() only absorbs rounding dust.
+    _require_finite("optimal plan", q_total)
     return OrderPlan(q_spot=q_spot, q_option=max(0.0, q_total - q_spot))
 
 

@@ -30,6 +30,7 @@ from .profit import (
     OptionContract,
     OrderPlan,
     _ledger,
+    _require_finite,
     realized_chain_profit,
     realized_retailer_profit,
     realized_supplier_profit,
@@ -130,6 +131,8 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
         count = total
 
     stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
+    for value in (mean, stderr):
+        _require_finite("Monte-Carlo estimate", value)
     return McEstimate(mean=mean, stderr=stderr, n=n, seed=seed)
 
 

@@ -34,6 +34,20 @@ class InfeasibleContract(ValueError):
     """Option contract terms that break the model's price ordering."""
 
 
+class Infeasible(ValueError):
+    """Requested optimum, or a finite plan or profit, does not exist for these parameters."""
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report  # the optimizer's FeasibilityReport, when its screen failed
+
+
+def _require_finite(what: str, value) -> None:
+    """Raise Infeasible unless value (a float or an array) is finite: the inputs overflowed."""
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        raise Infeasible(f"{what} overflows double precision")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Economic constants of the market.
@@ -177,7 +191,9 @@ def retailer_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
     _check_positive("k", k)
     terms, _, _ = _ledger(d, m, o.c0, o.ce, m.theta * k, plan.q_spot, plan.q_option)
     terms = {name: float(v) for name, v in terms.items()}
-    return ProfitBreakdown(total=float(sum(terms.values())), terms=terms)
+    total = float(sum(terms.values()))
+    _require_finite("retailer expected profit", total)
+    return ProfitBreakdown(total=total, terms=terms)
 
 
 def retailer_profit_gradient(d: DemandDistribution, m: MarketParams, o: OptionContract,
@@ -205,6 +221,7 @@ def supplier_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
     """
     require_feasible_contract(m, o)
     _, supplier, _ = _ledger(d, m, o.c0, o.ce, m.theta, plan.q_spot, plan.q_option)
+    _require_finite("supplier expected profit", supplier)
     return float(supplier)
 
 
@@ -213,6 +230,7 @@ def chain_expected_profit(d: DemandDistribution, m: MarketParams, q_total):
     for q in np.ravel(q_total):
         _check_nonnegative("q_total", q)
     _, _, chain = _ledger(d, m, 0.0, 0.0, m.theta, q_total, 0.0)
+    _require_finite("chain expected profit", chain)
     return float(chain) if np.ndim(chain) == 0 else chain
 
 

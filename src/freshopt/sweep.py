@@ -156,25 +156,33 @@ def _solve_row(s: SweepScenario, k: float) -> SweepRow:
     try:
         plan = optimal_plan(d, m, contract, k)
     except Infeasible as exc:
-        return SweepRow(k=k, c0=c0, ce=ce, note=";".join(exc.report.names()))
+        note = ";".join(exc.report.names()) if exc.report else f"Infeasible: {exc}"
+        return SweepRow(k=k, c0=c0, ce=ce, note=note)
     return SweepRow(k=k, c0=c0, ce=ce, q_total=plan.q_total, q_spot=plan.q_spot,
                     q_option=plan.q_option, feasible=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow flags its row instead
 def _price_rows(s: SweepScenario, rows: list[SweepRow]) -> list[SweepRow]:
-    """The solved rows with their four profit cells; optimal_plan has screened each."""
+    """The solved rows with their four profit cells; optimal_plan has screened each.
+
+    A row whose profits overflow is flagged, as the public profit functions
+    would raise Infeasible for it.
+    """
     m = s.market
     k, c0, ce, q_spot, q_option = (np.array([getattr(r, name) for r in rows], dtype=float)
                                    for name in ("k", "c0", "ce", "q_spot", "q_option"))
     believed, _, _ = _ledger(s.demand, m, c0, ce, m.theta * k, q_spot, q_option)
-    true_view, supplier, _ = _ledger(s.demand, m, c0, ce, m.theta, q_spot, q_option)
+    true_view, supplier, chain = _ledger(s.demand, m, c0, ce, m.theta, q_spot, q_option)
+    cells = np.array([sum(believed.values()), sum(true_view.values()), supplier, chain])
+    finite = np.isfinite(cells).all(axis=0)
     # Through the public function by name, so a patched chain_expected_profit reaches every cell.
-    chain = chain_expected_profit(s.demand, m, q_spot + q_option)
-    columns = zip(sum(believed.values()).tolist(), sum(true_view.values()).tolist(),
-                  supplier.tolist(), chain.tolist())
+    cells[3, finite] = chain_expected_profit(s.demand, m, (q_spot + q_option)[finite])
     return [replace(row, retailer_profit_believed=rb, retailer_profit_true=rt,
-                    supplier_profit=sp, chain_profit=ch)
-            for row, (rb, rt, sp, ch) in zip(rows, columns)]
+                    supplier_profit=sp, chain_profit=ch) if ok
+            else SweepRow(k=row.k, c0=row.c0, ce=row.ce,
+                          note="Infeasible: expected profit overflows double precision")
+            for row, ok, (rb, rt, sp, ch) in zip(rows, finite.tolist(), cells.T.tolist())]
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,40 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith(f"error: {huge}: ")
 
+    def test_deeply_nested_config_exits_two(self, capsys, tmp_path):
+        text = default_config_path().read_text(encoding="utf-8")
+        nested = tmp_path / "nested.json"
+        nested.write_text(text.replace('"comment": ', '"comment": ' + "[" * 100_000, 1),
+                          encoding="utf-8")
+        code, out, err = run_cli(capsys, "--config", str(nested), "optimize")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {nested}: ")
+
+    @pytest.mark.parametrize("k", ["1e305", "1e306", "1e308"])
+    def test_overflowing_k_exits_one(self, capsys, k):
+        code, out, err = run_cli(capsys, "optimize", "--k", k)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("infeasible: ") and "overflows double precision" in err
+
+    @pytest.mark.parametrize("mu", [-30.0, -60.0])
+    def test_strongly_negative_truncated_normal_mean(self, capsys, tmp_path, mu):
+        # Phi(mu/sigma) is about 5e-198 at mu = -30 and underflows to 0 at mu = -60.
+        raw = json.loads(default_config_path().read_text(encoding="utf-8"))
+        raw["demand"] = {"family": "truncated-normal", "params": {"mu": mu, "sigma": 1.0}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run_cli(capsys, "--config", str(path), "optimize")
+        if mu == -30.0:
+            assert code == 0
+            values = [float(line.split("=", 1)[1]) for line in out.splitlines()]
+            assert all(math.isfinite(v) for v in values) and values[0] > 0.0
+        else:
+            assert code == 2
+            assert out == ""
+            assert "demand.params.mu: must leave demand mass above 0" in err
+
     def test_no_contract_available_exits_two(self, capsys, tmp_path):
         raw = json.loads(default_config_path().read_text(encoding="utf-8"))
         del raw["contract"]

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from freshopt import (
     Exponential,
+    InvalidValue,
     OutOfRange,
     TruncatedNormal,
     Uniform,
@@ -96,14 +97,15 @@ class TestQuantile:
         for q in np.arange(0.01, 1.0, 0.01):
             assert abs(d.cdf(d.quantile(q)) - q) <= 1e-9
 
-    @pytest.mark.parametrize("mu,sigma", [(50.0, 20.0), (0.0, 10.0), (-20.0, 10.0)])
+    @pytest.mark.parametrize("mu,sigma", [(50.0, 20.0), (0.0, 10.0), (-20.0, 10.0), (-30.0, 1.0)])
     def test_truncated_normal_against_high_precision(self, mu, sigma):
-        # Independent oracle: invert the truncated CDF with 50-digit arithmetic.
+        # Independent oracle: invert the truncated CDF with 50-digit arithmetic, plus the
+        # digits that Phi(mu/sigma), about 10**(-(mu/sigma)**2 / 4.6), takes below 1.
         mpmath = pytest.importorskip("mpmath")
         d = TruncatedNormal(mu=mu, sigma=sigma)
         levels = [1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9]
         for q in levels:
-            with mpmath.workdps(50):
+            with mpmath.workdps(50 + int((mu / sigma) ** 2 / 4)):
                 below = mpmath.ncdf(mpmath.mpf(-mu) / sigma)
                 above = mpmath.ncdf(mpmath.mpf(mu) / sigma)
                 z = mpmath.sqrt(2) * mpmath.erfinv(2 * (below + mpmath.mpf(q) * above) - 1)
@@ -222,10 +224,11 @@ class TestSampling:
         b = d.sample(np.random.default_rng(7), size=100)
         assert np.array_equal(a, b)
 
-    def test_truncated_normal_nonnegative(self):
-        d = TruncatedNormal(mu=-5.0, sigma=10.0)  # heavy truncation
+    @pytest.mark.parametrize("mu,sigma", [(-5.0, 10.0), (-30.0, 1.0)])  # heavy truncation
+    def test_truncated_normal_nonnegative(self, mu, sigma):
+        d = TruncatedNormal(mu=mu, sigma=sigma)
         draws = d.sample(np.random.default_rng(3), size=100_000)
-        assert np.all(draws >= 0.0)
+        assert np.all(draws >= 0.0) and np.all(np.isfinite(draws))
 
     def test_truncated_normal_sampling_matches_quantile(self):
         # The vectorized sampling inverse and the two-branch quantile agree.
@@ -249,6 +252,13 @@ class TestValidation:
     def test_truncated_normal_rejects_bad_sigma(self, sigma):
         with pytest.raises(ValueError):
             TruncatedNormal(mu=50.0, sigma=sigma)
+
+    @pytest.mark.parametrize("mu,sigma", [(-60.0, 1.0), (-1e3, 10.0)])
+    def test_truncated_normal_rejects_vanishing_mass(self, mu, sigma):
+        # Phi(mu/sigma) underflows to 0, and every formula divides by it.
+        with pytest.raises(InvalidValue) as info:
+            TruncatedNormal(mu=mu, sigma=sigma)
+        assert [field for field, _ in info.value.problems] == ["mu"]
 
     def test_factory_round_trip(self):
         d = make_distribution("uniform", lo=0.0, hi=100.0)

@@ -1,4 +1,5 @@
-"""Import footprint: closed forms replace every numerical solver."""
+"""Import footprint: closed forms replace every numerical solver, and only
+truncated-normal demand loads scipy at all."""
 from __future__ import annotations
 
 import os
@@ -6,15 +7,54 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import freshopt
 
+GOLDEN = Path(__file__).parent / "golden"
 
-def test_no_solver_submodules_loaded():
+
+def _run(probe: str) -> str:
     src = str(Path(freshopt.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = ("import sys, freshopt, freshopt.cli; "
-             "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def _scipy_modules_after(statement: str) -> set[str]:
+    """Names of the scipy modules loaded in a fresh interpreter after running statement."""
+    probe = ("import contextlib, io, sys\n"
+             f"{statement}\n"
+             "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    return set(_run(probe).split())
+
+
+def _optimize(config: Path | None) -> str:
+    argv = ["optimize"] if config is None else ["--config", str(config), "optimize"]
+    return ("from freshopt import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0")
+
+
+def test_no_solver_submodules_loaded():
+    probe = ("import sys, freshopt, freshopt.cli; "
+             "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+    assert _run(probe) == "[]"
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules_after("import freshopt, freshopt.cli") == set()
+
+
+@pytest.mark.parametrize("config", [None, GOLDEN / "exponential.json"],
+                         ids=["packaged-uniform", "exponential"])
+def test_closed_form_families_load_no_scipy(config):
+    assert _scipy_modules_after(_optimize(config)) == set()
+
+
+def test_truncated_normal_loads_only_special():
+    loaded = _scipy_modules_after(_optimize(GOLDEN / "truncated-normal.json"))
+    assert "scipy.special" in loaded
+    assert not {"scipy.integrate", "scipy.optimize"} & loaded

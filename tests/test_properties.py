@@ -1,4 +1,4 @@
-"""Property tests: any number in a config or on a flag ends in a result or a typed error."""
+"""Property tests: any number in a config or on a flag ends in a finite result or a typed error."""
 from __future__ import annotations
 
 import contextlib
@@ -67,9 +67,13 @@ def test_cli_exits_zero_one_or_two(command, flags):
         flags = {f: v for f, v in flags.items() if f not in ("--q1", "--qq")}
     # "--k=-inf" keeps argparse from reading a negative value as an option.
     argv = command + [f"{flag}={value!r}" for flag, value in flags.items()]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), argv
+    # A result is finite: an overflow ends in a typed error instead.
+    if code == 0:
+        assert "nan" not in stdout.getvalue() and "inf" not in stdout.getvalue(), argv

@@ -292,3 +292,17 @@ class TestColumnPricing:
         assert sum(r.feasible for r in rows) >= 5
         # Two partials at theta*k, two at theta, one for the chain.
         assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("family", sorted(DEMANDS))
+def test_overflowing_rows_are_flagged(baseline_market, family):
+    # At k = 1e306 the plan is finite but its profits overflow; at 1e308 the plan does.
+    grid = (1.0, 1.1, 1e306, 1e308)
+    rows = run_sweep(_mode_scenario("fixed-contract", DEMANDS[family], baseline_market, grid))
+    assert [r.feasible for r in rows] == [True, True, False, False]
+    assert rows[2].note == "Infeasible: expected profit overflows double precision"
+    assert rows[3].note == "Infeasible: optimal plan overflows double precision"
+    for row in rows[2:]:
+        assert all(getattr(row, c) is None for c in PLAN_AND_PROFIT)
+    assert rows[:2] == run_sweep(_mode_scenario("fixed-contract", DEMANDS[family],
+                                                baseline_market, grid[:2]))
