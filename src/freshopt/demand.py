@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -53,21 +54,33 @@ def _check_nonnegative(field: str, value: float) -> None:
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def _scalar_or_array(values: np.ndarray, scalar_input: bool):
     return float(values) if scalar_input else values
 
 
-@cache
-def _normal():
-    """scipy.special's (ndtr, ndtri), imported on first truncated-normal use.
+def _ndtr(z):
+    """Standard normal CDF of a float or, entry by entry, an array; one formula for both."""
+    if isinstance(z, float):
+        return 0.5 * math.erfc(-z * _SQRT_HALF)
+    flat = np.ravel(z) * -_SQRT_HALF
+    return 0.5 * np.fromiter(map(math.erfc, flat.tolist()), float, flat.size).reshape(np.shape(z))
 
-    Only TruncatedNormal needs them, so uniform and exponential demand never
-    load scipy.
-    """
-    from scipy.special import ndtr, ndtri
-    return ndtr, ndtri
+
+@cache
+def _inv_cdf():
+    """statistics.NormalDist().inv_cdf (Wichura's AS241), imported on first truncated-normal use."""
+    from statistics import NormalDist
+    return NormalDist().inv_cdf
+
+
+def _ndtri(p: float) -> float:
+    """Standard normal quantile of a scalar level; NormalDist rejects 0 and 1, here -inf and inf."""
+    if 0.0 < p < 1.0:
+        return _inv_cdf()(p)
+    return -math.inf if p <= 0.0 else math.inf
 
 
 class DemandDistribution(ABC):
@@ -206,20 +219,18 @@ class TruncatedNormal(DemandDistribution):
         if not math.isfinite(self.mu):
             raise InvalidValue([("mu", f"must be finite, got {self.mu}")])
         _check_positive("sigma", self.sigma)
-        # Every formula divides by the mass kept above zero.
-        if self._mass_above_zero == 0.0:
+        # Every formula divides by the mass kept above zero; a subnormal one has lost its digits.
+        if self._mass_above_zero < sys.float_info.min:
             raise InvalidValue([("mu", f"must leave demand mass above 0, got mu={self.mu}, "
                                        f"sigma={self.sigma}: Phi(mu/sigma) underflows to 0")])
 
     @cached_property
     def _mass_below_zero(self) -> float:
-        ndtr, _ = _normal()
-        return float(ndtr(-self.mu / self.sigma))
+        return _ndtr(-self.mu / self.sigma)
 
     @cached_property
     def _mass_above_zero(self) -> float:
-        ndtr, _ = _normal()
-        return float(ndtr(self.mu / self.sigma))
+        return _ndtr(self.mu / self.sigma)
 
     @cached_property
     def _density_at_cut(self) -> float:
@@ -227,15 +238,14 @@ class TruncatedNormal(DemandDistribution):
         return math.exp(-0.5 * alpha * alpha) / _SQRT_2PI
 
     def cdf(self, x):
-        ndtr, _ = _normal()
         arr = np.asarray(x, dtype=float)
         z = (arr - self.mu) / self.sigma
         if self.mu > 0.0:
-            vals = (ndtr(z) - self._mass_below_zero) / self._mass_above_zero
+            vals = (_ndtr(z) - self._mass_below_zero) / self._mass_above_zero
         else:
             # z >= -mu/sigma >= 0 on the support: upper tails keep the digits that
             # Phi(z) - Phi(-mu/sigma), a difference of two numbers near 1, would lose.
-            vals = 1.0 - ndtr(-z) / self._mass_above_zero
+            vals = 1.0 - _ndtr(-z) / self._mass_above_zero
         vals = np.where(arr <= 0.0, 0.0, np.clip(vals, 0.0, 1.0))
         return _scalar_or_array(vals, arr.ndim == 0)
 
@@ -244,11 +254,11 @@ class TruncatedNormal(DemandDistribution):
 
     def _quantile(self, q: float) -> float:
         if q < 0.5 and self.mu > 0.0:
-            return self._inverse_transform(q)
+            level = self._mass_below_zero + q * self._mass_above_zero
+            return max(self.mu + self.sigma * _ndtri(level), 0.0)
         # Upper tail through 1 - q (exact for q >= 1/2), so levels near 1 keep their digits;
         # for mu <= 0 every level goes this way, as _inverse_transform explains.
-        _, ndtri = _normal()
-        return max(float(self.mu - self.sigma * ndtri((1.0 - q) * self._mass_above_zero)), 0.0)
+        return max(self.mu - self.sigma * _ndtri((1.0 - q) * self._mass_above_zero), 0.0)
 
     def _cdf_integral(self, a):
         # (sigma [G(z_a) - G(z_0)] - a Phi(z_0)) / Phi(mu/sigma) with G(z) = z Phi(z) + phi(z),
@@ -261,7 +271,7 @@ class TruncatedNormal(DemandDistribution):
         return np.maximum(vals, 0.0)
 
     def _inverse_transform(self, u):
-        _, ndtri = _normal()
+        from scipy.special import ndtri  # vectorized: several times faster than any stdlib route
         u = np.asarray(u, dtype=float)
         if self.mu > 0.0:
             x = self.mu + self.sigma * ndtri(self._mass_below_zero + u * self._mass_above_zero)

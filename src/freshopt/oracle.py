@@ -155,12 +155,11 @@ def grid_search_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
     qqs = _lattice(spec.qq_range, spec.step)
     nq = len(qqs)
     totals = (q1s[0] + qqs[0]) + spec.step * np.arange(len(q1s) + nq - 1)
-
-    def profit(q_spot, q_option):
-        return sum(_ledger(d, m, o.c0, o.ce, m.theta * k, q_spot, q_option)[0].values())
-
-    total_part = profit(0.0, totals)
-    spot_part = profit(q1s, 0.0) - profit(0.0, q1s)
+    eff, scale = 1.0 - m.beta, m.theta * k
+    total_part = sum(_ledger(d, m, o.c0, o.ce, scale, 0.0, totals)[0].values())
+    # Stock held spot or as options sells alike: S is the options' c0 + ce per unit, less
+    # ce per unit not exercised (scale * int_0^{q eff/scale} F), against w0 per spot unit.
+    spot_part = (o.c0 + o.ce - m.w0) * eff * q1s - o.ce * scale * d.cdf_integral(q1s * eff / scale)
     # Adding a row's spot part is monotone in floating point, so the row
     # maximum of T + S is the window maximum of T plus S.
     i = int(np.argmax(sliding_window_view(total_part, nq).max(axis=1) + spot_part))

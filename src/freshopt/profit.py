@@ -162,8 +162,9 @@ def _ledger(d: DemandDistribution, m: MarketParams, c0, ce, scale, q_spot, q_opt
     spot_stock = q_spot * eff
     option_stock = q_option * eff
     partial = d.cdf_integral(stock / scale)
-    # With no options the spot stock is the whole stock: its partial is the same.
-    spot_partial = d.cdf_integral(spot_stock / scale) if np.any(q_option) else partial
+    # With no options the spot stock is the whole stock; with no spot stock its partial is 0.
+    spot_partial = (partial if not np.any(q_option)
+                    else d.cdf_integral(spot_stock / scale) if np.any(q_spot) else 0.0)
     sales = stock - scale * partial
     shortage = scale * d.mean() - stock + scale * partial
     exercised = option_stock - scale * (partial - spot_partial)

@@ -57,11 +57,12 @@ class TestCdf:
         assert d.cdf(0.0) == 0.0
         assert d.cdf(1e9) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("mu,sigma", [(-40.0, 10.0), (50.0, 10.0)])
+    @pytest.mark.parametrize("mu,sigma", [(-40.0, 10.0), (50.0, 10.0), (30.0, 1.0)])
     def test_truncated_normal_against_high_precision(self, mu, sigma):
         # Independent oracle: the truncated CDF in 40-digit arithmetic.  At mu = -40
         # the lower-tail difference Phi(z) - Phi(-mu/sigma) cancels to about 1e-12;
-        # at mu = 50 the upper-tail form would keep only 1e-4 of small F's digits.
+        # at mu = 50 the upper-tail form would keep only 1e-4 of small F's digits;
+        # at mu/sigma = 30 every value near 0 is a difference of deep tails near 5e-198.
         mpmath = pytest.importorskip("mpmath")
         d = TruncatedNormal(mu=mu, sigma=sigma)
         for x in (1e-6, 1e-3, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 80.0):
@@ -97,10 +98,12 @@ class TestQuantile:
         for q in np.arange(0.01, 1.0, 0.01):
             assert abs(d.cdf(d.quantile(q)) - q) <= 1e-9
 
-    @pytest.mark.parametrize("mu,sigma", [(50.0, 20.0), (0.0, 10.0), (-20.0, 10.0), (-30.0, 1.0)])
+    @pytest.mark.parametrize("mu,sigma", [(50.0, 20.0), (0.0, 10.0), (-20.0, 10.0), (-30.0, 1.0),
+                                          (-37.0, 1.0)])
     def test_truncated_normal_against_high_precision(self, mu, sigma):
         # Independent oracle: invert the truncated CDF with 50-digit arithmetic, plus the
         # digits that Phi(mu/sigma), about 10**(-(mu/sigma)**2 / 4.6), takes below 1.
+        # At mu = -37 the inverse sees levels (1 - q) Phi(-37) from 6e-300 down to 6e-309.
         mpmath = pytest.importorskip("mpmath")
         d = TruncatedNormal(mu=mu, sigma=sigma)
         levels = [1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9]
@@ -113,6 +116,15 @@ class TestQuantile:
             # The 1e-12 absolute floor (pytest's default) governs only quantiles
             # below about 1, which come out as differences of numbers of size mu.
             assert d.quantile(q) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_scalar_inverse_keeps_ndtri_at_levels_0_and_1(self):
+        # statistics.NormalDist rejects levels 0 and 1; a level that underflows to 0
+        # must still give scipy's -inf, so an infinite quantile is rejected downstream.
+        from scipy.special import ndtri
+
+        from freshopt.demand import _ndtri
+        for p in (0.0, 5e-324, 1e-300, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 2.0**-53, 1.0):
+            assert _ndtri(p) == pytest.approx(float(ndtri(p)), rel=1.1e-15, abs=0.0)
 
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.3])
     def test_out_of_range(self, q):
@@ -253,9 +265,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             TruncatedNormal(mu=50.0, sigma=sigma)
 
-    @pytest.mark.parametrize("mu,sigma", [(-60.0, 1.0), (-1e3, 10.0)])
+    @pytest.mark.parametrize("mu,sigma", [(-60.0, 1.0), (-1e3, 10.0), (-37.8, 1.0), (-38.2, 1.0)])
     def test_truncated_normal_rejects_vanishing_mass(self, mu, sigma):
-        # Phi(mu/sigma) underflows to 0, and every formula divides by it.
+        # Phi(mu/sigma) underflows to 0, or to a subnormal short of digits (at mu = -38.2
+        # the mean would be 3.5% off), and every formula divides by it.
         with pytest.raises(InvalidValue) as info:
             TruncatedNormal(mu=mu, sigma=sigma)
         assert [field for field, _ in info.value.problems] == ["mu"]

@@ -1,5 +1,5 @@
 """Import footprint: closed forms replace every numerical solver, and only
-truncated-normal demand loads scipy at all."""
+truncated-normal sampling loads scipy at all."""
 from __future__ import annotations
 
 import os
@@ -31,10 +31,11 @@ def _scipy_modules_after(statement: str) -> set[str]:
     return set(_run(probe).split())
 
 
-def _optimize(config: Path | None) -> str:
-    argv = ["optimize"] if config is None else ["--config", str(config), "optimize"]
+def _cli(config: Path | None, *args: str) -> str:
+    argv = ([] if config is None else ["--config", str(config)]) + list(args)
     return ("from freshopt import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0")
 
 
@@ -51,10 +52,25 @@ def test_import_loads_no_scipy():
 @pytest.mark.parametrize("config", [None, GOLDEN / "exponential.json"],
                          ids=["packaged-uniform", "exponential"])
 def test_closed_form_families_load_no_scipy(config):
-    assert _scipy_modules_after(_optimize(config)) == set()
+    assert _scipy_modules_after(_cli(config, "optimize")) == set()
+
+
+@pytest.mark.parametrize("args", [
+    ("optimize",),
+    ("evaluate", "--q1", "30", "--qq", "20"),
+    ("coordinate",),
+    ("coordinate", "--solve-exercise"),
+    ("sweep", "--mode", "fixed-exercise-price", "--ce", "30"),
+    ("sweep", "--mode", "fixed-premium", "--c0", "5"),
+    ("sweep", "--mode", "fixed-contract"),
+], ids=lambda args: "-".join(a.lstrip("-") for a in args if not a[0].isdigit()))
+def test_truncated_normal_closed_forms_load_no_scipy(args):
+    assert _scipy_modules_after(_cli(GOLDEN / "truncated-normal.json", *args)) == set()
 
 
 def test_truncated_normal_loads_only_special():
-    loaded = _scipy_modules_after(_optimize(GOLDEN / "truncated-normal.json"))
+    # Sampling maps blocks of draws through scipy.special.ndtri; nothing else loads scipy.
+    loaded = _scipy_modules_after(_cli(GOLDEN / "truncated-normal.json",
+                                       "simulate", "--kind", "retailer", "--n", "1000"))
     assert "scipy.special" in loaded
     assert not {"scipy.integrate", "scipy.optimize"} & loaded
