@@ -53,6 +53,13 @@ _FAILURES = {
     "exit2-half-a-plan": ["simulate", "--kind", "retailer", "--q1", "10"],
 }
 
+# Sweeps flagged at every k, or below k = 13/12 for a premium of 20: each note is a screen's text.
+_ALL_FLAGGED = {
+    "sweep-flagged-fixed-contract": ["sweep", "--mode", "fixed-contract", "--c0", "40"],
+    "sweep-flagged-fixed-premium": ["sweep", "--mode", "fixed-premium", "--c0", "20"],
+    "sweep-flagged-fixed-exercise-price": ["sweep", "--mode", "fixed-exercise-price", "--ce", "70"],
+}
+
 # name -> (scenario file under golden/, or None for the packaged one; argv)
 CASES: dict[str, tuple[str | None, list[str]]] = {
     **{name: (None, argv) for name, argv in _README.items()},
@@ -60,6 +67,7 @@ CASES: dict[str, tuple[str | None, list[str]]] = {
        for family in ("uniform", "exponential", "truncated-normal")
        for name, argv in _PER_FAMILY.items()},
     **{name: (None, argv) for name, argv in _FAILURES.items()},
+    **{name: (None, argv) for name, argv in _ALL_FLAGGED.items()},
     "exit2-invalid-config": ("invalid.json", ["optimize"]),
 }
 

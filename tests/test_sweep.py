@@ -8,12 +8,17 @@ from freshopt import (
     MODES,
     DemandDistribution,
     Exponential,
+    Infeasible,
+    NonCoordinable,
+    NoRoot,
     OptionContract,
     SweepScenario,
     TooFewRows,
     TruncatedNormal,
     Uniform,
     chain_expected_profit,
+    coordinating_exercise_price,
+    coordinating_premium,
     default_k_grid,
     monotonicity_report,
     optimal_plan,
@@ -292,6 +297,32 @@ class TestColumnPricing:
         assert sum(r.feasible for r in rows) >= 5
         # Two partials at theta*k, two at theta, one for the chain.
         assert len(calls) <= 5
+
+
+def _scalar_note(d, m, mode, k):
+    """What the public functions say about the row at k: the text of the first error, or ""."""
+    try:
+        if mode == "fixed-exercise-price":
+            c0, ce = coordinating_premium(d, m, 35.0, k), 35.0
+        else:
+            c0, ce = 5.0, coordinating_exercise_price(d, m, 5.0, k)
+    except (Infeasible, NonCoordinable, NoRoot) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    try:
+        optimal_plan(d, m, OptionContract(c0=c0, ce=ce), k)
+    except Infeasible as exc:
+        return ";".join(exc.report.names())
+    return ""
+
+
+@pytest.mark.parametrize("mode", ("fixed-exercise-price", "fixed-premium"))
+@pytest.mark.parametrize("family", sorted(DEMANDS))
+def test_flagged_notes_are_the_scalar_functions_text(baseline_market, family, mode):
+    d, m = DEMANDS[family], baseline_market
+    rows = run_sweep(_mode_scenario(mode, d, m, WIDE_GRID))
+    assert sum(not r.feasible for r in rows) >= 2
+    for row in rows:
+        assert row.note == _scalar_note(d, m, mode, row.k), row.k
 
 
 @pytest.mark.parametrize("family", sorted(DEMANDS))
