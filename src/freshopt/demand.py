@@ -61,6 +61,13 @@ def _scalar_or_array(values: np.ndarray, scalar_input: bool):
     return float(values) if scalar_input else values
 
 
+def _check_level(q: float) -> float:
+    """q, if it lies strictly inside (0, 1); OutOfRange otherwise."""
+    if not 0.0 < q < 1.0:
+        raise OutOfRange(f"quantile level must be in (0, 1), got {q}")
+    return q
+
+
 def _ndtr(z):
     """Standard normal CDF of a float or, entry by entry, an array; one formula for both."""
     if isinstance(z, float):
@@ -90,7 +97,11 @@ class DemandDistribution(ABC):
 
     @abstractmethod
     def cdf(self, x):
-        """F(x); accepts scalars or numpy arrays."""
+        """F(x); accepts scalars or numpy arrays.
+
+        A float takes plain Python arithmetic, equal bit for bit to the
+        array path's entry.
+        """
 
     @abstractmethod
     def mean(self) -> float:
@@ -108,11 +119,18 @@ class DemandDistribution(ABC):
     def _inverse_transform(self, u):
         """Map uniform(0,1) draws to demand values; vectorized."""
 
-    def quantile(self, q: float) -> float:
-        """Smallest x with F(x) >= q, for q strictly inside (0, 1)."""
-        if not 0.0 < q < 1.0:
-            raise OutOfRange(f"quantile level must be in (0, 1), got {q}")
-        return self._quantile(q)
+    def quantile(self, q):
+        """Smallest x with F(x) >= q, for q strictly inside (0, 1); a float or, entry by entry, an array.
+
+        An array is mapped through the scalar formula, so each entry equals
+        the scalar call bit for bit.
+        """
+        if type(q) is float:
+            return self._quantile(_check_level(q))
+        levels = np.asarray(q, dtype=float)
+        values = map(self._quantile, map(_check_level, levels.ravel().tolist()))
+        return _scalar_or_array(np.fromiter(values, float, levels.size).reshape(levels.shape),
+                                levels.ndim == 0)
 
     def cdf_integral(self, a):
         """int_0^a F(x) dx for a >= 0; accepts scalars or numpy arrays.
@@ -154,6 +172,8 @@ class Uniform(DemandDistribution):
             raise InvalidValue([("hi", f"must be finite and > lo, got lo={self.lo}, hi={self.hi}")])
 
     def cdf(self, x):
+        if type(x) is float:
+            return min(max((x - self.lo) / (self.hi - self.lo), 0.0), 1.0)
         arr = np.asarray(x, dtype=float)
         vals = np.clip((arr - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         return _scalar_or_array(vals, arr.ndim == 0)
@@ -184,6 +204,9 @@ class Exponential(DemandDistribution):
         _check_positive("rate", self.rate)
 
     def cdf(self, x):
+        if type(x) is float:
+            # np.expm1, not math.expm1: the two differ in the last bit on some inputs.
+            return -float(np.expm1(-self.rate * x)) if x > 0.0 else 0.0
         arr = np.asarray(x, dtype=float)
         vals = np.where(arr > 0.0, -np.expm1(-self.rate * np.maximum(arr, 0.0)), 0.0)
         return _scalar_or_array(vals, arr.ndim == 0)
@@ -238,7 +261,8 @@ class TruncatedNormal(DemandDistribution):
         return math.exp(-0.5 * alpha * alpha) / _SQRT_2PI
 
     def cdf(self, x):
-        arr = np.asarray(x, dtype=float)
+        scalar = type(x) is float
+        arr = x if scalar else np.asarray(x, dtype=float)
         z = (arr - self.mu) / self.sigma
         if self.mu > 0.0:
             vals = (_ndtr(z) - self._mass_below_zero) / self._mass_above_zero
@@ -246,6 +270,8 @@ class TruncatedNormal(DemandDistribution):
             # z >= -mu/sigma >= 0 on the support: upper tails keep the digits that
             # Phi(z) - Phi(-mu/sigma), a difference of two numbers near 1, would lose.
             vals = 1.0 - _ndtr(-z) / self._mass_above_zero
+        if scalar:
+            return 0.0 if x <= 0.0 else min(max(vals, 0.0), 1.0)
         vals = np.where(arr <= 0.0, 0.0, np.clip(vals, 0.0, 1.0))
         return _scalar_or_array(vals, arr.ndim == 0)
 

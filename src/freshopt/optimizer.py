@@ -13,14 +13,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .demand import DemandDistribution, InvalidValue, _check_positive
 from .profit import (
     Infeasible,
     MarketParams,
     OptionContract,
     OrderPlan,
-    _contract_violations,
-    _require_finite,
+    _contract_failures,
+    _contract_message,
+    _not,
+    _overflow,
+    _Prices,
     require_feasible_contract,
     supplier_expected_profit,
     total_fractile,
@@ -73,6 +78,27 @@ def spot_fractile(m: MarketParams, o: OptionContract) -> float:
     return (o.c0 + o.ce - m.w0) / o.ce
 
 
+def _plan_failures(m: MarketParams, o: OptionContract | _Prices):
+    """(failures, tf, sf): whether the terms break each precondition of an order
+    plan but the k-domain, by violation name, and the total and spot fractiles;
+    for _Prices columns each failure is a column."""
+    failures, tf = _contract_failures(m, o)
+    sf = spot_fractile(m, o)
+    spot_ok = (0.0 < sf) & (sf < 1.0)
+    failures["fractile-range-spot"] = _not(spot_ok)
+    failures["negative-option-quantity"] = (
+        spot_ok & _not(failures["fractile-range-total"]) & (tf < sf))
+    return failures, tf, sf
+
+
+def _plan_message(name: str, m: MarketParams, o: OptionContract, tf: float, sf: float) -> str:
+    if name == "fractile-range-spot":
+        return f"(c0+ce-w0)/ce = {sf:.6g} outside (0, 1)"
+    if name == "negative-option-quantity":
+        return f"total fractile {tf:.6g} below spot fractile {sf:.6g}: optimal option quantity < 0"
+    return _contract_message(name, m, o, tf)
+
+
 def check_feasibility(m: MarketParams, o: OptionContract, k: float) -> FeasibilityReport:
     """Screen the model's preconditions; reports, never raises."""
     violations: list[Violation] = []
@@ -80,22 +106,18 @@ def check_feasibility(m: MarketParams, o: OptionContract, k: float) -> Feasibili
         _check_positive("k", k)
     except InvalidValue as exc:
         violations.append(Violation("k-domain", str(exc)))
-
-    contract = _contract_violations(m, o)
-    violations += map(Violation, contract, contract.values())
-
-    sf = spot_fractile(m, o)
-    if not (0.0 < sf < 1.0):
-        violations.append(Violation(
-            "fractile-range-spot", f"(c0+ce-w0)/ce = {sf:.6g} outside (0, 1)"))
-    elif "fractile-range-total" not in contract:
-        tf = total_fractile(m, o)
-        if tf < sf:
-            violations.append(Violation(
-                "negative-option-quantity",
-                f"total fractile {tf:.6g} below spot fractile {sf:.6g}: optimal option quantity < 0"))
-
+    failures, tf, sf = _plan_failures(m, o)
+    violations += (Violation(name, _plan_message(name, m, o, tf, sf))
+                   for name, failed in failures.items() if failed)
     return FeasibilityReport(tuple(violations))
+
+
+def _believed_stock(d: DemandDistribution, m: MarketParams, k, level):
+    """k*theta/(1-beta) * F^-1(level): the stock a retailer with belief k holds at a fractile.
+
+    k and level may be numpy columns of equal length.
+    """
+    return k * m.theta / (1.0 - m.beta) * d.quantile(level)
 
 
 def optimal_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
@@ -108,16 +130,31 @@ def optimal_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
     report = check_feasibility(m, o, k)
     if not report.ok:
         raise Infeasible(f"no optimal plan: {report.describe()}", report)
-    scale = k * m.theta / (1.0 - m.beta)
-    q_total = scale * d.quantile(total_fractile(m, o))
-    q_spot = scale * d.quantile(spot_fractile(m, o))
-    # q_spot <= q_total, since tf >= sf is already guaranteed; max() only absorbs rounding dust.
-    _require_finite("optimal plan", q_total)
-    return OrderPlan(q_spot=q_spot, q_option=max(0.0, q_total - q_spot))
+    q_spot, q_option = _plans(d, m, total_fractile(m, o), spot_fractile(m, o), _Row(k))
+    return OrderPlan(q_spot=q_spot, q_option=float(q_option))
 
 
-def _centralized_quantile(d: DemandDistribution, m: MarketParams) -> float:
-    """Demand quantile behind the centralized optimum (before scaling)."""
+def _plans(d: DemandDistribution, m: MarketParams, tf, sf, rows, q_total=None):
+    """(q_spot, q_option): the optimal plan at the k of ``rows`` (a _Row or _Rows)
+    whose fractiles tf and sf passed every screen, and that overflows nowhere.
+
+    q_total, if given, is the total already solved at tf (a coordinated one).
+    """
+    k = rows.gather(rows.k)
+    if q_total is None:
+        q_total = rows.scatter(_believed_stock(d, m, k, rows.gather(tf)))
+    q_spot = rows.scatter(_believed_stock(d, m, k, rows.gather(sf)))
+    rows.screen(~np.isfinite(q_total), lambda at: _overflow("optimal plan"))
+    # q_spot <= q_total, since tf >= sf is already guaranteed; the floor only absorbs rounding dust.
+    return q_spot, np.maximum(q_total - q_spot, 0.0)
+
+
+def _centralized_quantile(d: DemandDistribution, m: MarketParams, stacklevel: int = 3) -> float:
+    """Demand quantile behind the centralized optimum (before scaling).
+
+    A clamped fractile warns at the ``stacklevel``-th caller: the public
+    function's caller.
+    """
     capacity_value = (m.p + m.g) * (1.0 - m.beta)
     if not (capacity_value > m.c):
         raise Infeasible(
@@ -128,7 +165,7 @@ def _centralized_quantile(d: DemandDistribution, m: MarketParams) -> float:
     if clamped != fractile:
         warnings.warn(
             f"centralized fractile {fractile} clamped to {clamped} before quantile evaluation",
-            RuntimeWarning, stacklevel=3)
+            RuntimeWarning, stacklevel=stacklevel)
     return d.quantile(clamped)
 
 
@@ -138,6 +175,52 @@ def optimal_centralized(d: DemandDistribution, m: MarketParams) -> float:
     Independent of the retailer's belief bias and of the option contract.
     """
     return (m.theta / (1.0 - m.beta)) * _centralized_quantile(d, m)
+
+
+class _Row:
+    """One k, solved alone: ``screen`` raises the error of the first check it fails."""
+
+    def __init__(self, k: float):
+        self.k = k
+
+    def screen(self, failed, error) -> None:
+        """Raise ``error(at)`` if ``failed``; ``at(x)`` is x at this row: x itself."""
+        if failed:
+            raise error(lambda x: x)
+
+    def gather(self, x):
+        return x
+
+    def scatter(self, values):
+        return values
+
+
+class _Rows:
+    """A column of k, solved together: a screen flags the rows that fail it with the
+    error a solve at that k alone (``_Row``) raises, and later steps skip them."""
+
+    def __init__(self, k: np.ndarray):
+        self.k = k
+        self.ok = np.ones(k.shape, dtype=bool)
+        self.errors: dict[int, Exception] = {}
+
+    def screen(self, failed, error) -> None:
+        """Flag each unflagged row where ``failed`` holds with ``error(at)``; ``at(x)`` is
+        the row's entry of a column x, as a Python float, or x if it is a float."""
+        hit = self.ok & failed
+        for i in np.flatnonzero(hit).tolist():
+            self.errors[i] = error(lambda x, i=i: x[i].item() if isinstance(x, np.ndarray) else x)
+        self.ok &= ~hit
+
+    def gather(self, x):
+        """The unflagged rows' entries of a column x; a float stays as it is."""
+        return x[self.ok] if isinstance(x, np.ndarray) else x
+
+    def scatter(self, values) -> np.ndarray:
+        """A column holding ``values`` at the unflagged rows and nan elsewhere."""
+        column = np.full(self.k.shape, np.nan)
+        column[self.ok] = values
+        return column
 
 
 def coordinating_premium(d: DemandDistribution, m: MarketParams, ce: float,
@@ -151,50 +234,58 @@ def coordinating_premium(d: DemandDistribution, m: MarketParams, ce: float,
     """
     _check_positive("ce", ce)
     _check_positive("k", k)
+    c0, _ = _coordinating_premiums(d, m, ce, _Row(k))
+    return c0
+
+
+def _coordinating_premiums(d: DemandDistribution, m: MarketParams, ce: float, rows):
+    """(c0, q_total): the coordinating premium at the k of ``rows`` (a _Row or _Rows),
+    which screens the k where none exists, and the believed total it induces.
+
+    What does not depend on k raises, for every row at once.
+    """
     margin = m.p + m.g - ce
     if not (margin > 0.0):
         raise NonCoordinable(
             f"fractile-range-total: ce={ce} >= p+g={m.p + m.g} leaves no option margin")
 
-    x_central = _centralized_quantile(d, m)
-    mass_below = d.cdf(x_central / k)
-    if mass_below >= 1.0:
-        # Bounded-support families: the shrunk quantile fell past the top of
-        # the demand support, so no positive premium can coordinate.
-        k_floor = _k_floor_for_premium(d, x_central)
-        hint = f" (requires k > {k_floor:.6g})" if k_floor is not None else ""
-        raise NonCoordinable(
-            f"k-domain: coordinating premium would be <= 0 at k={k}{hint}")
-    if mass_below <= 0.0:
-        # Demand floor above the shrunk quantile: the premium would have to
-        # eat the whole option margin.
-        lo = getattr(d, "lo", 0.0)
-        hint = f" (requires k < {x_central / lo:.6g})" if lo > 0.0 else ""
-        raise NonCoordinable(
-            f"k-domain: coordinating premium would leave no total fractile at k={k}{hint}")
+    x_central = _centralized_quantile(d, m, stacklevel=4)
+    mass_below = d.cdf(x_central / rows.k)
+    # Bounded-support families: the shrunk quantile fell past the top of
+    # the demand support, so no positive premium can coordinate.
+    k_floor = _k_floor_for_premium(d, x_central)
+    hint = f" (requires k > {k_floor:.6g})" if k_floor is not None else ""
+    rows.screen(mass_below >= 1.0, lambda at: NonCoordinable(
+        f"k-domain: coordinating premium would be <= 0 at k={at(rows.k)}{hint}"))
+    # Demand floor above the shrunk quantile: the premium would have to
+    # eat the whole option margin.
+    lo = getattr(d, "lo", 0.0)
+    floor_hint = f" (requires k < {x_central / lo:.6g})" if lo > 0.0 else ""
+    rows.screen(mass_below <= 0.0, lambda at: NonCoordinable(
+        f"k-domain: coordinating premium would leave no total fractile at k={at(rows.k)}{floor_hint}"))
     c0 = margin * (1.0 - mass_below)
-    if not (m.w0 < c0 + ce):
-        raise NonCoordinable(
-            f"assumption-4: coordinating premium c0={c0:.6g} gives w0={m.w0} >= c0+ce={c0 + ce:.6g}")
-
-    _check_coordination(d, m, OptionContract(c0=c0, ce=ce), k, x_central)
-    return float(c0)
+    rows.screen(_not(m.w0 < c0 + ce), lambda at: NonCoordinable(
+        f"assumption-4: coordinating premium c0={at(c0):.6g} gives w0={m.w0} >= "
+        f"c0+ce={at(c0) + ce:.6g}"))
+    return c0, _coordinated_total(d, m, _Prices(c0, ce), rows, x_central)
 
 
-def _check_coordination(d: DemandDistribution, m: MarketParams, contract: OptionContract,
-                        k: float, x_central: float) -> None:
-    """Re-derive Q*(k) at the solved contract; it must equal Q** to _COORDINATION_TOL.
+def _coordinated_total(d: DemandDistribution, m: MarketParams, o: _Prices, rows,
+                       x_central: float):
+    """Q*(k) at the solved contract, screened against Q** to _COORDINATION_TOL.
 
     At extreme k the solved price can be right yet leave a total fractile
     that rounds to 0 or too coarsely to reproduce Q**; that is Infeasible.
     """
-    tf = total_fractile(m, contract)
-    q_total = (k * m.theta / (1.0 - m.beta)) * d.quantile(tf) if 0.0 < tf < 1.0 else None
     q_central = (m.theta / (1.0 - m.beta)) * x_central
-    if q_total is None or abs(q_total - q_central) > _COORDINATION_TOL * q_central:
-        raise Infeasible(
-            f"coordination identity failed: decentralized total {q_total!r} vs "
-            f"centralized {q_central!r}")
+    failed = f"coordination identity failed: decentralized total {{!r}} vs centralized {q_central!r}"
+    tf = total_fractile(m, o)
+    rows.screen(_not((0.0 < tf) & (tf < 1.0)),
+                lambda at: Infeasible(failed.format(None)))
+    q_total = rows.scatter(_believed_stock(d, m, rows.gather(rows.k), rows.gather(tf)))
+    rows.screen(abs(q_total - q_central) > _COORDINATION_TOL * q_central,
+                lambda at: Infeasible(failed.format(at(q_total))))
+    return q_total
 
 
 def _k_floor_for_premium(d: DemandDistribution, x_central: float) -> float | None:
@@ -217,30 +308,36 @@ def coordinating_exercise_price(d: DemandDistribution, m: MarketParams, c0: floa
     """
     _check_positive("c0", c0)
     _check_positive("k", k)
+    ce, _ = _coordinating_exercise_prices(d, m, c0, _Row(k))
+    return ce
+
+
+def _coordinating_exercise_prices(d: DemandDistribution, m: MarketParams, c0: float, rows):
+    """(ce, q_total): the coordinating exercise price at the k of ``rows`` (a _Row or
+    _Rows), which screens the k where none exists, and the believed total it induces.
+
+    What does not depend on k raises, for every row at once.
+    """
     pg = m.p + m.g
     if not (c0 < pg):
         raise NoRoot(f"premium c0={c0} >= p+g={pg}: no exercise price can be admissible")
 
-    x_central = _centralized_quantile(d, m)
-    mass_below = d.cdf(x_central / k)
-    if mass_below >= 1.0 - c0 / pg:
+    x_central = _centralized_quantile(d, m, stacklevel=4)
+    mass_below = d.cdf(x_central / rows.k)
+    no_price = f"no coordinating exercise price in (0, {pg - c0:.6g}) at k="
+    too_low = mass_below >= 1.0 - c0 / pg
+    if np.any(too_low):
         k_floor = x_central / d.quantile(1.0 - c0 / pg)
-        raise NoRoot(
-            f"no coordinating exercise price in (0, {pg - c0:.6g}) at k={k}: "
-            f"coordination at this premium requires k > {k_floor:.6g}")
-    if mass_below <= 0.0:
-        # Possible only when demand has a positive lower support bound.
-        raise NoRoot(
-            f"no coordinating exercise price in (0, {pg - c0:.6g}) at k={k}: "
-            f"even the maximal admissible price leaves the decentralized total "
-            f"above the centralized one (k too large for this demand floor)")
+        rows.screen(too_low, lambda at: NoRoot(
+            f"{no_price}{at(rows.k)}: coordination at this premium requires k > {k_floor:.6g}"))
+    # Possible only when demand has a positive lower support bound.
+    rows.screen(mass_below <= 0.0, lambda at: NoRoot(
+        f"{no_price}{at(rows.k)}: even the maximal admissible price leaves the decentralized "
+        f"total above the centralized one (k too large for this demand floor)"))
     ce = pg - c0 / (1.0 - mass_below)
-    if not 0.0 < ce < pg - c0:
-        raise NoRoot(
-            f"no coordinating exercise price in (0, {pg - c0:.6g}) at k={k}: "
-            f"the closed form rounds to {ce!r}")
-    _check_coordination(d, m, OptionContract(c0=c0, ce=ce), k, x_central)
-    return float(ce)
+    rows.screen(_not((0.0 < ce) & (ce < pg - c0)), lambda at: NoRoot(
+        f"{no_price}{at(rows.k)}: the closed form rounds to {at(ce)!r}"))
+    return ce, _coordinated_total(d, m, _Prices(c0, ce), rows, x_central)
 
 
 def supplier_profit_gap(d: DemandDistribution, m: MarketParams, o: OptionContract,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,10 +43,15 @@ class Infeasible(ValueError):
         self.report = report  # the optimizer's FeasibilityReport, when its screen failed
 
 
+def _overflow(what: str) -> Infeasible:
+    """The error for a result that does not fit in a double: the inputs overflowed."""
+    return Infeasible(f"{what} overflows double precision")
+
+
 def _require_finite(what: str, value) -> None:
-    """Raise Infeasible unless value (a float or an array) is finite: the inputs overflowed."""
+    """Raise Infeasible unless value (a float or an array) is finite."""
     if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
-        raise Infeasible(f"{what} overflows double precision")
+        raise _overflow(what)
 
 
 @dataclass(frozen=True)
@@ -119,35 +125,58 @@ class ProfitBreakdown:
     terms: dict[str, float]
 
 
+def _not(holds):
+    """Negation of a bool or, entry by entry, of a bool column (numpy's bools are slow
+    scalars, so a float's screens stay in Python bools)."""
+    return holds ^ True
+
+
+class _Prices(NamedTuple):
+    """The prices of a column of contracts, one per entry of numpy arrays (or a float
+    for a price they share), unchecked: what the fractile formulas and screens read."""
+
+    c0: object
+    ce: object
+
+
 def total_fractile(m: MarketParams, o: OptionContract) -> float:
     """Critical fractile for the believed total stock."""
     return (m.p + m.g - o.ce - o.c0) / (m.p + m.g - o.ce)
 
 
-def _contract_violations(m: MarketParams, o: OptionContract) -> dict[str, str]:
-    """Message of each contract-level precondition the terms break, by violation name.
+def _contract_failures(m: MarketParams, o: OptionContract | _Prices):
+    """(failures, tf): whether the terms break each contract-level precondition, by
+    violation name, and the total fractile; for _Prices columns each failure is a column.
 
     A workable contract needs w0 < c0 + ce (otherwise every unit would be
     ordered through options) and a total critical fractile inside (0, 1),
-    that is c0 + ce < p + g (otherwise options are worthless).
+    that is c0 + ce < p + g (otherwise options are worthless).  Where
+    p+g-ce < 0 the fractile exceeds 1, since c0 > 0, so the range test
+    flags every contract whose fractile is undefined.
     """
-    violations = {}
-    if not (m.w0 < o.c0 + o.ce):
-        violations["assumption-4"] = (
-            f"w0={m.w0} >= c0+ce={o.c0 + o.ce}: all orders would move to options")
-    tf = total_fractile(m, o) if m.p + m.g - o.ce > 0.0 else None
-    if tf is None or not (0.0 < tf < 1.0):
-        shown = "undefined" if tf is None else f"{tf:.6g}"
-        violations["fractile-range-total"] = f"(p+g-ce-c0)/(p+g-ce) = {shown} outside (0, 1)"
-    return violations
+    try:
+        tf = total_fractile(m, o)
+    except ZeroDivisionError:  # float prices with ce == p+g; columns divide to -inf there
+        tf = math.nan
+    return {"assumption-4": _not(m.w0 < o.c0 + o.ce),
+            "fractile-range-total": _not((0.0 < tf) & (tf < 1.0))}, tf
+
+
+def _contract_message(name: str, m: MarketParams, o: OptionContract, tf: float) -> str:
+    """Why the float terms o break the contract-level precondition ``name``."""
+    if name == "assumption-4":
+        return f"w0={m.w0} >= c0+ce={o.c0 + o.ce}: all orders would move to options"
+    shown = f"{tf:.6g}" if m.p + m.g - o.ce > 0.0 else "undefined"
+    return f"(p+g-ce-c0)/(p+g-ce) = {shown} outside (0, 1)"
 
 
 def require_feasible_contract(m: MarketParams, o: OptionContract) -> None:
     """Raise InfeasibleContract unless the contract respects the market."""
-    violations = _contract_violations(m, o)
+    failures, tf = _contract_failures(m, o)
+    violations = [f"{name} violated: {_contract_message(name, m, o, tf)}"
+                  for name, failed in failures.items() if failed]
     if violations:
-        raise InfeasibleContract("; ".join(f"{name} violated: {message}"
-                                           for name, message in violations.items()))
+        raise InfeasibleContract("; ".join(violations))
 
 
 def _ledger(d: DemandDistribution, m: MarketParams, c0, ce, scale, q_spot, q_option):
@@ -228,7 +257,7 @@ def supplier_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
 
 def chain_expected_profit(d: DemandDistribution, m: MarketParams, q_total):
     """Expected profit of the integrated chain stocking q_total in total.  Vectorized."""
-    for q in np.ravel(q_total):
+    for q in np.ravel(q_total).tolist():
         _check_nonnegative("q_total", q)
     _, _, chain = _ledger(d, m, 0.0, 0.0, m.theta, q_total, 0.0)
     _require_finite("chain expected profit", chain)

@@ -5,16 +5,24 @@ premium at every k; hold the premium fixed and re-coordinate via the
 exercise price; or hold the whole contract fixed.  Rows that cannot be
 solved or fail feasibility are flagged with a reason instead of aborting
 the sweep, so singular k regions show up in the output rather than
-silently vanishing.  Rows are solved and screened one by one, then all
-solved rows are priced together: two array ledger calls (theta*k, theta)
-and one array call of chain_expected_profit.
+silently vanishing.
+
+The whole grid is solved as columns, by the code behind the public
+solvers: the coordinating prices from one array cdf call, every screen
+as a mask over the grid (a flagged row's note is the error text, or the
+violation names, that the public functions give at its k), the plans
+from at most two array quantile calls, and the profits from two array
+ledger calls (theta*k, theta) and one array call of chain_expected_profit.
+Each cell is formatted once; write_csv and monotonicity_report read the
+same text.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +31,21 @@ from .optimizer import (
     Infeasible,
     NonCoordinable,
     NoRoot,
-    coordinating_exercise_price,
-    coordinating_premium,
-    optimal_plan,
+    _coordinating_exercise_prices,
+    _coordinating_premiums,
+    _plan_failures,
+    _plans,
+    _Rows,
+    optimal_plan,  # noqa: F401 -- stays reachable as sweep.optimal_plan, as bench/tests expects
 )
-from .profit import MarketParams, OptionContract, _ledger, chain_expected_profit
+from .profit import (
+    MarketParams,
+    OptionContract,
+    _ledger,
+    _overflow,
+    _Prices,
+    chain_expected_profit,
+)
 
 MODE_FIXED_EXERCISE = "fixed-exercise-price"
 MODE_FIXED_PREMIUM = "fixed-premium"
@@ -41,6 +59,7 @@ CSV_COLUMNS = (
 )
 
 _NUMERIC_COLUMNS = CSV_COLUMNS[1:10]
+_csv_values = operator.attrgetter(*CSV_COLUMNS)
 
 # Largest {start, stop, step} range built; the default grids have 15 and 76 points.
 _MAX_K_POINTS = 100_000
@@ -125,64 +144,84 @@ class SweepRow:
     feasible: bool = False
     note: str = ""
 
+    @property
+    def _cells(self) -> tuple[str, ...]:
+        """The row as write_csv prints it: formatted on first use, then kept for
+        monotonicity_report and any later write (not a field: outside eq and repr)."""
+        cells = self.__dict__.get("_printed")
+        if cells is None:
+            cells = self.__dict__["_printed"] = tuple(map(_format_cell, _csv_values(self)))
+        return cells
 
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # in the rows it flags
 def run_sweep(scenario: SweepScenario) -> list[SweepRow]:
     """Solve every k on the grid; failures yield flagged rows, never raise."""
-    rows = [_solve_row(scenario, k) for k in scenario.k_grid]
-    priced = iter(_price_rows(scenario, [r for r in rows if r.feasible]))
-    return [next(priced) if r.feasible else r for r in rows]
-
-
-def _solve_row(s: SweepScenario, k: float) -> SweepRow:
-    d, m = s.demand, s.market
-    c0: float | None
-    ce: float | None
-    if s.mode == MODE_FIXED_EXERCISE:
-        ce = s.fixed_ce
-        try:
-            c0 = coordinating_premium(d, m, ce, k)
-        except (Infeasible, NonCoordinable) as exc:
-            return SweepRow(k=k, ce=ce, note=f"{type(exc).__name__}: {exc}")
-    elif s.mode == MODE_FIXED_PREMIUM:
-        c0 = s.fixed_c0
-        try:
-            ce = coordinating_exercise_price(d, m, c0, k)
-        except (Infeasible, NoRoot) as exc:
-            return SweepRow(k=k, c0=c0, note=f"{type(exc).__name__}: {exc}")
-    else:
-        c0, ce = s.contract.c0, s.contract.ce
-
-    contract = OptionContract(c0=c0, ce=ce)
+    s, d, m = scenario, scenario.demand, scenario.market
+    rows = _Rows(np.array(s.k_grid, dtype=float))
+    c0, ce, q_total = s.fixed_c0, s.fixed_ce, None
     try:
-        plan = optimal_plan(d, m, contract, k)
-    except Infeasible as exc:
-        note = ";".join(exc.report.names()) if exc.report else f"Infeasible: {exc}"
-        return SweepRow(k=k, c0=c0, ce=ce, note=note)
-    return SweepRow(k=k, c0=c0, ce=ce, q_total=plan.q_total, q_spot=plan.q_spot,
-                    q_option=plan.q_option, feasible=True)
+        if s.mode == MODE_FIXED_EXERCISE:
+            _check_positive("ce", ce)
+            c0, q_total = _coordinating_premiums(d, m, ce, rows)
+        elif s.mode == MODE_FIXED_PREMIUM:
+            _check_positive("c0", c0)
+            ce, q_total = _coordinating_exercise_prices(d, m, c0, rows)
+        else:
+            c0, ce = s.contract.c0, s.contract.ce
+    except (Infeasible, NonCoordinable, NoRoot) as exc:  # the same at every k
+        rows.screen(True, lambda at: exc)
+    solved = rows.ok.copy()
+    notes: dict[int, str] = {}
+    cells = np.full((6, rows.k.size), np.nan)
+    if solved.any():
+        notes, cells = _solve_plans(d, m, _Prices(c0, ce), rows, q_total)
+    notes.update((i, f"{type(exc).__name__}: {exc}") for i, exc in rows.errors.items())
+
+    n = rows.k.size
+    c0s, ces = ([x] * n if x is None or np.ndim(x) == 0 else x.tolist() for x in (c0, ce))
+    blank = c0s if s.mode == MODE_FIXED_EXERCISE else ces  # the solved price column
+    for i in np.flatnonzero(~solved).tolist():
+        blank[i] = None
+    q_spot, q_option, *profits = cells.tolist()
+    return [SweepRow(k, c0, ce, qs + qo, qs, qo, *money, True, "") if ok
+            else SweepRow(k, c0, ce, note=notes[i])
+            for i, (k, c0, ce, qs, qo, ok, *money) in enumerate(zip(
+                rows.k.tolist(), c0s, ces, q_spot, q_option, rows.ok.tolist(), *profits))]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow flags its row instead
-def _price_rows(s: SweepScenario, rows: list[SweepRow]) -> list[SweepRow]:
-    """The solved rows with their four profit cells; optimal_plan has screened each.
+def _solve_plans(d: DemandDistribution, m: MarketParams, prices: _Prices, rows: _Rows,
+                 q_total) -> tuple[dict[int, str], np.ndarray]:
+    """optimal_plan and the four expected profits at every solved row, as columns.
 
-    A row whose profits overflow is flagged, as the public profit functions
-    would raise Infeasible for it.
+    Returns the notes of the rows whose contract admits no plan, each naming
+    the screens it fails as optimal_plan's report does (a grid's k always
+    passes the k-domain), and the cells q_spot, q_option, believed and true
+    retailer profit, supplier and chain profit.  q_total is the coordinated
+    total, or None for a fixed contract.  A row whose plan or profits
+    overflow is flagged, as the public functions raise Infeasible for it.
     """
-    m = s.market
-    k, c0, ce, q_spot, q_option = (np.array([getattr(r, name) for r in rows], dtype=float)
-                                   for name in ("k", "c0", "ce", "q_spot", "q_option"))
-    believed, _, _ = _ledger(s.demand, m, c0, ce, m.theta * k, q_spot, q_option)
-    true_view, supplier, chain = _ledger(s.demand, m, c0, ce, m.theta, q_spot, q_option)
-    cells = np.array([sum(believed.values()), sum(true_view.values()), supplier, chain])
-    finite = np.isfinite(cells).all(axis=0)
+    failures, tf, sf = _plan_failures(m, prices)
+    names: dict[int, list[str]] = {}
+    for name, failed in failures.items():
+        for i in np.flatnonzero(rows.ok & failed).tolist():
+            names.setdefault(i, []).append(name)
+    rows.ok[list(names)] = False
+    notes = {i: ";".join(failed) for i, failed in names.items()}
+    cells = np.full((6, rows.k.size), np.nan)
+    if not rows.ok.any():
+        return notes, cells
+
+    q_spot, q_option = _plans(d, m, tf, sf, rows, q_total)
+    k, c0, ce, spot, option = map(rows.gather, (rows.k, prices.c0, prices.ce, q_spot, q_option))
+    believed, _, _ = _ledger(d, m, c0, ce, m.theta * k, spot, option)
+    true_view, supplier, chain = _ledger(d, m, c0, ce, m.theta, spot, option)
+    cells[:, rows.ok] = [spot, option, sum(believed.values()), sum(true_view.values()),
+                         supplier, chain]
+    rows.screen(~np.isfinite(cells[2:]).all(axis=0), lambda at: _overflow("expected profit"))
     # Through the public function by name, so a patched chain_expected_profit reaches every cell.
-    cells[3, finite] = chain_expected_profit(s.demand, m, (q_spot + q_option)[finite])
-    return [replace(row, retailer_profit_believed=rb, retailer_profit_true=rt,
-                    supplier_profit=sp, chain_profit=ch) if ok
-            else SweepRow(k=row.k, c0=row.c0, ce=row.ce,
-                          note="Infeasible: expected profit overflows double precision")
-            for row, ok, (rb, rt, sp, ch) in zip(rows, finite.tolist(), cells.T.tolist())]
+    cells[5, rows.ok] = chain_expected_profit(d, m, rows.gather(q_spot + q_option))
+    return notes, cells
 
 
 @dataclass(frozen=True)
@@ -220,34 +259,30 @@ def monotonicity_report(rows: list[SweepRow]) -> MonotonicityReport:
     if len(feasible) < 3:
         raise TooFewRows(
             f"monotonicity needs at least 3 feasible rows, got {len(feasible)}")
-    trends: dict[str, ColumnTrend] = {}
     ks = [r.k for r in feasible]
-    for column in _NUMERIC_COLUMNS:
-        values = [float(_format_cell(getattr(r, column))) for r in feasible]
-        diffs = [b - a for a, b in zip(values, values[1:])]
-        if all(dv > 0.0 for dv in diffs):
+    printed = np.array([list(map(float, r._cells[1:10])) for r in feasible])
+    rising, falling = np.diff(printed, axis=0) > 0.0, np.diff(printed, axis=0) < 0.0
+    trends: dict[str, ColumnTrend] = {}
+    for j, column in enumerate(_NUMERIC_COLUMNS):
+        if rising[:, j].all():
             trends[column] = ColumnTrend("strictly-increasing")
-        elif all(dv < 0.0 for dv in diffs):
+        elif falling[:, j].all():
             trends[column] = ColumnTrend("strictly-decreasing")
         else:
-            if diffs[0] > 0.0:
-                idx = next(i for i, dv in enumerate(diffs) if dv <= 0.0)
-            elif diffs[0] < 0.0:
-                idx = next(i for i, dv in enumerate(diffs) if dv >= 0.0)
-            else:
-                idx = 0
+            broken = ~rising[:, j] if rising[0, j] else ~falling[:, j] if falling[0, j] else None
+            idx = int(np.argmax(broken)) if broken is not None else 0
             trends[column] = ColumnTrend("non-monotone", (ks[idx], ks[idx + 1]))
     return MonotonicityReport(trends)
 
 
 def _format_cell(value) -> str:
+    if isinstance(value, float):
+        text = f"{value:.6f}"
+        return "0.000000" if text == "-0.000000" else text
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        text = f"{value:.6f}"
-        return "0.000000" if text == "-0.000000" else text
     return str(value)
 
 
@@ -255,8 +290,7 @@ def write_csv(rows: list[SweepRow], stream) -> None:
     """Fixed-column CSV: '.' decimals, ',' delimiter, header mandatory."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_format_cell(getattr(row, c)) for c in CSV_COLUMNS])
+    writer.writerows(row._cells for row in rows)
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

@@ -57,6 +57,18 @@ class TestCdf:
         assert d.cdf(0.0) == 0.0
         assert d.cdf(1e9) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [Uniform(10.0, 110.0), Exponential(rate=0.02),
+                                   TruncatedNormal(50.0, 20.0), TruncatedNormal(-30.0, 1.0)],
+                             ids=lambda d: f"{d.family}-{d.params()}")
+    def test_float_equals_array_entry(self, d):
+        # Floats take their own path; it must read like the array path, hex for hex.
+        points = [0.0, -0.0, -1.0, -1e300, 5e-324, 1e-300, 1e-9, 10.0, 50.0, 110.0, 110.0001,
+                  1e3, 1e6, 1e300, math.inf, -math.inf, math.nan]
+        for x in points:
+            value = d.cdf(x)
+            assert type(value) is float
+            assert value.hex() == float(d.cdf(np.array([x]))[0]).hex(), x
+
     @pytest.mark.parametrize("mu,sigma", [(-40.0, 10.0), (50.0, 10.0), (30.0, 1.0)])
     def test_truncated_normal_against_high_precision(self, mu, sigma):
         # Independent oracle: the truncated CDF in 40-digit arithmetic.  At mu = -40
@@ -130,6 +142,16 @@ class TestQuantile:
     def test_out_of_range(self, q):
         with pytest.raises(OutOfRange):
             Uniform(0.0, 100.0).quantile(q)
+        with pytest.raises(OutOfRange):
+            Uniform(0.0, 100.0).quantile(np.array([0.5, q]))
+
+    @pytest.mark.parametrize("d", ALL_DISTRIBUTIONS + [TruncatedNormal(-30.0, 1.0)],
+                             ids=lambda d: f"{d.family}-{d.params()}")
+    def test_array_entries_equal_float_calls(self, d):
+        levels = np.array([5e-324, 1e-300, 1e-9, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 2.0**-53])
+        values = d.quantile(levels)
+        assert [v.hex() for v in values.tolist()] == [d.quantile(q).hex() for q in levels.tolist()]
+        assert d.quantile(levels.reshape(3, 3)).shape == (3, 3)
 
 
 class TestMean:
