@@ -42,6 +42,10 @@ MC_KINDS = ("retailer", "supplier", "chain")
 _CHUNK = 1 << 17
 _BLOCK = 1 << 13
 
+# Brings any finite deviation below 2**424, so the squares of up to 2**100
+# of them sum without overflow.
+_DEVIATION_SHRINK = 2.0 ** -600
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -111,26 +115,40 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
         evaluate = lambda x: realized_chain_profit(x, m, plan.q_total)
 
     buffer = np.empty(min(n, _CHUNK))
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    for index, start in enumerate(range(0, n, _CHUNK)):
-        take = min(_CHUNK, n - start)
-        rng = np.random.Generator(np.random.PCG64(chunk_stream(seed, index)))
-        profits = buffer[:take]
-        for lo in range(0, take, _BLOCK):
-            hi = min(lo + _BLOCK, take)
-            profits[lo:hi] = evaluate(d.sample(rng, size=hi - lo))
-        chunk_mean = float(profits.mean())
-        np.subtract(profits, chunk_mean, out=profits)
-        chunk_m2 = float(np.sum(np.square(profits, out=profits)))
-        delta = chunk_mean - mean
-        total = count + take
-        mean += delta * take / total
-        m2 += chunk_m2 + delta * delta * count * take / total
-        count = total
 
-    stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
+    def moments(shrink: float) -> tuple[float, float]:
+        """(mean, shrink**2 * sum of squared deviations) over the n draws."""
+        count = 0
+        mean = 0.0
+        m2 = 0.0
+        for index, start in enumerate(range(0, n, _CHUNK)):
+            take = min(_CHUNK, n - start)
+            rng = np.random.Generator(np.random.PCG64(chunk_stream(seed, index)))
+            profits = buffer[:take]
+            for lo in range(0, take, _BLOCK):
+                hi = min(lo + _BLOCK, take)
+                profits[lo:hi] = evaluate(d.sample(rng, size=hi - lo))
+            chunk_mean = float(profits.mean())
+            np.subtract(profits, chunk_mean, out=profits)
+            if shrink != 1.0:
+                np.multiply(profits, shrink, out=profits)
+            with np.errstate(over="ignore"):  # an overflow here is retried, shrunk
+                chunk_m2 = float(np.sum(np.square(profits, out=profits)))
+            delta = chunk_mean - mean
+            total = count + take
+            mean += delta * take / total
+            m2 += chunk_m2 + (delta * shrink) * (delta * shrink) * count * take / total
+            count = total
+        return mean, m2
+
+    shrink = 1.0
+    mean, m2 = moments(shrink)
+    if m2 == math.inf:
+        # Finite profits whose squared deviations overflow: draw again and sum the squares
+        # shrunk by an exact power of two, so nothing else rounds differently.
+        shrink = _DEVIATION_SHRINK
+        mean, m2 = moments(shrink)
+    stderr = math.sqrt(m2 / (n - 1) / n) / shrink if n > 1 else 0.0
     for value in (mean, stderr):
         _require_finite("Monte-Carlo estimate", value)
     return McEstimate(mean=mean, stderr=stderr, n=n, seed=seed)

@@ -120,6 +120,20 @@ class TestSimulate:
                                "--seed", "3")
         assert first == second
 
+    def test_profits_spread_past_a_double_squared(self, capsys):
+        # At k = 1e150 the profits are finite, about 5e152, but their squared
+        # deviations overflow; the estimate must still come out finite.
+        argv = ("simulate", "--kind", "retailer", "--n", "1000")
+        code, out, err = run_cli(capsys, *argv, "--k", "1e150")
+        assert (code, err) == (0, "")
+        lines = dict(line.split("=", 1) for line in out.splitlines())
+        for key in ("analytic", "mc_mean", "mc_stderr", "sigma_distance"):
+            assert math.isfinite(float(lines[key]))
+        assert float(lines["mc_stderr"]) > 0.0
+        # Scaling every profit by 1e10 leaves the distance in standard errors as it was.
+        _, smaller, _ = run_cli(capsys, *argv, "--k", "1e140")
+        assert f"sigma_distance={lines['sigma_distance']}" in smaller.splitlines()
+
     def test_explicit_plan(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--kind", "supplier", "--n", "50000",
                                "--seed", "9", "--q1", "30", "--qq", "20")

@@ -284,19 +284,22 @@ class TestColumnPricing:
 
     def test_cdf_integral_calls_do_not_grow_with_rows(self, baseline_market, monkeypatch,
                                                       family, mode):
-        calls = []
-        original = DemandDistribution.cdf_integral
-
-        def counting(self, a):
-            calls.append(a)
-            return original(self, a)
-
-        monkeypatch.setattr(DemandDistribution, "cdf_integral", counting)
-        rows = run_sweep(_mode_scenario(mode, DEMANDS[family], baseline_market,
-                                        default_k_grid(mode)))
+        d = DEMANDS[family]
+        calls = {"cdf": 0, "quantile": 0, "cdf_integral": 0}
+        for owner, name in ((type(d), "cdf"), (DemandDistribution, "quantile"),
+                            (DemandDistribution, "cdf_integral")):
+            def counting(self, x, original=getattr(owner, name), name=name):
+                calls[name] += 1
+                return original(self, x)
+            monkeypatch.setattr(owner, name, counting)
+        rows = run_sweep(_mode_scenario(mode, d, baseline_market, default_k_grid(mode)))
         assert sum(r.feasible for r in rows) >= 5
         # Two partials at theta*k, two at theta, one for the chain.
-        assert len(calls) <= 5
+        assert calls["cdf_integral"] <= 5
+        # One for the coordinating prices; a truncated-normal partial reads the cdf once more.
+        assert calls["cdf"] <= 1 + (5 if family == "truncated-normal" else 0)
+        # The centralized quantile, the fixed premium's k floor, then the two plan fractiles.
+        assert calls["quantile"] <= 4
 
 
 def _scalar_note(d, m, mode, k):
