@@ -235,7 +235,7 @@ def coordinating_premium(d: DemandDistribution, m: MarketParams, ce: float,
     _check_positive("ce", ce)
     _check_positive("k", k)
     c0, _ = _coordinating_premiums(d, m, ce, _Row(k))
-    return c0
+    return float(c0)
 
 
 def _coordinating_premiums(d: DemandDistribution, m: MarketParams, ce: float, rows):
@@ -309,7 +309,7 @@ def coordinating_exercise_price(d: DemandDistribution, m: MarketParams, c0: floa
     _check_positive("c0", c0)
     _check_positive("k", k)
     ce, _ = _coordinating_exercise_prices(d, m, c0, _Row(k))
-    return ce
+    return float(ce)
 
 
 def _coordinating_exercise_prices(d: DemandDistribution, m: MarketParams, c0: float, rows):

@@ -126,8 +126,8 @@ class ProfitBreakdown:
 
 
 def _not(holds):
-    """Negation of a bool or, entry by entry, of a bool column (numpy's bools are slow
-    scalars, so a float's screens stay in Python bools)."""
+    """``not holds`` for a bool or, entry by entry, a bool column; a float's screens
+    stay in Python bools, as numpy's bool scalars are slow."""
     return holds ^ True
 
 
@@ -151,8 +151,8 @@ def _contract_failures(m: MarketParams, o: OptionContract | _Prices):
     A workable contract needs w0 < c0 + ce (otherwise every unit would be
     ordered through options) and a total critical fractile inside (0, 1),
     that is c0 + ce < p + g (otherwise options are worthless).  Where
-    p+g-ce < 0 the fractile exceeds 1, since c0 > 0, so the range test
-    flags every contract whose fractile is undefined.
+    p+g-ce <= 0 the fractile is undefined; since c0 > 0 the ratio then
+    comes out at 1 or more, or nan, so the range test flags it.
     """
     try:
         tf = total_fractile(m, o)

@@ -154,28 +154,28 @@ class SweepRow:
         return cells
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # in the rows it flags
 def run_sweep(scenario: SweepScenario) -> list[SweepRow]:
     """Solve every k on the grid; failures yield flagged rows, never raise."""
     s, d, m = scenario, scenario.demand, scenario.market
     rows = _Rows(np.array(s.k_grid, dtype=float))
     c0, ce, q_total = s.fixed_c0, s.fixed_ce, None
-    try:
-        if s.mode == MODE_FIXED_EXERCISE:
-            _check_positive("ce", ce)
-            c0, q_total = _coordinating_premiums(d, m, ce, rows)
-        elif s.mode == MODE_FIXED_PREMIUM:
-            _check_positive("c0", c0)
-            ce, q_total = _coordinating_exercise_prices(d, m, c0, rows)
-        else:
-            c0, ce = s.contract.c0, s.contract.ce
-    except (Infeasible, NonCoordinable, NoRoot) as exc:  # the same at every k
-        rows.screen(True, lambda at: exc)
-    solved = rows.ok.copy()
     notes: dict[int, str] = {}
     cells = np.full((6, rows.k.size), np.nan)
-    if solved.any():
-        notes, cells = _solve_plans(d, m, _Prices(c0, ce), rows, q_total)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in the rows it flags
+        try:
+            if s.mode == MODE_FIXED_EXERCISE:
+                _check_positive("ce", ce)
+                c0, q_total = _coordinating_premiums(d, m, ce, rows)
+            elif s.mode == MODE_FIXED_PREMIUM:
+                _check_positive("c0", c0)
+                ce, q_total = _coordinating_exercise_prices(d, m, c0, rows)
+            else:
+                c0, ce = s.contract.c0, s.contract.ce
+        except (Infeasible, NonCoordinable, NoRoot) as exc:  # the same at every k
+            rows.screen(True, lambda at: exc)
+        solved = rows.ok.copy()
+        if solved.any():
+            notes, cells = _solve_plans(d, m, _Prices(c0, ce), rows, q_total)
     notes.update((i, f"{type(exc).__name__}: {exc}") for i, exc in rows.errors.items())
 
     n = rows.k.size
