@@ -120,10 +120,10 @@ class DemandDistribution(ABC):
         """Map uniform(0,1) draws to demand values; vectorized."""
 
     def quantile(self, q):
-        """Smallest x with F(x) >= q, for q strictly inside (0, 1); a float or, entry by entry, an array.
+        """Smallest x with F(x) >= q, for q strictly inside (0, 1).
 
-        An array is mapped through the scalar formula, so each entry equals
-        the scalar call bit for bit.
+        q is a float or, entry by entry, an array; an array is mapped through
+        the scalar formula, so each entry equals the scalar call bit for bit.
         """
         if type(q) is float:
             return self._quantile(_check_level(q))

@@ -262,7 +262,8 @@ def _coordinating_premiums(d: DemandDistribution, m: MarketParams, ce: float, ro
     lo = getattr(d, "lo", 0.0)
     floor_hint = f" (requires k < {x_central / lo:.6g})" if lo > 0.0 else ""
     rows.screen(mass_below <= 0.0, lambda at: NonCoordinable(
-        f"k-domain: coordinating premium would leave no total fractile at k={at(rows.k)}{floor_hint}"))
+        f"k-domain: coordinating premium would leave no total fractile at k={at(rows.k)}"
+        f"{floor_hint}"))
     c0 = margin * (1.0 - mass_below)
     rows.screen(_not(m.w0 < c0 + ce), lambda at: NonCoordinable(
         f"assumption-4: coordinating premium c0={at(c0):.6g} gives w0={m.w0} >= "
@@ -278,7 +279,8 @@ def _coordinated_total(d: DemandDistribution, m: MarketParams, o: _Prices, rows,
     that rounds to 0 or too coarsely to reproduce Q**; that is Infeasible.
     """
     q_central = (m.theta / (1.0 - m.beta)) * x_central
-    failed = f"coordination identity failed: decentralized total {{!r}} vs centralized {q_central!r}"
+    failed = ("coordination identity failed: decentralized total {!r} vs centralized "
+              f"{q_central!r}")
     tf = total_fractile(m, o)
     rows.screen(_not((0.0 < tf) & (tf < 1.0)),
                 lambda at: Infeasible(failed.format(None)))

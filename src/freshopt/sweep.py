@@ -261,7 +261,8 @@ def monotonicity_report(rows: list[SweepRow]) -> MonotonicityReport:
             f"monotonicity needs at least 3 feasible rows, got {len(feasible)}")
     ks = [r.k for r in feasible]
     printed = np.array([list(map(float, r._cells[1:10])) for r in feasible])
-    rising, falling = np.diff(printed, axis=0) > 0.0, np.diff(printed, axis=0) < 0.0
+    steps = np.diff(printed, axis=0)
+    rising, falling = steps > 0.0, steps < 0.0
     trends: dict[str, ColumnTrend] = {}
     for j, column in enumerate(_NUMERIC_COLUMNS):
         if rising[:, j].all():
@@ -269,8 +270,8 @@ def monotonicity_report(rows: list[SweepRow]) -> MonotonicityReport:
         elif falling[:, j].all():
             trends[column] = ColumnTrend("strictly-decreasing")
         else:
-            broken = ~rising[:, j] if rising[0, j] else ~falling[:, j] if falling[0, j] else None
-            idx = int(np.argmax(broken)) if broken is not None else 0
+            # The first step against the first step's direction; a flat first step is one.
+            idx = int(np.argmax(~rising[:, j] if rising[0, j] else ~falling[:, j]))
             trends[column] = ColumnTrend("non-monotone", (ks[idx], ks[idx + 1]))
     return MonotonicityReport(trends)
 

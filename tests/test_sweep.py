@@ -251,7 +251,7 @@ def _mode_scenario(mode, d, m, grid):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("family", sorted(DEMANDS))
 class TestColumnPricing:
-    """Rows are solved one by one, then priced together; each must read as if priced alone."""
+    """Rows are solved and priced together; each must read as if solved and priced alone."""
 
     def test_profit_cells_equal_public_functions(self, baseline_market, family, mode):
         d, m = DEMANDS[family], baseline_market
