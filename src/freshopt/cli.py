@@ -15,6 +15,7 @@ or a value outside its domain.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 from pathlib import Path
@@ -40,13 +41,12 @@ from .profit import (
     supplier_expected_profit,
 )
 from .sweep import (
-    MODE_FIXED_CONTRACT,
     MODE_FIXED_EXERCISE,
     MODE_FIXED_PREMIUM,
     MODES,
     SweepScenario,
     TooFewRows,
-    _format_cell,
+    _format_rows,
     default_k_grid,
     monotonicity_report,
     run_sweep,
@@ -65,17 +65,24 @@ def default_config_path() -> Path:
     return Path(str(resources.files("freshopt").joinpath("data/default_scenario.json")))
 
 
-def _emit(out, key: str, value) -> None:
-    print(f"{key}={_format_cell(value)}", file=out)
+def _emit(out, **values) -> None:
+    """One key=value line per value, each value printed as a sweep cell is."""
+    cells = _format_rows(list(zip(values.values())))
+    print("".join(f"{key}={cell}\n" for key, cell in zip(values, cells)), end="", file=out)
+
+
+def _price(name: str, args, missing: str, *sections) -> float:
+    """The price ``name`` from its flag, else from the first config section giving it."""
+    for value in (getattr(args, name), *(getattr(s, name, None) for s in sections)):
+        if value is not None:
+            return value
+    raise _UsageError(missing)
 
 
 def _resolve_contract(config: ScenarioConfig, args) -> OptionContract:
-    c0 = args.c0 if args.c0 is not None else (config.contract.c0 if config.contract else None)
-    ce = args.ce if args.ce is not None else (config.contract.ce if config.contract else None)
-    if c0 is None or ce is None:
-        raise _UsageError(
-            "no option contract available: provide --c0/--ce or a contract section in the config")
-    return OptionContract(c0=c0, ce=ce)
+    missing = "no option contract available: provide --c0/--ce or a contract section in the config"
+    return OptionContract(c0=_price("c0", args, missing, config.contract),
+                          ce=_price("ce", args, missing, config.contract))
 
 
 def _resolve_k(config: ScenarioConfig, args) -> float:
@@ -84,21 +91,13 @@ def _resolve_k(config: ScenarioConfig, args) -> float:
     return k
 
 
-def _print_breakdown(out, breakdown) -> None:
-    for name, value in breakdown.terms.items():
-        _emit(out, name, value)
-
-
 def cmd_optimize(config: ScenarioConfig, args, out) -> int:
     contract = _resolve_contract(config, args)
     k = _resolve_k(config, args)
     plan = optimal_plan(config.demand, config.market, contract, k)
     breakdown = retailer_expected_profit(config.demand, config.market, contract, k, plan)
-    _emit(out, "Q", plan.q_total)
-    _emit(out, "Q1", plan.q_spot)
-    _emit(out, "Qq", plan.q_option)
-    _emit(out, "retailer_profit", breakdown.total)
-    _print_breakdown(out, breakdown)
+    _emit(out, Q=plan.q_total, Q1=plan.q_spot, Qq=plan.q_option,
+          retailer_profit=breakdown.total, **breakdown.terms)
     return 0
 
 
@@ -110,14 +109,9 @@ def cmd_evaluate(config: ScenarioConfig, args, out) -> int:
     true_view = retailer_expected_profit(config.demand, config.market, contract, 1.0, plan)
     supplier = supplier_expected_profit(config.demand, config.market, contract, plan)
     chain = chain_expected_profit(config.demand, config.market, plan.q_total)
-    _emit(out, "Q", plan.q_total)
-    _emit(out, "Q1", plan.q_spot)
-    _emit(out, "Qq", plan.q_option)
-    _emit(out, "retailer_profit_believed", believed.total)
-    _emit(out, "retailer_profit_true", true_view.total)
-    _emit(out, "supplier_profit", supplier)
-    _emit(out, "chain_profit", chain)
-    _print_breakdown(out, believed)
+    _emit(out, Q=plan.q_total, Q1=plan.q_spot, Qq=plan.q_option,
+          retailer_profit_believed=believed.total, retailer_profit_true=true_view.total,
+          supplier_profit=supplier, chain_profit=chain, **believed.terms)
     return 0
 
 
@@ -125,17 +119,15 @@ def cmd_coordinate(config: ScenarioConfig, args, out) -> int:
     k = _resolve_k(config, args)
     d, m = config.demand, config.market
     if args.solve_exercise:
-        c0 = args.c0 if args.c0 is not None else (config.contract.c0 if config.contract else None)
-        if c0 is None:
-            raise _UsageError("--solve-exercise needs --c0 or a contract section in the config")
+        c0 = _price("c0", args, "--solve-exercise needs --c0 or a contract section in the config",
+                    config.contract)
         ce = coordinating_exercise_price(d, m, c0, k)
-        _emit(out, "ce", ce)
+        _emit(out, ce=ce)
     else:
-        ce = args.ce if args.ce is not None else (config.contract.ce if config.contract else None)
-        if ce is None:
-            raise _UsageError("coordinate needs --ce or a contract section in the config")
+        ce = _price("ce", args, "coordinate needs --ce or a contract section in the config",
+                    config.contract)
         c0 = coordinating_premium(d, m, ce, k)
-        _emit(out, "c0", c0)
+        _emit(out, c0=c0)
     report = check_feasibility(m, OptionContract(c0=c0, ce=ce), k)
     if not report.ok:
         print(f"note: coordinated contract leaves no valid plan at k={k:g}: "
@@ -165,13 +157,8 @@ def cmd_simulate(config: ScenarioConfig, args, out) -> int:
     estimate = mc_expected(args.kind, d, m, contract, k, plan, draws.samples, draws.seed)
     distance = abs(estimate.mean - analytic) / estimate.stderr if estimate.stderr > 0 else 0.0
 
-    _emit(out, "kind", args.kind)
-    _emit(out, "n", estimate.n)
-    _emit(out, "seed", estimate.seed)
-    _emit(out, "analytic", float(analytic))
-    _emit(out, "mc_mean", estimate.mean)
-    _emit(out, "mc_stderr", estimate.stderr)
-    _emit(out, "sigma_distance", float(distance))
+    _emit(out, kind=args.kind, n=estimate.n, seed=estimate.seed, analytic=float(analytic),
+          mc_mean=estimate.mean, mc_stderr=estimate.stderr, sigma_distance=float(distance))
     if distance > 3.0:
         print(f"simulation check failed: |mc-analytic| = {distance:.2f} standard errors",
               file=sys.stderr)
@@ -184,22 +171,14 @@ def cmd_sweep(config: ScenarioConfig, args, out) -> int:
     if mode is None:
         raise _UsageError("no sweep mode: provide --mode or a sweep section in the config")
 
-    fixed_c0 = fixed_ce = None
+    fixed_c0 = fixed_ce = contract = None
     if mode == MODE_FIXED_EXERCISE:
-        fixed_ce = args.ce if args.ce is not None else (
-            config.sweep.ce if config.sweep and config.sweep.ce is not None
-            else (config.contract.ce if config.contract else None))
-        if fixed_ce is None:
-            raise _UsageError("fixed-exercise-price sweep needs --ce, sweep.ce, or a contract")
+        fixed_ce = _price("ce", args, "fixed-exercise-price sweep needs --ce, sweep.ce, or a contract",
+                          config.sweep, config.contract)
     elif mode == MODE_FIXED_PREMIUM:
-        fixed_c0 = args.c0 if args.c0 is not None else (
-            config.sweep.c0 if config.sweep and config.sweep.c0 is not None
-            else (config.contract.c0 if config.contract else None))
-        if fixed_c0 is None:
-            raise _UsageError("fixed-premium sweep needs --c0, sweep.c0, or a contract")
-
-    contract = None
-    if mode == MODE_FIXED_CONTRACT:
+        fixed_c0 = _price("c0", args, "fixed-premium sweep needs --c0, sweep.c0, or a contract",
+                          config.sweep, config.contract)
+    else:
         contract = _resolve_contract(config, args)
 
     # A config-supplied grid belongs to the mode the config declared.
@@ -230,6 +209,7 @@ def cmd_sweep(config: ScenarioConfig, args, out) -> int:
     return 0
 
 
+@functools.cache  # built on first use, then reused: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freshopt",
@@ -276,8 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     out = sys.stdout
     try:
         config = load_config(args.config if args.config is not None else default_config_path())

@@ -112,6 +112,10 @@ class DemandDistribution(ABC):
         ...
 
     @abstractmethod
+    def _upper_quantile(self, t: float) -> float:
+        """F^-1(1 - t) for t in (0, 1), from t itself: a t below 2**-53 keeps its digits."""
+
+    @abstractmethod
     def _cdf_integral(self, a):
         ...
 
@@ -184,6 +188,9 @@ class Uniform(DemandDistribution):
     def _quantile(self, q: float) -> float:
         return self.lo + q * (self.hi - self.lo)
 
+    def _upper_quantile(self, t: float) -> float:
+        return self.hi - t * (self.hi - self.lo)
+
     def _cdf_integral(self, a):
         inside = np.clip(a, self.lo, self.hi) - self.lo
         return inside * inside / (2.0 * (self.hi - self.lo)) + np.maximum(a - self.hi, 0.0)
@@ -216,6 +223,9 @@ class Exponential(DemandDistribution):
 
     def _quantile(self, q: float) -> float:
         return -math.log1p(-q) / self.rate
+
+    def _upper_quantile(self, t: float) -> float:
+        return -math.log(t) / self.rate
 
     def _cdf_integral(self, a):
         # a - (1 - exp(-rate*a))/rate, written with expm1 so small a stay accurate
@@ -282,9 +292,14 @@ class TruncatedNormal(DemandDistribution):
         if q < 0.5 and self.mu > 0.0:
             level = self._mass_below_zero + q * self._mass_above_zero
             return max(self.mu + self.sigma * _ndtri(level), 0.0)
-        # Upper tail through 1 - q (exact for q >= 1/2), so levels near 1 keep their digits;
-        # for mu <= 0 every level goes this way, as _inverse_transform explains.
-        return max(self.mu - self.sigma * _ndtri((1.0 - q) * self._mass_above_zero), 0.0)
+        return self._upper_quantile(1.0 - q)  # exact for q >= 1/2
+
+    def _upper_quantile(self, t: float) -> float:
+        if t > 0.5 and self.mu > 0.0:
+            return self._quantile(1.0 - t)
+        # Upper tail through t, so levels near 1 keep their digits; for mu <= 0
+        # every level goes this way, as _inverse_transform explains.
+        return max(self.mu - self.sigma * _ndtri(t * self._mass_above_zero), 0.0)
 
     def _cdf_integral(self, a):
         # (sigma [G(z_a) - G(z_0)] - a Phi(z_0)) / Phi(mu/sigma) with G(z) = z Phi(z) + phi(z),

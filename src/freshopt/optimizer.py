@@ -329,7 +329,7 @@ def _coordinating_exercise_prices(d: DemandDistribution, m: MarketParams, c0: fl
     no_price = f"no coordinating exercise price in (0, {pg - c0:.6g}) at k="
     too_low = mass_below >= 1.0 - c0 / pg
     if np.any(too_low):
-        k_floor = x_central / d.quantile(1.0 - c0 / pg)
+        k_floor = x_central / d._upper_quantile(c0 / pg)
         rows.screen(too_low, lambda at: NoRoot(
             f"{no_price}{at(rows.k)}: coordination at this premium requires k > {k_floor:.6g}"))
     # Possible only when demand has a positive lower support bound.

@@ -13,8 +13,10 @@ as a mask over the grid (a flagged row's note is the error text, or the
 violation names, that the public functions give at its k), the plans
 from at most two array quantile calls, and the profits from two array
 ledger calls (theta*k, theta) and one array call of chain_expected_profit.
-Each cell is formatted once; write_csv and monotonicity_report read the
-same text.
+Printing goes by column too: write_csv prints the ten number columns of
+every row with one % format and hands only feasible and note to
+csv.writer; monotonicity_report compares the nine numeric columns as
+they print, formatting only the steps that rounding could flatten.
 """
 from __future__ import annotations
 
@@ -23,6 +25,8 @@ import io
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -59,7 +63,8 @@ CSV_COLUMNS = (
 )
 
 _NUMERIC_COLUMNS = CSV_COLUMNS[1:10]
-_csv_values = operator.attrgetter(*CSV_COLUMNS)
+_NUMBERS = operator.attrgetter(*CSV_COLUMNS[:10])
+_not_none = partial(operator.is_not, None)
 
 # Largest {start, stop, step} range built; the default grids have 15 and 76 points.
 _MAX_K_POINTS = 100_000
@@ -143,15 +148,6 @@ class SweepRow:
     chain_profit: float | None = None
     feasible: bool = False
     note: str = ""
-
-    @property
-    def _cells(self) -> tuple[str, ...]:
-        """The row as write_csv prints it: formatted on first use, then kept for
-        monotonicity_report and any later write (not a field: outside eq and repr)."""
-        cells = self.__dict__.get("_printed")
-        if cells is None:
-            cells = self.__dict__["_printed"] = tuple(map(_format_cell, _csv_values(self)))
-        return cells
 
 
 def run_sweep(scenario: SweepScenario) -> list[SweepRow]:
@@ -259,39 +255,62 @@ def monotonicity_report(rows: list[SweepRow]) -> MonotonicityReport:
     if len(feasible) < 3:
         raise TooFewRows(
             f"monotonicity needs at least 3 feasible rows, got {len(feasible)}")
-    ks = [r.k for r in feasible]
-    printed = np.array([list(map(float, r._cells[1:10])) for r in feasible])
-    steps = np.diff(printed, axis=0)
+    table = np.array(list(map(_NUMBERS, feasible)), dtype=float).T
+    ks, values = table[0].tolist(), table[1:]
+    steps = np.diff(values, axis=1)
+    # Print moves a value by at most 5e-7 and keeps the order of any two, so only a
+    # nonzero step below 2e-6 can change sign in print: those are taken as printed.
+    near = (steps != 0.0) & (abs(steps) < 2e-6)
+    left, right = (np.array(_format_rows(list(zip(end[near].tolist()))), dtype=float)
+                   for end in (values[:, :-1], values[:, 1:]))
+    steps[near] = right - left
     rising, falling = steps > 0.0, steps < 0.0
+    # The first step against the first step's direction; a flat first step is one.
+    against = np.argmax(np.where(rising[:, :1], ~rising, ~falling), axis=1).tolist()
     trends: dict[str, ColumnTrend] = {}
-    for j, column in enumerate(_NUMERIC_COLUMNS):
-        if rising[:, j].all():
-            trends[column] = ColumnTrend("strictly-increasing")
-        elif falling[:, j].all():
-            trends[column] = ColumnTrend("strictly-decreasing")
-        else:
-            # The first step against the first step's direction; a flat first step is one.
-            idx = int(np.argmax(~rising[:, j] if rising[0, j] else ~falling[:, j]))
-            trends[column] = ColumnTrend("non-monotone", (ks[idx], ks[idx + 1]))
+    for column, up, down, idx in zip(_NUMERIC_COLUMNS, rising.all(axis=1).tolist(),
+                                     falling.all(axis=1).tolist(), against):
+        direction = "strictly-increasing" if up else "strictly-decreasing" if down else "non-monotone"
+        trends[column] = ColumnTrend(direction, None if up or down else (ks[idx], ks[idx + 1]))
     return MonotonicityReport(trends)
 
 
+_SPECS = {float: "%.6f", type(None): ""}  # None prints as nothing and takes no argument
+
+
 def _format_cell(value) -> str:
-    if isinstance(value, float):
-        text = f"{value:.6f}"
-        return "0.000000" if text == "-0.000000" else text
-    if value is None:
-        return ""
+    """A value as it prints: a float (or float subclass) as %.6f, with -0.000000 as
+    0.000000; None as empty; a bool as true or false; anything else as str()."""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float) or value is None:
+        return _format_rows([(None if value is None else float(value),)])[0]
     return str(value)
 
 
+def _format_rows(rows: list[tuple]) -> list[str]:
+    """The cells of each tuple (all of one length) as _format_cell prints them, joined by
+    ','; tuples of floats and None share one % format, from a template per type pattern."""
+    cells = tuple(chain.from_iterable(rows))
+    kinds = list(zip(*[iter(map(type, cells))] * len(rows[0]))) if rows else []
+    templates = dict.fromkeys(kinds)
+    for kind in templates:
+        if not _SPECS.keys() >= set(kind):
+            return [",".join(map(_format_cell, row)) for row in rows]
+        templates[kind] = ",".join(map(_SPECS.__getitem__, kind)) + "\n"
+    text = "".join(map(templates.__getitem__, kinds)) % tuple(filter(_not_none, cells))
+    return text.replace("-0.000000", "0.000000").split("\n")[:-1]  # a sign only leads a cell
+
+
 def write_csv(rows: list[SweepRow], stream) -> None:
-    """Fixed-column CSV: '.' decimals, ',' delimiter, header mandatory."""
+    """Fixed-column CSV: '.' decimals, ',' delimiter, header mandatory.  A printed number
+    holds no delimiter, quote or line break: csv.writer quotes only feasible and note."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(row._cells for row in rows)
+    texts = (map(_format_cell, map(operator.attrgetter(c), rows)) for c in CSV_COLUMNS[10:])
+    for numbers, text in zip(_format_rows(list(map(_NUMBERS, rows))), zip(*texts)):
+        stream.write(numbers + ",")
+        writer.writerow(text)
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

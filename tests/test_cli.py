@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from freshopt.cli import default_config_path, main
+from freshopt.cli import _build_parser, default_config_path, main
 
 OPTIMIZE_EXPECTED = """\
 Q=71.111111
@@ -21,10 +22,47 @@ shortage_cost=-16.000000
 """
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys, tmp_path):
+    # main builds its parser once per process; every call must still behave as the
+    # same argv alone, after a fresh parser.
+    target = tmp_path / "sweep.csv"
+    sequence = [
+        ("optimize", "--k", "2"),
+        ("optimize",),
+        ("sweep", "--mode", "fixed-premium", "--c0", "1"),
+        ("sweep",),  # the mode of the config's sweep section
+        ("optimize", "--no-such-flag"),
+        ("sweep", "--mode", "fixed-contract", "--out", str(target)),
+        ("optimize",),
+    ]
+
+    def outcome(argv, fresh):
+        if fresh:
+            _build_parser.cache_clear()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = target.read_text(encoding="utf-8") if target.exists() else None
+        target.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    together = [outcome(argv, fresh=False) for argv in sequence]
+    alone = [outcome(argv, fresh=True) for argv in reversed(sequence)][::-1]
+    assert together == alone
+    assert together[4][0] == 2 and together[4][2].startswith("usage: freshopt")
+    assert "unrecognized arguments: --no-such-flag" in together[4][2]
+    assert [code for code, *_ in together] == [0, 0, 0, 0, 2, 0, 0]
 
 
 class TestOptimize:
@@ -91,6 +129,14 @@ class TestCoordinate:
                                  "--k", "0.72")
         assert code == 1
         assert "infeasible" in err
+
+    def test_tiny_premium_has_no_root(self, capsys):
+        # 1 - c0/(p+g) rounds to 1 here; the k floor comes from the upper tail at c0/(p+g).
+        code, out, err = run_cli(capsys, "--config", str(GOLDEN / "uniform.json"), "coordinate",
+                                 "--solve-exercise", "--c0", "1e-20", "--k", "0.5")
+        assert (code, out) == (1, "")
+        assert err == ("infeasible: no coordinating exercise price in (0, 68) at k=0.5: "
+                       "coordination at this premium requires k > 0.785539\n")
 
 
 class TestSimulate:
@@ -165,6 +211,20 @@ class TestSweep:
         assert code == 0
         body = out.splitlines()[1:]
         assert all(line.split(",")[1] == "5.000000" for line in body)
+
+    def test_tiny_premium_flags_rows_with_no_root(self, capsys):
+        code, out, err = run_cli(capsys, "--config", str(GOLDEN / "uniform.json"), "sweep",
+                                 "--mode", "fixed-premium", "--c0", "1e-20")
+        assert code == 0
+        body = out.splitlines()[1:]
+        assert len(body) == 76
+        assert all(line.split(",")[10] == "false" for line in body)
+        assert body[0] == ('0.750000,0.000000,,,,,,,,,false,"NoRoot: no coordinating exercise '
+                           'price in (0, 68) at k=0.75: coordination at this premium requires '
+                           'k > 0.785539"')
+        assert all("NoRoot: " in line for line in body)
+        assert err == ("monotonicity: skipped (monotonicity needs at least 3 feasible rows, "
+                       "got 0)\n")
 
     def test_k_flag_rejected(self, capsys):
         # A sweep walks its k grid, so a single --k would be silently ignored.

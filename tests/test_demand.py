@@ -116,6 +116,9 @@ class TestQuantile:
         # Independent oracle: invert the truncated CDF with 50-digit arithmetic, plus the
         # digits that Phi(mu/sigma), about 10**(-(mu/sigma)**2 / 4.6), takes below 1.
         # At mu = -37 the inverse sees levels (1 - q) Phi(-37) from 6e-300 down to 6e-309.
+        # The root of Phi(z) = level comes from Newton's method on mpmath.ncdf, started at the
+        # float answer; the final residual must be below the working precision, so a start
+        # Newton cannot refine fails here instead of passing a wrong reference.
         mpmath = pytest.importorskip("mpmath")
         d = TruncatedNormal(mu=mu, sigma=sigma)
         levels = [1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9]
@@ -123,7 +126,14 @@ class TestQuantile:
             with mpmath.workdps(50 + int((mu / sigma) ** 2 / 4)):
                 below = mpmath.ncdf(mpmath.mpf(-mu) / sigma)
                 above = mpmath.ncdf(mpmath.mpf(mu) / sigma)
-                z = mpmath.sqrt(2) * mpmath.erfinv(2 * (below + mpmath.mpf(q) * above) - 1)
+                level = below + mpmath.mpf(q) * above
+                z = (mpmath.mpf(d.quantile(q)) - mu) / sigma
+                for _ in range(30):
+                    step = (mpmath.ncdf(z) - level) / mpmath.npdf(z)
+                    z -= step
+                    if abs(step) <= mpmath.eps * (1 + abs(z)):
+                        break
+                assert abs(mpmath.ncdf(z) - level) <= 8 * mpmath.eps
                 expected = float(mu + sigma * z)
             # The 1e-12 absolute floor (pytest's default) governs only quantiles
             # below about 1, which come out as differences of numbers of size mu.

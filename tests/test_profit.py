@@ -247,6 +247,17 @@ class TestChainExpectedProfit:
         with pytest.raises(InvalidValue, match="q_total"):
             chain_expected_profit(baseline_demand, baseline_market, np.array([10.0, bad, 20.0]))
 
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, -math.inf, math.inf, math.nan])
+    def test_array_error_names_first_bad_entry_as_float_call(self, baseline_demand,
+                                                            baseline_market, bad):
+        with pytest.raises(InvalidValue) as alone:
+            chain_expected_profit(baseline_demand, baseline_market, bad)
+        totals = np.array([[10.0, 0.0], [bad, -2.0]])  # -2.0 comes later in C order
+        with pytest.raises(InvalidValue) as in_array:
+            chain_expected_profit(baseline_demand, baseline_market, totals)
+        assert str(in_array.value) == str(alone.value)
+        assert in_array.value.problems == alone.value.problems
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_retailer_plus_supplier_at_true_scale(self, family):
         # At k = 1 both parties price the true demand, so every transfer cancels.

@@ -12,6 +12,7 @@ from freshopt import (
     NonCoordinable,
     NoRoot,
     OptionContract,
+    SweepRow,
     SweepScenario,
     TooFewRows,
     TruncatedNormal,
@@ -27,6 +28,7 @@ from freshopt import (
     run_sweep,
     supplier_expected_profit,
 )
+from freshopt.sweep import ColumnTrend, _format_cell
 
 Q_CENTRAL = 5200.0 / 81.0
 
@@ -154,6 +156,24 @@ class TestDeterminismAndCsv:
         assert last[3] == ""  # infeasible rows leave plan columns empty
         assert last[10] == "false"
 
+    def test_library_built_rows_print_literally(self):
+        # Int prices print through str(), None as empty, -0.0 and a tiny negative as
+        # 0.000000, a numpy float like a float; a note with commas and quotes is quoted.
+        rows = [
+            SweepRow(k=0.5, c0=5, ce=35, q_total=-0.0, q_spot=-1e-9, q_option=2.5,
+                     retailer_profit_believed=1234.5678915, retailer_profit_true=-3.25,
+                     supplier_profit=None, chain_profit=np.float64(1e6), feasible=True),
+            SweepRow(k=1.25, c0=5.0, note='NoRoot: no price in (0, 55) at k=1.25, "quoted"'),
+            SweepRow(k=2, c0=5, ce=35, q_total=7, note="q_option;supplier"),
+        ]
+        assert rows_to_csv(rows) == (
+            "k,c0,ce,q_total,q_spot,q_option,retailer_profit_believed,"
+            "retailer_profit_true,supplier_profit,chain_profit,feasible,note\n"
+            "0.500000,5,35,0.000000,0.000000,2.500000,1234.567892,-3.250000,,"
+            "1000000.000000,true,\n"
+            '1.250000,5.000000,,,,,,,,,false,"NoRoot: no price in (0, 55) at k=1.25, ""quoted"""\n'
+            "2,5,35,7,,,,,,,false,q_option;supplier\n")
+
     def test_infeasible_numeric_fields_empty(self, baseline_demand, baseline_market):
         rows = run_sweep(_scenario_b(baseline_demand, baseline_market))
         bad = next(r for r in rows if not r.feasible and r.ce is not None)
@@ -197,6 +217,32 @@ class TestMonotonicityReport:
         trend = monotonicity_report(run_sweep(build(demand, baseline_market))).trends["q_total"]
         assert trend.direction == "non-monotone"
         assert trend.first_violation == expected
+
+    def test_classifies_as_printed_cells_compare(self):
+        # Reference: parse every printed cell and compare neighbours, as the CSV reads.
+        # Steps of 0 to a few 1e-6 around rounding ties and -0.000000, at several sizes.
+        columns = ("c0", "ce", "q_total", "q_spot", "q_option", "retailer_profit_believed",
+                   "retailer_profit_true", "supplier_profit", "chain_profit")
+        rng = np.random.default_rng(11)
+        moves = np.array([0.0, 1e-9, 1e-7, 4.9e-7, 5e-7, 5.1e-7, 1e-6, 1.5e-6, 2e-6, 3e-6, 1e-3])
+        for _ in range(400):
+            n = int(rng.integers(3, 9))
+            start = rng.choice([0.0, -2e-7, 1.0000005, 123.4567885, 1e6 + 0.5e-6, 8.6e9])
+            values = start + np.cumsum(rng.choice(moves, (n, 9)) * rng.choice([-1.0, 1.0], (n, 9)),
+                                       axis=0)
+            rows = [SweepRow(0.5 + 0.25 * i, *v.tolist(), feasible=True) for i, v in enumerate(values)]
+            printed = np.array([[float(_format_cell(getattr(r, c))) for c in columns] for r in rows])
+            steps = np.diff(printed, axis=0)
+            for j, column in enumerate(columns):
+                trend = monotonicity_report(rows).trends[column]
+                if (steps[:, j] > 0).all():
+                    assert trend == ColumnTrend("strictly-increasing")
+                elif (steps[:, j] < 0).all():
+                    assert trend == ColumnTrend("strictly-decreasing")
+                else:
+                    against = ~(steps[:, j] > 0) if steps[0, j] > 0 else ~(steps[:, j] < 0)
+                    i = int(np.argmax(against))
+                    assert trend == ColumnTrend("non-monotone", (rows[i].k, rows[i + 1].k))
 
     def test_too_few_rows(self, baseline_demand, baseline_market, baseline_contract):
         scenario = SweepScenario(
