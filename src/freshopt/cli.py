@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -258,25 +259,29 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out = sys.stdout
-    try:
-        config = load_config(args.config if args.config is not None else default_config_path())
-        handler = {
-            "optimize": cmd_optimize,
-            "evaluate": cmd_evaluate,
-            "coordinate": cmd_coordinate,
-            "simulate": cmd_simulate,
-            "sweep": cmd_sweep,
-        }[args.command]
-        return handler(config, args, out)
-    except (ConfigError, _UsageError, InvalidValue) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _MODEL_ERRORS as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # the process's filters come back on return
+        # Every warning, on every call, as one line in the order raised, naming no source file.
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            config = load_config(args.config if args.config is not None else default_config_path())
+            handler = {
+                "optimize": cmd_optimize,
+                "evaluate": cmd_evaluate,
+                "coordinate": cmd_coordinate,
+                "simulate": cmd_simulate,
+                "sweep": cmd_sweep,
+            }[args.command]
+            return handler(config, args, out)
+        except (ConfigError, _UsageError, InvalidValue) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except _MODEL_ERRORS as exc:
+            print(f"infeasible: {exc}", file=sys.stderr)
+            return 1
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ file reports all its problems at once.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -98,7 +99,7 @@ class ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Read, parse, and validate a scenario file."""
+    """Read, parse, and validate a scenario file; the text is read on every call."""
     file_path = Path(path)
     try:
         text = file_path.read_text(encoding="utf-8")
@@ -107,12 +108,18 @@ def load_config(path) -> ScenarioConfig:
     except IsADirectoryError:
         raise ConfigNotFound(f"configuration path is a directory: {file_path}") from None
     try:
-        raw = json.loads(text)
+        return _parse_text(text)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(str(file_path), exc.lineno, exc.colno, exc.msg) from None
     except (ValueError, RecursionError) as exc:  # past Python's integer-digit or nesting limit
         raise ConfigError(f"{file_path}: {exc}") from None
-    return parse_config(raw)
+
+
+@functools.lru_cache(maxsize=1)  # keyed on the text itself, so an edited file is parsed again
+def _parse_text(text: str) -> ScenarioConfig:
+    """The validated config of a scenario text, shared by every call: it is frozen.  No
+    exception is cached, so a bad text raises again, with its path, on every call."""
+    return parse_config(json.loads(text))
 
 
 def parse_config(raw) -> ScenarioConfig:

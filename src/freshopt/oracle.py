@@ -35,6 +35,7 @@ from .profit import (
     realized_retailer_profit,
     realized_supplier_profit,
     require_feasible_contract,
+    total_fractile,
 )
 
 MC_KINDS = ("retailer", "supplier", "chain")
@@ -186,7 +187,9 @@ def grid_search_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
 
 
 def default_grid_spec(d: DemandDistribution, m: MarketParams, k: float,
-                      step: float = 0.05) -> GridSpec:
-    """Search box guaranteed to contain the optimum for valid fractiles."""
-    reach = d.quantile(0.9999) * k * m.theta / (1.0 - m.beta)
+                      step: float = 0.05, o: OptionContract | None = None) -> GridSpec:
+    """Search box up to the believed stock at the larger of 0.9999 and o's total fractile:
+    it contains the optimum for valid fractiles (without o, for those up to 0.9999)."""
+    level = 0.9999 if o is None else max(0.9999, total_fractile(m, o))
+    reach = d.quantile(level) * k * m.theta / (1.0 - m.beta)
     return GridSpec(q1_range=(0.0, reach), qq_range=(0.0, reach), step=step)

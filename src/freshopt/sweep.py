@@ -13,10 +13,11 @@ as a mask over the grid (a flagged row's note is the error text, or the
 violation names, that the public functions give at its k), the plans
 from at most two array quantile calls, and the profits from two array
 ledger calls (theta*k, theta) and one array call of chain_expected_profit.
-Printing goes by column too: write_csv prints the ten number columns of
-every row with one % format and hands only feasible and note to
-csv.writer; monotonicity_report compares the nine numeric columns as
-they print, formatting only the steps that rounding could flatten.
+Rows are tuples made from the columns, and printing goes by column too:
+one % format prints all rows, and only a row with a note sends its flag
+and note through csv.writer; monotonicity_report compares the nine
+numeric columns as they print, formatting only the steps that rounding
+could flatten.
 """
 from __future__ import annotations
 
@@ -25,8 +26,10 @@ import io
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
+from functools import lru_cache, partial
+from itertools import chain, repeat
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +66,7 @@ CSV_COLUMNS = (
 )
 
 _NUMERIC_COLUMNS = CSV_COLUMNS[1:10]
-_NUMBERS = operator.attrgetter(*CSV_COLUMNS[:10])
+_NUMBERS = operator.itemgetter(slice(10))  # a row's ten number cells, row[:10]
 _not_none = partial(operator.is_not, None)
 
 # Largest {start, stop, step} range built; the default grids have 15 and 76 points.
@@ -74,6 +77,7 @@ class TooFewRows(ValueError):
     """Not enough feasible rows to classify monotonicity."""
 
 
+@lru_cache(maxsize=len(MODES))
 def default_k_grid(mode: str) -> tuple[float, ...]:
     """Default k grids: a coarse one for premium re-coordination, a fine
     one elsewhere (fine enough to expose the low-k singular region)."""
@@ -132,9 +136,9 @@ class SweepScenario:
             raise InvalidValue([(required, f"is required in {self.mode} mode")])
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One k of a sweep; infeasible rows keep solved prices but no plan."""
+class SweepRow(NamedTuple):
+    """One k of a sweep, its cells in CSV_COLUMNS order; infeasible rows keep
+    solved prices but no plan.  A tuple: it iterates and equals a plain tuple."""
 
     k: float
     c0: float | None = None
@@ -156,7 +160,7 @@ def run_sweep(scenario: SweepScenario) -> list[SweepRow]:
     rows = _Rows(np.array(s.k_grid, dtype=float))
     c0, ce, q_total = s.fixed_c0, s.fixed_ce, None
     notes: dict[int, str] = {}
-    cells = np.full((6, rows.k.size), np.nan)
+    cells = np.full((7, rows.k.size), np.nan)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in the rows it flags
         try:
             if s.mode == MODE_FIXED_EXERCISE:
@@ -179,11 +183,11 @@ def run_sweep(scenario: SweepScenario) -> list[SweepRow]:
     blank = c0s if s.mode == MODE_FIXED_EXERCISE else ces  # the solved price column
     for i in np.flatnonzero(~solved).tolist():
         blank[i] = None
-    q_spot, q_option, *profits = cells.tolist()
-    return [SweepRow(k, c0, ce, qs + qo, qs, qo, *money, True, "") if ok
-            else SweepRow(k, c0, ce, note=notes[i])
-            for i, (k, c0, ce, qs, qo, ok, *money) in enumerate(zip(
-                rows.k.tolist(), c0s, ces, q_spot, q_option, rows.ok.tolist(), *profits))]
+    ks, make = rows.k.tolist(), SweepRow._make
+    table = list(map(make, zip(ks, c0s, ces, *cells.tolist(), repeat(True), repeat(""))))
+    for i in np.flatnonzero(~rows.ok).tolist():
+        table[i] = make((ks[i], c0s[i], ces[i], *[None] * 7, False, notes[i]))
+    return table
 
 
 def _solve_plans(d: DemandDistribution, m: MarketParams, prices: _Prices, rows: _Rows,
@@ -192,9 +196,9 @@ def _solve_plans(d: DemandDistribution, m: MarketParams, prices: _Prices, rows: 
 
     Returns the notes of the rows whose contract admits no plan, each naming
     the screens it fails as optimal_plan's report does (a grid's k always
-    passes the k-domain), and the cells q_spot, q_option, believed and true
-    retailer profit, supplier and chain profit.  q_total is the coordinated
-    total, or None for a fixed contract.  A row whose plan or profits
+    passes the k-domain), and the cells q_total, q_spot, q_option, believed
+    and true retailer profit, supplier and chain profit.  The argument q_total
+    is the coordinated total, or None for a fixed contract.  A row whose plan or profits
     overflow is flagged, as the public functions raise Infeasible for it.
     """
     failures, tf, sf = _plan_failures(m, prices)
@@ -204,7 +208,7 @@ def _solve_plans(d: DemandDistribution, m: MarketParams, prices: _Prices, rows: 
             names.setdefault(i, []).append(name)
     rows.ok[list(names)] = False
     notes = {i: ";".join(failed) for i, failed in names.items()}
-    cells = np.full((6, rows.k.size), np.nan)
+    cells = np.full((7, rows.k.size), np.nan)
     if not rows.ok.any():
         return notes, cells
 
@@ -212,11 +216,11 @@ def _solve_plans(d: DemandDistribution, m: MarketParams, prices: _Prices, rows: 
     k, c0, ce, spot, option = map(rows.gather, (rows.k, prices.c0, prices.ce, q_spot, q_option))
     believed, _, _ = _ledger(d, m, c0, ce, m.theta * k, spot, option)
     true_view, supplier, chain = _ledger(d, m, c0, ce, m.theta, spot, option)
-    cells[:, rows.ok] = [spot, option, sum(believed.values()), sum(true_view.values()),
-                         supplier, chain]
-    rows.screen(~np.isfinite(cells[2:]).all(axis=0), lambda at: _overflow("expected profit"))
+    cells[:, rows.ok] = [spot + option, spot, option, sum(believed.values()),
+                         sum(true_view.values()), supplier, chain]
+    rows.screen(~np.isfinite(cells[3:]).all(axis=0), lambda at: _overflow("expected profit"))
     # Through the public function by name, so a patched chain_expected_profit reaches every cell.
-    cells[5, rows.ok] = chain_expected_profit(d, m, rows.gather(q_spot + q_option))
+    cells[6, rows.ok] = chain_expected_profit(d, m, cells[0, rows.ok])
     return notes, cells
 
 
@@ -288,29 +292,41 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _format_rows(rows: list[tuple]) -> list[str]:
+def _format_rows(rows: list[tuple], ends: list[str] | None = None) -> list[str]:
     """The cells of each tuple (all of one length) as _format_cell prints them, joined by
-    ','; tuples of floats and None share one % format, from a template per type pattern."""
+    ',', then its end if given (text without '%' or a line break); tuples of floats and
+    None share one % format, from a template per type pattern and end."""
     cells = tuple(chain.from_iterable(rows))
-    kinds = list(zip(*[iter(map(type, cells))] * len(rows[0]))) if rows else []
+    ends = ends or [""] * len(rows)
+    kinds = list(zip(*[iter(map(type, cells))] * len(rows[0]), ends)) if rows else []
     templates = dict.fromkeys(kinds)
     for kind in templates:
-        if not _SPECS.keys() >= set(kind):
-            return [",".join(map(_format_cell, row)) for row in rows]
-        templates[kind] = ",".join(map(_SPECS.__getitem__, kind)) + "\n"
+        *types, end = kind
+        if not _SPECS.keys() >= set(types):
+            return [",".join(map(_format_cell, row)) + end for row, end in zip(rows, ends)]
+        templates[kind] = ",".join(map(_SPECS.__getitem__, types)) + end + "\n"
     text = "".join(map(templates.__getitem__, kinds)) % tuple(filter(_not_none, cells))
     return text.replace("-0.000000", "0.000000").split("\n")[:-1]  # a sign only leads a cell
 
 
+# How csv.writer ends a row whose flag is a bool and whose note is empty: nothing to quote.
+_PLAIN_ENDS = {flag: f",{_format_cell(flag)}," for flag in (False, True)}
+_ECHO = SimpleNamespace(write=str)  # a csv.writer on it returns each line instead of writing it
+
+
 def write_csv(rows: list[SweepRow], stream) -> None:
     """Fixed-column CSV: '.' decimals, ',' delimiter, header mandatory.  A printed number
-    holds no delimiter, quote or line break: csv.writer quotes only feasible and note."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    texts = (map(_format_cell, map(operator.attrgetter(c), rows)) for c in CSV_COLUMNS[10:])
-    for numbers, text in zip(_format_rows(list(map(_NUMBERS, rows))), zip(*texts)):
-        stream.write(numbers + ",")
-        writer.writerow(text)
+    holds no delimiter, quote or line break, so only a row with a note goes through
+    csv.writer; the others print whole from their % template."""
+    line = csv.writer(_ECHO, lineterminator="\n").writerow
+    plain = [type(row[10]) is bool and row[11] == "" for row in rows]
+    texts = _format_rows(list(map(_NUMBERS, rows)),
+                         [_PLAIN_ENDS[row[10]] if ok else "," for row, ok in zip(rows, plain)])
+    for i, ok in enumerate(plain):
+        if not ok:
+            texts[i] += line(map(_format_cell, rows[i][10:]))[:-1]
+    texts.append("")  # the last line's break
+    stream.write(line(CSV_COLUMNS) + "\n".join(texts))
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

@@ -124,6 +124,14 @@ class TestCoordinate:
         assert out == "c0=12.103175\n"
         assert "negative-option-quantity" in err
 
+    def test_clamp_warning_is_one_path_free_line_on_every_call(self, capsys):
+        # c = 0 clamps the centralized fractile; a repeated call warns again, and the same way.
+        argv = ("--config", str(GOLDEN / "zero-cost.json"), "coordinate")
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first == second
+        assert first[2] == ("warning: centralized fractile 1.0 clamped to 0.999999999999 "
+                            "before quantile evaluation\n")
+
     def test_singular_k_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "coordinate", "--solve-exercise", "--c0", "5",
                                  "--k", "0.72")

@@ -65,6 +65,44 @@ class TestLoadConfig:
         assert load_config(path) == load_config(default_config_path())
 
 
+class TestParseMemo:
+    """load_config reads the file on every call and parses a text it last parsed once."""
+
+    def test_rewritten_file_gives_new_values(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        raw = _baseline_raw()
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert load_config(path).market.p == 50.0
+        raw["market"]["p"] = 55.0
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert load_config(path).market.p == 55.0
+
+    def test_broken_edit_after_good_load_names_path_and_position(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        text = json.dumps(_baseline_raw(), indent=1)
+        path.write_text(text, encoding="utf-8")
+        load_config(path)
+        path.write_text(text.replace('"schema": 1,', '"schema": 1', 1), encoding="utf-8")
+        with pytest.raises(ConfigParseError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"{path}:{err.value.line}:{err.value.column}: ")
+        assert (err.value.line, err.value.column) == (3, 2)
+
+    def test_same_text_at_two_paths_gives_equal_configs(self, tmp_path):
+        text = json.dumps(_baseline_raw())
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(text, encoding="utf-8")
+        second.write_text(text, encoding="utf-8")
+        assert load_config(first) == load_config(second) == load_config(default_config_path())
+
+    def test_invalid_text_raises_on_every_call(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_baseline_with(("market", "beta"), 1.0)), encoding="utf-8")
+        for _ in range(3):
+            with pytest.raises(ConfigValidationError, match="market.beta"):
+                load_config(path)
+
+
 class TestValidation:
     def test_beta_of_one_rejected(self):
         raw = _baseline_raw()

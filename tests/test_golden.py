@@ -69,6 +69,7 @@ CASES: dict[str, tuple[str | None, list[str]]] = {
     **{name: (None, argv) for name, argv in _FAILURES.items()},
     **{name: (None, argv) for name, argv in _ALL_FLAGGED.items()},
     "exit2-invalid-config": ("invalid.json", ["optimize"]),
+    "warning-coordinate-zero-cost": ("zero-cost.json", ["coordinate"]),
 }
 
 

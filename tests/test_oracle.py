@@ -8,6 +8,7 @@ import pytest
 
 from conftest import FAMILIES, random_feasible_setup
 from freshopt import (
+    Exponential,
     GridSpec,
     OptionContract,
     OrderPlan,
@@ -174,6 +175,21 @@ class TestGridSearch:
         grid_profit = retailer_expected_profit(d, m, o, 1.0, grid).total
         closed_profit = retailer_expected_profit(d, m, o, 1.0, closed).total
         assert grid_profit <= closed_profit + 1e-9
+
+    def test_default_box_contains_optimum_past_fractile_0_9999(self, baseline_market):
+        # Total fractile 1 - 0.001/25 > 0.9999: the optimal q_option, 174.0466, lies past the
+        # 0.9999 box's edge, 163.7394, where the search would stop.
+        d, m, o = Exponential(0.05), baseline_market, OptionContract(c0=0.001, ce=35.0)
+        spec = default_grid_spec(d, m, 1.0, 0.05, o)
+        closed = optimal_plan(d, m, o, 1.0)
+        assert closed.q_option == pytest.approx(174.0466, abs=1e-4)
+        assert spec.qq_range[1] >= closed.q_total
+        grid = grid_search_plan(d, m, o, 1.0, spec)
+        assert abs(grid.q_spot - closed.q_spot) <= 0.05
+        assert abs(grid.q_option - closed.q_option) <= 0.05
+        # The box does not move while the fractile is at most 0.9999.
+        base = OptionContract(c0=5.0, ce=35.0)
+        assert default_grid_spec(d, m, 1.3, 0.05, base) == default_grid_spec(d, m, 1.3, 0.05)
 
     def test_halving_step_never_hurts(self, baseline_demand, baseline_market,
                                       baseline_contract):

@@ -1,6 +1,9 @@
 """Sweep tests: coordinated contract series over the overconfidence grid."""
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,7 @@ from freshopt import (
     run_sweep,
     supplier_expected_profit,
 )
-from freshopt.sweep import ColumnTrend, _format_cell
+from freshopt.sweep import CSV_COLUMNS, ColumnTrend, _format_cell
 
 Q_CENTRAL = 5200.0 / 81.0
 
@@ -158,27 +161,54 @@ class TestDeterminismAndCsv:
 
     def test_library_built_rows_print_literally(self):
         # Int prices print through str(), None as empty, -0.0 and a tiny negative as
-        # 0.000000, a numpy float like a float; a note with commas and quotes is quoted.
+        # 0.000000, a numpy float like a float; a note with commas and quotes is quoted,
+        # and a note's own text (a '%', a -0.000000, a line break) is left as it is.
         rows = [
             SweepRow(k=0.5, c0=5, ce=35, q_total=-0.0, q_spot=-1e-9, q_option=2.5,
                      retailer_profit_believed=1234.5678915, retailer_profit_true=-3.25,
                      supplier_profit=None, chain_profit=np.float64(1e6), feasible=True),
             SweepRow(k=1.25, c0=5.0, note='NoRoot: no price in (0, 55) at k=1.25, "quoted"'),
             SweepRow(k=2, c0=5, ce=35, q_total=7, note="q_option;supplier"),
+            SweepRow(k=3.0, q_total=-1e-9, note="100% of -0.000000\nnext"),
+            SweepRow(k=4.0, feasible=True, note="kept"),
+            SweepRow(k=5.0, feasible=1),
         ]
-        assert rows_to_csv(rows) == (
+        text = rows_to_csv(rows)
+        assert text == (
             "k,c0,ce,q_total,q_spot,q_option,retailer_profit_believed,"
             "retailer_profit_true,supplier_profit,chain_profit,feasible,note\n"
             "0.500000,5,35,0.000000,0.000000,2.500000,1234.567892,-3.250000,,"
             "1000000.000000,true,\n"
             '1.250000,5.000000,,,,,,,,,false,"NoRoot: no price in (0, 55) at k=1.25, ""quoted"""\n'
-            "2,5,35,7,,,,,,,false,q_option;supplier\n")
+            "2,5,35,7,,,,,,,false,q_option;supplier\n"
+            '3.000000,,,0.000000,,,,,,,false,"100% of -0.000000\nnext"\n'
+            "4.000000,,,,,,,,,,true,kept\n"
+            "5.000000,,,,,,,,,,1,\n")
+        # What csv.writer gives for every printed cell of every row.
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([_format_cell(cell) for cell in row] for row in rows)
+        assert text == reference.getvalue()
 
     def test_infeasible_numeric_fields_empty(self, baseline_demand, baseline_market):
         rows = run_sweep(_scenario_b(baseline_demand, baseline_market))
         bad = next(r for r in rows if not r.feasible and r.ce is not None)
         assert bad.q_total is None and bad.supplier_profit is None
         assert bad.note != ""
+
+
+class TestSweepRow:
+    def test_fields_are_read_only(self):
+        row = SweepRow(k=1.0, c0=5.0)
+        with pytest.raises(AttributeError):
+            row.c0 = 6.0
+
+    def test_keyword_construction_keeps_defaults(self):
+        row = SweepRow(k=1.25, note="NoRoot")
+        assert (row.c0, row.q_total, row.chain_profit, row.feasible) == (None, None, None, False)
+        assert row == (1.25, *[None] * 9, False, "NoRoot")
+        assert tuple(row) == row and row._fields == CSV_COLUMNS
 
 
 class TestMonotonicityReport:
