@@ -234,6 +234,22 @@ class TestSweep:
         assert err == ("monotonicity: skipped (monotonicity needs at least 3 feasible rows, "
                        "got 0)\n")
 
+    @pytest.mark.parametrize("argv,message", [
+        ((), "no sweep mode: provide --mode or a sweep section in the config"),
+        (("--mode", "fixed-exercise-price"),
+         "fixed-exercise-price sweep needs --ce, sweep.ce, or a contract"),
+        (("--mode", "fixed-premium"), "fixed-premium sweep needs --c0, sweep.c0, or a contract"),
+        (("--mode", "fixed-contract"),
+         "no option contract available: provide --c0/--ce or a contract section in the config"),
+    ], ids=["no-mode", "fixed-exercise-price", "fixed-premium", "fixed-contract"])
+    def test_config_without_sweep_or_contract_needs_flags(self, capsys, tmp_path, argv, message):
+        raw = json.loads(default_config_path().read_text(encoding="utf-8"))
+        del raw["sweep"], raw["contract"]
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run_cli(capsys, "--config", str(path), "sweep", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_k_flag_rejected(self, capsys):
         # A sweep walks its k grid, so a single --k would be silently ignored.
         with pytest.raises(SystemExit) as err:

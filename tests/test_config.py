@@ -1,6 +1,7 @@
 """Config loader tests: strict schema, aggregated errors, defaults."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -10,11 +11,15 @@ from freshopt import (
     ConfigNotFound,
     ConfigParseError,
     ConfigValidationError,
+    MarketParams,
+    OptionContract,
+    OracleSettings,
     Uniform,
     load_config,
     parse_config,
 )
 from freshopt.cli import default_config_path
+from freshopt.demand import _FAMILIES
 
 
 def _baseline_raw():
@@ -272,3 +277,88 @@ class TestNonFiniteAndUnbounded:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigValidationError, match="market.p: must be finite"):
             load_config(path)
+
+
+def _baseline_without(*names) -> dict:
+    raw = _baseline_raw()
+    for name in names:
+        del raw[name]
+    return raw
+
+
+# Each config, and the whole problem list it gives, word for word.
+REJECTED_SHAPES = [
+    ("demand-list", _baseline_with(("demand",), [1]), ["demand: expected an object"]),
+    ("market-list", _baseline_with(("market",), [1]), ["market: expected an object"]),
+    ("contract-list", _baseline_with(("contract",), [1]), ["contract: expected an object"]),
+    ("contract-null", _baseline_with(("contract",), None), ["contract: expected an object"]),
+    ("oracle-number", _baseline_with(("oracle",), 3), ["oracle: expected an object"]),
+    ("sweep-string", _baseline_with(("sweep",), "fixed-premium"), ["sweep: expected an object"]),
+    ("demand-missing", _baseline_without("demand"), ["demand: required section missing"]),
+    ("demand-null", _baseline_with(("demand",), None), ["demand: required section missing"]),
+    ("market-missing", _baseline_without("market"), ["market: required section missing"]),
+    ("market-null", _baseline_with(("market",), None), ["market: required section missing"]),
+    ("params-list", _baseline_with(("demand", "params"), [0.0, 100.0]),
+     ["demand.params: expected an object"]),
+    ("params-missing", _baseline_with(("demand",), {"family": "uniform"}),
+     ["demand.params: expected an object"]),
+    ("comment-number", _baseline_with(("comment",), 7), ["comment: expected a string"]),
+    ("k-grid-string", _baseline_with(("sweep", "k_grid"), "0.8:1.5"),
+     ["sweep.k_grid: expected a list of numbers or {start, stop, step}"]),
+    ("fixed-contract-without-contract",
+     {**_baseline_without("contract"), "sweep": {"mode": "fixed-contract"}},
+     ["sweep.mode: fixed-contract mode requires the contract section"]),
+]
+
+
+class TestRejectedShapes:
+    @pytest.mark.parametrize("raw,problems", [case[1:] for case in REJECTED_SHAPES],
+                             ids=[case[0] for case in REJECTED_SHAPES])
+    def test_exact_problems(self, raw, problems):
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(raw)
+        assert err.value.problems == problems
+
+    @pytest.mark.parametrize("raw", [[], "scenario", 1, None])
+    def test_top_level_not_an_object(self, raw):
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(raw)
+        assert err.value.problems == ["top level: expected a JSON object"]
+
+
+def _sections_and_types():
+    """(path of the section in the config, the model type it builds) for each numeric section."""
+    yield ("market",), MarketParams
+    yield ("contract",), OptionContract
+    for family, cls in sorted(_FAMILIES.items()):
+        yield ("demand", family), cls
+
+
+class TestSchemaFollowsModelTypes:
+    """A section's keys are exactly the fields of the type it builds."""
+
+    @pytest.mark.parametrize("section,cls", list(_sections_and_types()),
+                             ids=["/".join(case[0]) for case in _sections_and_types()])
+    def test_each_field_is_required(self, section, cls):
+        for field in dataclasses.fields(cls):
+            raw = _baseline_raw()
+            if section[0] == "demand":
+                raw["demand"] = {"family": section[1],
+                                 "params": {f.name: 1.0 for f in dataclasses.fields(cls)}}
+                values, path = raw["demand"]["params"], "demand.params"
+            else:
+                values, path = raw[section[0]], section[0]
+            del values[field.name]
+            with pytest.raises(ConfigValidationError) as err:
+                parse_config(raw)
+            assert f"{path}.{field.name}: required" in err.value.problems
+
+    def test_oracle_reads_every_settings_field(self):
+        raw = _baseline_with(("oracle",), {"samples": 7, "seed": 3, "grid_step": 0.5})
+        assert parse_config(raw).oracle == OracleSettings(samples=7, seed=3, grid_step=0.5)
+        assert {f.name for f in dataclasses.fields(OracleSettings)} == raw["oracle"].keys()
+
+    def test_oracle_unknown_key_rejected(self):
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(_baseline_with(("oracle", "draws"), 10))
+        assert err.value.problems == ["oracle.draws: unknown key"]

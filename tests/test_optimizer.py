@@ -7,6 +7,7 @@ import pytest
 from conftest import FAMILIES, random_feasible_setup
 from freshopt import (
     Infeasible,
+    InfeasibleContract,
     NoRoot,
     NonCoordinable,
     OptionContract,
@@ -19,6 +20,7 @@ from freshopt import (
     optimal_plan,
     retailer_profit_gradient,
 )
+from freshopt.profit import require_feasible_contract
 
 Q_CENTRAL = 5200.0 / 81.0  # 64.197530864...
 
@@ -39,6 +41,17 @@ class TestCheckFeasibility:
     def test_total_fractile_range(self, baseline_market):
         report = check_feasibility(baseline_market, OptionContract(c0=30.0, ce=35.0), 1.0)
         assert "fractile-range-total" in report.names()
+
+    def test_total_fractile_undefined_at_exercise_price_p_plus_g(self, baseline_market):
+        # ce = p+g makes the denominator p+g-ce of the total fractile zero.
+        contract = OptionContract(c0=5.0, ce=60.0)
+        report = check_feasibility(baseline_market, contract, 1.0)
+        assert report.describe() == (
+            "fractile-range-total ((p+g-ce-c0)/(p+g-ce) = undefined outside (0, 1))")
+        with pytest.raises(InfeasibleContract) as err:
+            require_feasible_contract(baseline_market, contract)
+        assert str(err.value) == (
+            "fractile-range-total violated: (p+g-ce-c0)/(p+g-ce) = undefined outside (0, 1)")
 
     def test_negative_option_quantity(self, baseline_market):
         # c0=12, ce=35: total fractile 0.52 falls below spot fractile 0.6286.
@@ -165,6 +178,13 @@ class TestCoordinatingPremium:
         # the premium collapses to zero.
         with pytest.raises(NonCoordinable, match="k-domain"):
             coordinating_premium(baseline_demand, baseline_market, 35.0, 0.7)
+
+    def test_non_coordinable_when_premium_breaks_assumption_four(self, baseline_demand,
+                                                                 baseline_market):
+        with pytest.raises(NonCoordinable) as err:
+            coordinating_premium(baseline_demand, baseline_market, 20.0, 0.8)
+        assert str(err.value) == (
+            "assumption-4: coordinating premium c0=3.88889 gives w0=25.0 >= c0+ce=23.8889")
 
     def test_non_coordinable_above_k_ceiling_with_demand_floor(self, baseline_market):
         # With a positive support floor, a large k pushes the shrunk

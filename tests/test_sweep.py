@@ -12,6 +12,7 @@ from freshopt import (
     DemandDistribution,
     Exponential,
     Infeasible,
+    InvalidValue,
     NonCoordinable,
     NoRoot,
     OptionContract,
@@ -72,6 +73,21 @@ class TestScenarioFixedExercise:
         assert tail and all(not r.feasible for r in tail)
         assert all("negative-option-quantity" in r.note for r in tail)
         assert all(r.q_total is None and r.retailer_profit_believed is None for r in tail)
+
+    def test_premium_breaking_assumption_four_flags_its_rows(self, baseline_demand,
+                                                             baseline_market):
+        scenario = SweepScenario(mode="fixed-exercise-price", demand=baseline_demand,
+                                 market=baseline_market, k_grid=(0.75, 0.8, 0.9), fixed_ce=20.0)
+        low, mid, high = run_sweep(scenario)
+        for row in (low, mid):
+            with pytest.raises(NonCoordinable) as err:
+                coordinating_premium(baseline_demand, baseline_market, 20.0, row.k)
+            assert not row.feasible and row.c0 is None and row.q_total is None
+            assert row.note == f"NonCoordinable: {err.value}"
+        assert mid.note == ("NonCoordinable: assumption-4: coordinating premium c0=3.88889 "
+                            "gives w0=25.0 >= c0+ce=23.8889")
+        assert high.feasible and high.note == ""
+        assert high.c0 == coordinating_premium(baseline_demand, baseline_market, 20.0, 0.9)
 
     def test_k_one_row_equals_centralized(self, baseline_demand, baseline_market):
         rows = run_sweep(_scenario_a(baseline_demand, baseline_market))
@@ -290,6 +306,18 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="strictly increasing"):
             SweepScenario(mode="fixed-premium", demand=baseline_demand,
                           market=baseline_market, k_grid=(1.0, 1.0), fixed_c0=5.0)
+
+    def test_grid_must_not_be_empty(self, baseline_demand, baseline_market):
+        with pytest.raises(InvalidValue) as err:
+            SweepScenario(mode="fixed-premium", demand=baseline_demand,
+                          market=baseline_market, k_grid=(), fixed_c0=5.0)
+        assert err.value.problems == [("k_grid", "must not be empty")]
+
+    def test_unknown_mode(self, baseline_demand, baseline_market):
+        with pytest.raises(InvalidValue) as err:
+            SweepScenario(mode="fixed-both", demand=baseline_demand,
+                          market=baseline_market, k_grid=(1.0,), fixed_c0=5.0)
+        assert err.value.problems == [("mode", f"must be one of {MODES}, got 'fixed-both'")]
 
     def test_mode_needs_its_fixed_value(self, baseline_demand, baseline_market):
         with pytest.raises(ValueError, match="fixed_ce"):
