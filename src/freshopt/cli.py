@@ -42,12 +42,11 @@ from .profit import (
     supplier_expected_profit,
 )
 from .sweep import (
-    MODE_FIXED_EXERCISE,
-    MODE_FIXED_PREMIUM,
+    FIXED_PRICE,
     MODES,
     SweepScenario,
     TooFewRows,
-    _format_rows,
+    _format_cell,
     default_k_grid,
     monotonicity_report,
     run_sweep,
@@ -68,8 +67,7 @@ def default_config_path() -> Path:
 
 def _emit(out, **values) -> None:
     """One key=value line per value, each value printed as a sweep cell is."""
-    cells = _format_rows(list(zip(values.values())))
-    print("".join(f"{key}={cell}\n" for key, cell in zip(values, cells)), end="", file=out)
+    out.write("".join(f"{key}={_format_cell(value)}\n" for key, value in values.items()))
 
 
 def _price(name: str, args, missing: str, *sections) -> float:
@@ -172,15 +170,12 @@ def cmd_sweep(config: ScenarioConfig, args, out) -> int:
     if mode is None:
         raise _UsageError("no sweep mode: provide --mode or a sweep section in the config")
 
-    fixed_c0 = fixed_ce = contract = None
-    if mode == MODE_FIXED_EXERCISE:
-        fixed_ce = _price("ce", args, "fixed-exercise-price sweep needs --ce, sweep.ce, or a contract",
-                          config.sweep, config.contract)
-    elif mode == MODE_FIXED_PREMIUM:
-        fixed_c0 = _price("c0", args, "fixed-premium sweep needs --c0, sweep.c0, or a contract",
-                          config.sweep, config.contract)
+    p = FIXED_PRICE[mode]
+    if p is None:
+        fixed = {"contract": _resolve_contract(config, args)}
     else:
-        contract = _resolve_contract(config, args)
+        missing = f"{mode} sweep needs --{p}, sweep.{p}, or a contract"
+        fixed = {f"fixed_{p}": _price(p, args, missing, config.sweep, config.contract)}
 
     # A config-supplied grid belongs to the mode the config declared.
     config_grid = (config.sweep.k_grid
@@ -191,9 +186,7 @@ def cmd_sweep(config: ScenarioConfig, args, out) -> int:
         demand=config.demand,
         market=config.market,
         k_grid=tuple(k_grid),
-        fixed_ce=fixed_ce,
-        fixed_c0=fixed_c0,
-        contract=contract,
+        **fixed,
     )
     rows = run_sweep(scenario)
     if args.out is not None:

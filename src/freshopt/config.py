@@ -2,10 +2,13 @@
 
 Unknown keys are rejected (typo safety) and every validation failure is
 collected with its field path before anything is constructed, so a bad
-file reports all its problems at once.
+file reports all its problems at once.  The keys of the market, contract,
+oracle, sweep and demand-parameter sections are the fields of the type each
+builds.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from dataclasses import dataclass
@@ -16,19 +19,11 @@ from .demand import (
     DemandDistribution,
     InvalidValue,
     _check_positive,
-    _param_names,
-    make_distribution,
+    _field_names,
 )
 from .oracle import _check_draws
 from .profit import MarketParams, OptionContract
-from .sweep import (
-    MODE_FIXED_CONTRACT,
-    MODE_FIXED_EXERCISE,
-    MODE_FIXED_PREMIUM,
-    MODES,
-    _check_k_grid,
-    _k_range,
-)
+from .sweep import FIXED_PRICE, MODES, _check_k_grid, _k_range
 
 SCHEMA_VERSION = 1
 
@@ -38,10 +33,6 @@ DEFAULT_GRID_STEP = 0.05
 
 _TOP_KEYS = {"schema", "comment", "demand", "market", "contract", "overconfidence",
              "oracle", "sweep"}
-_MARKET_KEYS = {"p", "g", "w0", "c", "beta", "theta"}
-_CONTRACT_KEYS = {"c0", "ce"}
-_ORACLE_KEYS = {"samples", "seed", "grid_step"}
-_SWEEP_KEYS = {"mode", "c0", "ce", "k_grid"}
 _DEMAND_KEYS = {"family", "params"}
 _KGRID_KEYS = {"start", "stop", "step"}
 
@@ -137,8 +128,8 @@ def parse_config(raw) -> ScenarioConfig:
         problems.append("comment: expected a string")
 
     demand = _parse_demand(raw.get("demand"), problems)
-    market = _parse_market(raw.get("market"), problems)
-    contract = _parse_contract(raw.get("contract"), problems) if "contract" in raw else None
+    market = _read(MarketParams, raw.get("market"), "market", problems, required=True)
+    contract = _read(OptionContract, raw["contract"], "contract", problems) if "contract" in raw else None
     overconfidence = _number(raw.get("overconfidence", 1.0), "overconfidence", problems)
     if overconfidence is not None:
         _checked(problems, "", lambda: _check_positive("overconfidence", overconfidence))
@@ -183,6 +174,23 @@ def _number(value, path: str, problems: list[str]) -> float | None:
         return None
 
 
+def _section(raw, path: str, problems: list[str], required: bool = False) -> dict | None:
+    """raw, the section at path, if it is a JSON object; else None after recording why not."""
+    if isinstance(raw, dict):
+        return raw
+    problems.append(f"{path}: required section missing" if required and raw is None
+                    else f"{path}: expected an object")
+    return None
+
+
+def _read(cls, raw, path: str, problems: list[str], required: bool = False):
+    """A cls from the section raw at path, one number per field of cls; None after recording
+    why not: raw is not an object, or a key is unknown, missing, not a number or rejected by cls."""
+    raw = _section(raw, path, problems, required)
+    values = None if raw is None else _numbers(raw, _field_names(cls), f"{path}.", problems)
+    return None if values is None else _checked(problems, f"{path}.", lambda: cls(**values))
+
+
 def _numbers(raw: dict, names: set[str], prefix: str, problems: list[str]) -> dict[str, float] | None:
     """Each of names as a number, or None after recording what is unknown, missing or not one."""
     _reject_unknown(raw, names, prefix, problems)
@@ -204,11 +212,8 @@ def _integer(value, path: str, problems: list[str]) -> int | None:
 
 
 def _parse_demand(raw, problems: list[str]) -> DemandDistribution | None:
+    raw = _section(raw, "demand", problems, required=True)
     if raw is None:
-        problems.append("demand: required section missing")
-        return None
-    if not isinstance(raw, dict):
-        problems.append("demand: expected an object")
         return None
     _reject_unknown(raw, _DEMAND_KEYS, "demand.", problems)
     family = raw.get("family")
@@ -216,64 +221,36 @@ def _parse_demand(raw, problems: list[str]) -> DemandDistribution | None:
         problems.append(
             f"demand.family: expected one of {sorted(_FAMILIES)}, got {family!r}")
         return None
-    params_raw = raw.get("params")
-    if not isinstance(params_raw, dict):
-        problems.append("demand.params: expected an object")
-        return None
-    params = _numbers(params_raw, _param_names(_FAMILIES[family]), "demand.params.", problems)
-    if params is None:
-        return None
-    return _checked(problems, "demand.params.", lambda: make_distribution(family, **params))
-
-
-def _parse_market(raw, problems: list[str]) -> MarketParams | None:
-    if raw is None:
-        problems.append("market: required section missing")
-        return None
-    if not isinstance(raw, dict):
-        problems.append("market: expected an object")
-        return None
-    values = _numbers(raw, _MARKET_KEYS, "market.", problems)
-    if values is None:
-        return None
-    return _checked(problems, "market.", lambda: MarketParams(**values))
-
-
-def _parse_contract(raw, problems: list[str]) -> OptionContract | None:
-    if not isinstance(raw, dict):
-        problems.append("contract: expected an object")
-        return None
-    values = _numbers(raw, _CONTRACT_KEYS, "contract.", problems)
-    if values is None:
-        return None
-    return _checked(problems, "contract.", lambda: OptionContract(**values))
+    return _read(_FAMILIES[family], raw.get("params"), "demand.params", problems)
 
 
 def _parse_oracle(raw, problems: list[str]) -> OracleSettings | None:
-    if not isinstance(raw, dict):
-        problems.append("oracle: expected an object")
+    """The OracleSettings fields given, an int field as an integer; the rest keep their defaults."""
+    raw = _section(raw, "oracle", problems)
+    if raw is None:
         return None
-    _reject_unknown(raw, _ORACLE_KEYS, "oracle.", problems)
+    _reject_unknown(raw, _field_names(OracleSettings), "oracle.", problems)
     values = {}
-    for name, parse in (("samples", _integer), ("seed", _integer), ("grid_step", _number)):
-        if name in raw:
-            value = parse(raw[name], f"oracle.{name}", problems)
+    for field in dataclasses.fields(OracleSettings):
+        if field.name in raw:
+            parse = _integer if field.type == "int" else _number
+            value = parse(raw[field.name], f"oracle.{field.name}", problems)
             if value is not None:
-                values[name] = value
+                values[field.name] = value
     return _checked(problems, "oracle.", lambda: OracleSettings(**values))
 
 
 def _parse_sweep(raw, contract: OptionContract | None, problems: list[str]) -> SweepSettings | None:
-    if not isinstance(raw, dict):
-        problems.append("sweep: expected an object")
+    raw = _section(raw, "sweep", problems)
+    if raw is None:
         return None
-    _reject_unknown(raw, _SWEEP_KEYS, "sweep.", problems)
+    _reject_unknown(raw, _field_names(SweepSettings), "sweep.", problems)
     mode = raw.get("mode")
     if mode not in MODES:
         problems.append(f"sweep.mode: expected one of {MODES}, got {mode!r}")
         return None
-    fixed = {MODE_FIXED_EXERCISE: "ce", MODE_FIXED_PREMIUM: "c0"}.get(mode)
-    for name in sorted((_CONTRACT_KEYS - {fixed}) & raw.keys()):
+    fixed = FIXED_PRICE[mode]
+    for name in sorted((_field_names(OptionContract) - {fixed}) & raw.keys()):
         problems.append(f"sweep.{name}: not read in {mode} mode")
     prices: dict[str, float | None] = {}
     if fixed is not None:
@@ -283,8 +260,8 @@ def _parse_sweep(raw, contract: OptionContract | None, problems: list[str]) -> S
         price = prices[fixed] = _number(raw[fixed], f"sweep.{fixed}", problems)
         if price is not None:
             _checked(problems, "sweep.", lambda: _check_positive(fixed, price))
-    elif mode == MODE_FIXED_CONTRACT and contract is None:
-        problems.append("sweep.mode: fixed-contract mode requires the contract section")
+    elif contract is None:
+        problems.append(f"sweep.mode: {mode} mode requires the contract section")
         return None
     k_grid = _parse_k_grid(raw.get("k_grid"), problems) if "k_grid" in raw else None
     return SweepSettings(mode=mode, k_grid=k_grid, **prices)
@@ -293,17 +270,13 @@ def _parse_sweep(raw, contract: OptionContract | None, problems: list[str]) -> S
 def _parse_k_grid(raw, problems: list[str]) -> tuple[float, ...] | None:
     if isinstance(raw, list):
         grid = tuple(_number(item, f"sweep.k_grid[{i}]", problems) for i, item in enumerate(raw))
-        if None in grid:
-            return None
     elif isinstance(raw, dict):
         bounds = _numbers(raw, _KGRID_KEYS, "sweep.k_grid.", problems)
-        if bounds is None:
-            return None
-        grid = _checked(problems, "sweep.k_grid.", lambda: _k_range(**bounds))
-        if grid is None:
-            return None
+        grid = None if bounds is None else _checked(problems, "sweep.k_grid.", lambda: _k_range(**bounds))
     else:
         problems.append("sweep.k_grid: expected a list of numbers or {start, stop, step}")
+        return None
+    if grid is None or None in grid:  # a bound, a range or an item was rejected
         return None
     _checked(problems, "sweep.", lambda: _check_k_grid(grid))
     return grid

@@ -330,8 +330,9 @@ _FAMILIES: dict[str, type[DemandDistribution]] = {
 }
 
 
-def _param_names(cls: type[DemandDistribution]) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}  # type: ignore[arg-type]
+def _field_names(cls: type) -> set[str]:
+    """The field names of a dataclass: a demand family's parameters, a config section's keys."""
+    return {f.name for f in dataclasses.fields(cls)}
 
 
 def make_distribution(family: str, **params: float) -> DemandDistribution:
@@ -341,7 +342,7 @@ def make_distribution(family: str, **params: float) -> DemandDistribution:
     except KeyError:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown demand family {family!r}; expected one of: {known}") from None
-    expected = _param_names(cls)
+    expected = _field_names(cls)
     given = set(params)
     if given != expected:
         raise ValueError(

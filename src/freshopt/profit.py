@@ -257,13 +257,10 @@ def supplier_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
 
 def chain_expected_profit(d: DemandDistribution, m: MarketParams, q_total):
     """Expected profit of the integrated chain stocking q_total in total.  Vectorized."""
-    if isinstance(q_total, float):
-        _check_nonnegative("q_total", q_total)
-    else:  # one mask; the first bad entry names the error, as the float call would
-        flat = np.ravel(q_total)
-        bad = flat[~(np.isfinite(flat) & (flat >= 0.0))]
-        if bad.size:
-            _check_nonnegative("q_total", bad[0].item())
+    flat = np.ravel(q_total)  # one mask, float or array; the first bad entry names the error
+    bad = flat[~(np.isfinite(flat) & (flat >= 0.0))]
+    if bad.size:
+        _check_nonnegative("q_total", bad[0].item())
     _, _, chain = _ledger(d, m, 0.0, 0.0, m.theta, q_total, 0.0)
     _require_finite("chain expected profit", chain)
     return float(chain) if np.ndim(chain) == 0 else chain

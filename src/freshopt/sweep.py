@@ -58,6 +58,8 @@ MODE_FIXED_EXERCISE = "fixed-exercise-price"
 MODE_FIXED_PREMIUM = "fixed-premium"
 MODE_FIXED_CONTRACT = "fixed-contract"
 MODES = (MODE_FIXED_EXERCISE, MODE_FIXED_PREMIUM, MODE_FIXED_CONTRACT)
+# The price each mode holds fixed, an OptionContract field; None holds the whole contract.
+FIXED_PRICE = {MODE_FIXED_EXERCISE: "ce", MODE_FIXED_PREMIUM: "c0", MODE_FIXED_CONTRACT: None}
 
 CSV_COLUMNS = (
     "k", "c0", "ce", "q_total", "q_spot", "q_option",
@@ -130,8 +132,8 @@ class SweepScenario:
         if self.mode not in MODES:
             raise InvalidValue([("mode", f"must be one of {MODES}, got {self.mode!r}")])
         _check_k_grid(self.k_grid)
-        required = {MODE_FIXED_EXERCISE: "fixed_ce", MODE_FIXED_PREMIUM: "fixed_c0",
-                    MODE_FIXED_CONTRACT: "contract"}[self.mode]
+        price = FIXED_PRICE[self.mode]
+        required = "contract" if price is None else f"fixed_{price}"
         if getattr(self, required) is None:
             raise InvalidValue([(required, f"is required in {self.mode} mode")])
 
@@ -287,9 +289,10 @@ def _format_cell(value) -> str:
     0.000000; None as empty; a bool as true or false; anything else as str()."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float) or value is None:
-        return _format_rows([(None if value is None else float(value),)])[0]
-    return str(value)
+    if isinstance(value, float):
+        text = "%.6f" % value
+        return "0.000000" if text == "-0.000000" else text
+    return "" if value is None else str(value)
 
 
 def _format_rows(rows: list[tuple], ends: list[str] | None = None) -> list[str]:

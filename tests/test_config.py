@@ -358,6 +358,15 @@ class TestSchemaFollowsModelTypes:
         assert parse_config(raw).oracle == OracleSettings(samples=7, seed=3, grid_step=0.5)
         assert {f.name for f in dataclasses.fields(OracleSettings)} == raw["oracle"].keys()
 
+    def test_oracle_int_fields_take_only_integers(self):
+        raw = _baseline_with(("oracle",), {"samples": 7.0, "seed": True, "grid_step": 1})
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(raw)
+        assert err.value.problems == ["oracle.samples: expected an integer, got 7.0",
+                                      "oracle.seed: expected an integer, got True"]
+        del raw["oracle"]["samples"], raw["oracle"]["seed"]
+        assert parse_config(raw).oracle == OracleSettings(grid_step=1.0)
+
     def test_oracle_unknown_key_rejected(self):
         with pytest.raises(ConfigValidationError) as err:
             parse_config(_baseline_with(("oracle", "draws"), 10))
