@@ -120,8 +120,8 @@ class DemandDistribution(ABC):
         ...
 
     @abstractmethod
-    def _inverse_transform(self, u):
-        """Map uniform(0,1) draws to demand values; vectorized."""
+    def _inverse_transform(self, u: np.ndarray) -> np.ndarray:
+        """Map an array of uniform(0,1) draws to demand values in place, and return it."""
 
     def quantile(self, q):
         """Smallest x with F(x) >= q, for q strictly inside (0, 1).
@@ -151,10 +151,10 @@ class DemandDistribution(ABC):
         """Inverse-transform draw(s) from ``stream`` (a numpy Generator).
 
         Identical stream state gives identical draws, which is what makes
-        the simulation oracles reproducible.
+        the simulation oracles reproducible.  A draw with ``size=None`` is a float.
         """
-        u = stream.random(size)
-        return self._inverse_transform(u)
+        x = self._inverse_transform(np.asarray(stream.random(size), dtype=float))
+        return float(x) if size is None else x
 
     def params(self) -> dict[str, float]:
         """Family-specific parameters, for configs and reporting."""
@@ -196,7 +196,9 @@ class Uniform(DemandDistribution):
         return inside * inside / (2.0 * (self.hi - self.lo)) + np.maximum(a - self.hi, 0.0)
 
     def _inverse_transform(self, u):
-        return self.lo + u * (self.hi - self.lo)
+        u *= self.hi - self.lo
+        u += self.lo
+        return u
 
 
 @dataclass(frozen=True)
@@ -232,7 +234,10 @@ class Exponential(DemandDistribution):
         return a + np.expm1(-self.rate * a) / self.rate
 
     def _inverse_transform(self, u):
-        return -np.log1p(-u) / self.rate
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u /= -self.rate  # -(a / r), bit for bit
+        return u
 
 
 @dataclass(frozen=True)
@@ -313,14 +318,23 @@ class TruncatedNormal(DemandDistribution):
 
     def _inverse_transform(self, u):
         from scipy.special import ndtri  # vectorized: several times faster than any stdlib route
-        u = np.asarray(u, dtype=float)
         if self.mu > 0.0:
-            x = self.mu + self.sigma * ndtri(self._mass_below_zero + u * self._mass_above_zero)
+            # mu + sigma * ndtri(Phi(-mu/sigma) + u Phi(mu/sigma))
+            u *= self._mass_above_zero
+            u += self._mass_below_zero
+            ndtri(u, out=u)
+            u *= self.sigma
+            u += self.mu
         else:
             # Phi(-mu/sigma) + u Phi(mu/sigma) rounds to 1 once mu/sigma is strongly
-            # negative; the upper tail (1 - u) Phi(mu/sigma) keeps every level apart.
-            x = self.mu - self.sigma * ndtri((1.0 - u) * self._mass_above_zero)
-        return np.maximum(x, 0.0) if np.ndim(x) else max(float(x), 0.0)
+            # negative; the upper tail, mu - sigma * ndtri((1 - u) Phi(mu/sigma)),
+            # keeps every level apart.
+            np.subtract(1.0, u, out=u)
+            u *= self._mass_above_zero
+            ndtri(u, out=u)
+            u *= self.sigma
+            np.subtract(self.mu, u, out=u)
+        return np.maximum(u, 0.0, out=u)
 
 
 _FAMILIES: dict[str, type[DemandDistribution]] = {

@@ -15,6 +15,8 @@ block as in one draw, and the chunk's mean and squared deviations are
 reduced over the same contiguous array, so the result is bit-identical to
 drawing each chunk at once; a call allocates one buffer of at most
 ``_CHUNK`` doubles (1 MB) plus per-block temporaries of ``_BLOCK`` doubles.
+A chunk's mean is its first profit plus the mean of the differences from
+it, so a profit that never varies comes out exact, with standard error 0.
 """
 from __future__ import annotations
 
@@ -41,10 +43,12 @@ from .profit import (
 MC_KINDS = ("retailer", "supplier", "chain")
 
 _CHUNK = 1 << 17
-_BLOCK = 1 << 13
+_BLOCK = 1 << 13  # a block's temporaries (64 KB) stay under glibc's 128 KB mmap threshold
+# Bounds a run's time: 10**9 draws take 10-40 s (2-core x86-64 VM, all families).
+_MAX_SAMPLES = 10 ** 9
 
 # Brings any finite deviation below 2**424, so the squares of up to 2**100
-# of them sum without overflow.
+# (more than _MAX_SAMPLES) of them sum without overflow.
 _DEVIATION_SHRINK = 2.0 ** -600
 
 
@@ -74,10 +78,12 @@ class GridSpec:
 
 
 def _check_draws(samples: int, seed: int) -> None:
-    """Raise InvalidValue unless samples is an integer >= 1 and seed is >= 0."""
+    """Raise InvalidValue unless samples is an integer in [1, _MAX_SAMPLES] and seed is >= 0."""
     problems = []
     if not (isinstance(samples, int) and samples >= 1):
         problems.append(("samples", f"must be >= 1 and an integer, got {samples}"))
+    elif samples > _MAX_SAMPLES:
+        problems.append(("samples", f"must be <= {_MAX_SAMPLES}, got {samples}"))
     if not seed >= 0:
         problems.append(("seed", f"must be >= 0, got {seed}"))
     if problems:
@@ -129,8 +135,12 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
             for lo in range(0, take, _BLOCK):
                 hi = min(lo + _BLOCK, take)
                 profits[lo:hi] = evaluate(d.sample(rng, size=hi - lo))
-            chunk_mean = float(profits.mean())
-            np.subtract(profits, chunk_mean, out=profits)
+            # Deviations from the first profit: a constant profit averages to itself exactly.
+            first = float(profits[0])
+            np.subtract(profits, first, out=profits)
+            offset = float(profits.mean())
+            chunk_mean = first + offset
+            np.subtract(profits, offset, out=profits)
             if shrink != 1.0:
                 np.multiply(profits, shrink, out=profits)
             with np.errstate(over="ignore"):  # an overflow here is retried, shrunk

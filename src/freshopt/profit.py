@@ -13,7 +13,9 @@ can serve demand: a plan (Q1, Qq) puts ``Q1*(1-beta)`` firm units and
 
 Every expected profit (retailer, supplier, chain; scalars or arrays) is
 priced by one private ledger, ``_ledger``, from a single evaluation of
-E[sales], E[shortage] and E[exercised].
+E[sales], E[shortage] and E[exercised].  A realized profit is piecewise
+affine in demand, and the ``realized_*`` functions evaluate it from its
+pieces: a minimum of lines, or one clipped line.
 
 The stockout penalty ``g`` sits on the retailer's ledger: the retailer's
 profit carries the shortage term while the supplier's carries none.
@@ -182,8 +184,9 @@ def require_feasible_contract(m: MarketParams, o: OptionContract) -> None:
 def _ledger(d: DemandDistribution, m: MarketParams, c0, ce, scale, q_spot, q_option):
     """(retailer's five terms, supplier profit, chain profit) expected under demand ``scale * x``.
 
-    Priced from the exact expectations of the ``realized_*`` min, max and clip
-    (sales, shortage, exercised); any argument but d and m may be an array.
+    Priced from the exact expectations of sales ``min(D, stock)``, shortage
+    ``max(D - stock, 0)`` and exercised ``clip(D - spot stock, 0, option stock)``
+    in demand D; any argument but d and m may be an array.
     """
     eff = 1.0 - m.beta
     q_total = q_spot + q_option
@@ -273,36 +276,49 @@ def realized_retailer_profit(x, demand_scale: float, m: MarketParams, o: OptionC
     Options are exercised only for demand the spot stock cannot cover, and
     the exercised volume is capped by the effective option stock.
     Vectorized over x.
+
+    In demand D the profit is three lines: slope p up to the spot stock,
+    p - ce up to the whole stock and -g past it.  It is the smaller of the
+    first line and the other two joined at the stock, which is their minimum
+    where the slope falls there (ce <= p + g) and their maximum where it rises.
     """
     demand = demand_scale * np.asarray(x, dtype=float)
     eff = 1.0 - m.beta
     stock = plan.q_total * eff
     spot_stock = plan.q_spot * eff
     option_stock = plan.q_option * eff
-    exercised = np.clip(demand - spot_stock, 0.0, option_stock)
-    sales = np.minimum(demand, stock)
-    shortage = np.maximum(demand - stock, 0.0)
-    out = (m.p * sales - o.c0 * option_stock - o.ce * exercised
-           - m.w0 * spot_stock - m.g * shortage)
+    fixed = -o.c0 * option_stock - m.w0 * spot_stock
+    spot = m.p * demand + fixed
+    exercising = (m.p - o.ce) * demand + (fixed + o.ce * spot_stock)
+    short = -m.g * demand + (fixed + m.p * stock - o.ce * option_stock + m.g * stock)
+    join = np.minimum if o.ce <= m.p + m.g else np.maximum
+    out = np.minimum(spot, join(exercising, short))
     return float(out) if out.ndim == 0 else out
 
 
 def realized_supplier_profit(x, m: MarketParams, o: OptionContract, plan: OrderPlan):
-    """Supplier profit for one demand outcome x, exercised on true demand.  Vectorized over x."""
-    demand = m.theta * np.asarray(x, dtype=float)
+    """Supplier profit for one demand outcome x, exercised on true demand.  Vectorized over x.
+
+    Its fixed part (wholesale and premium income less production cost) plus ce
+    per unit of true demand D past the spot stock, up to the option stock: one
+    line in D, clipped to [fixed, fixed + ce * option stock].
+    """
     eff = 1.0 - m.beta
     spot_stock = plan.q_spot * eff
     option_stock = plan.q_option * eff
-    exercised = np.clip(demand - spot_stock, 0.0, option_stock)
-    out = (m.w0 * spot_stock + o.c0 * option_stock + o.ce * exercised
-           - m.c * plan.q_total)
+    fixed = m.w0 * spot_stock + o.c0 * option_stock - m.c * plan.q_total
+    line = (o.ce * m.theta) * np.asarray(x, dtype=float) + (fixed - o.ce * spot_stock)
+    out = np.clip(line, fixed, fixed + o.ce * option_stock)
     return float(out) if out.ndim == 0 else out
 
 
 def realized_chain_profit(x, m: MarketParams, q_total: float):
-    """Integrated-chain profit for one demand outcome x.  Vectorized over x."""
+    """Integrated-chain profit for one demand outcome x.  Vectorized over x.
+
+    In demand D: p D up to the stock, then -g per unit short; concave, as p > -g.
+    """
     demand = m.theta * np.asarray(x, dtype=float)
     stock = q_total * (1.0 - m.beta)
-    out = (m.p * np.minimum(demand, stock) - m.c * q_total
-           - m.g * np.maximum(demand - stock, 0.0))
+    cost = m.c * q_total
+    out = np.minimum(m.p * demand - cost, -m.g * demand + ((m.p + m.g) * stock - cost))
     return float(out) if out.ndim == 0 else out

@@ -118,7 +118,10 @@ def _check_k_grid(k_grid: tuple[float, ...]) -> None:
 
 @dataclass(frozen=True)
 class SweepScenario:
-    """One sweep: a mode, its fixed value, a k grid, and the base setting."""
+    """One sweep: a mode, its fixed value, a k grid, and the base setting.
+
+    Raises InvalidValue for a fixed price that is missing, not finite or not > 0.
+    """
 
     mode: str
     demand: DemandDistribution
@@ -134,8 +137,11 @@ class SweepScenario:
         _check_k_grid(self.k_grid)
         price = FIXED_PRICE[self.mode]
         required = "contract" if price is None else f"fixed_{price}"
-        if getattr(self, required) is None:
+        value = getattr(self, required)
+        if value is None:
             raise InvalidValue([(required, f"is required in {self.mode} mode")])
+        if price is not None:
+            _check_positive(price, value)
 
 
 class SweepRow(NamedTuple):
@@ -166,10 +172,8 @@ def run_sweep(scenario: SweepScenario) -> list[SweepRow]:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in the rows it flags
         try:
             if s.mode == MODE_FIXED_EXERCISE:
-                _check_positive("ce", ce)
                 c0, q_total = _coordinating_premiums(d, m, ce, rows)
             elif s.mode == MODE_FIXED_PREMIUM:
-                _check_positive("c0", c0)
                 ce, q_total = _coordinating_exercise_prices(d, m, c0, rows)
             else:
                 c0, ce = s.contract.c0, s.contract.ce

@@ -250,6 +250,13 @@ class TestSweep:
         code, out, err = run_cli(capsys, "--config", str(path), "sweep", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--mode", "fixed-exercise-price", "--ce", "-1"), "ce must be finite and > 0, got -1.0"),
+        (("--mode", "fixed-premium", "--c0", "nan"), "c0 must be finite and > 0, got nan"),
+    ])
+    def test_non_positive_fixed_price_exits_two(self, capsys, argv, message):
+        assert run_cli(capsys, "sweep", *argv) == (2, "", f"error: {message}\n")
+
     def test_k_flag_rejected(self, capsys):
         # A sweep walks its k grid, so a single --k would be silently ignored.
         with pytest.raises(SystemExit) as err:
@@ -336,6 +343,7 @@ class TestErrorPaths:
         (("--n", "0"), "sample count must be >= 1"),
         (("--n", "-3"), "sample count must be >= 1"),
         (("--seed", "-1"), "seed must be >= 0"),
+        (("--n", "1000000001"), "sample count must be <= 1000000000, got 1000000001"),
     ])
     def test_bad_sample_count_or_seed_exits_two(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "simulate", "--kind", "retailer", *flags)
@@ -367,6 +375,7 @@ OUT_OF_DOMAIN = [
     ({("overconfidence",): math.inf}, ("optimize",)),
     ({("overconfidence",): math.nan}, ("optimize",)),
     ({("oracle", "grid_step"): math.nan}, ("optimize",)),
+    ({("oracle", "samples"): 1_000_000_001}, ("simulate", "--kind", "chain")),
     ({("sweep",): {"mode": "fixed-premium", "c0": math.nan}}, ("optimize",)),
     ({("sweep", "k_grid"): [math.nan]}, ("optimize",)),
     ({("sweep", "k_grid"): {"start": 1.0, "stop": math.inf, "step": 0.1}}, ("optimize",)),

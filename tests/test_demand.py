@@ -274,6 +274,32 @@ class TestSampling:
         draws = d.sample(np.random.default_rng(3), size=100_000)
         assert np.all(draws >= 0.0) and np.all(np.isfinite(draws))
 
+    @staticmethod
+    def _out_of_place(d, u):
+        """The inverse transform written as one expression, for a float or an array u."""
+        from scipy.special import ndtri
+        if isinstance(d, Uniform):
+            return d.lo + u * (d.hi - d.lo)
+        if isinstance(d, Exponential):
+            return -np.log1p(-u) / d.rate
+        if d.mu > 0.0:
+            x = d.mu + d.sigma * ndtri(d._mass_below_zero + u * d._mass_above_zero)
+        else:
+            x = d.mu - d.sigma * ndtri((1.0 - u) * d._mass_above_zero)
+        return np.maximum(x, 0.0)
+
+    @pytest.mark.parametrize("d", [*ALL_DISTRIBUTIONS, TruncatedNormal(mu=0.0, sigma=10.0),
+                                   TruncatedNormal(mu=-20.0, sigma=8.0)],
+                             ids=lambda d: f"{d.family}-{d.params()}")
+    def test_in_place_transform_equals_out_of_place_formula(self, d):
+        u = np.random.default_rng(17).random(20_000)
+        draws = d.sample(np.random.default_rng(17), size=u.size)
+        assert np.array_equal(draws, self._out_of_place(d, u))
+        for q in (0.0, 2.0**-53, 0.3, 0.5, 1.0 - 2.0**-53, *u[:200].tolist()):
+            draw = d.sample(_FixedStream(q))
+            assert type(draw) is float
+            assert draw == self._out_of_place(d, q)
+
     def test_truncated_normal_sampling_matches_quantile(self):
         # The vectorized sampling inverse and the two-branch quantile agree.
         d = TruncatedNormal(mu=50.0, sigma=20.0)

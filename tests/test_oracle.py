@@ -10,8 +10,11 @@ from conftest import FAMILIES, random_feasible_setup
 from freshopt import (
     Exponential,
     GridSpec,
+    InvalidValue,
+    MarketParams,
     OptionContract,
     OrderPlan,
+    Uniform,
     chain_expected_profit,
     default_grid_spec,
     grid_search_plan,
@@ -23,7 +26,7 @@ from freshopt import (
     retailer_expected_profit,
     supplier_expected_profit,
 )
-from freshopt.oracle import MC_KINDS, _lattice, chunk_stream, chunk_streams
+from freshopt.oracle import MC_KINDS, _MAX_SAMPLES, _lattice, chunk_stream, chunk_streams
 
 REFERENCE_PLAN = OrderPlan(q_spot=240.0 / 6.3, q_option=2080.0 / 63.0)
 
@@ -99,6 +102,29 @@ class TestMcExpected:
             mc_expected("retailer", baseline_demand, baseline_market, baseline_contract,
                         1.0, REFERENCE_PLAN, 0, 1)
 
+    def test_rejects_sample_count_over_cap(self, baseline_demand, baseline_market,
+                                           baseline_contract):
+        with pytest.raises(InvalidValue) as err:
+            mc_expected("chain", baseline_demand, baseline_market, baseline_contract,
+                        1.0, REFERENCE_PLAN, _MAX_SAMPLES + 1, 1)
+        assert err.value.problems == [("samples", "must be <= 1000000000, got 1000000001")]
+
+    def test_constant_profit_mean_is_exact(self):
+        # Demand's true support lies below the spot stock, so the supplier never sells an
+        # exercised unit: every draw has one profit, and so must the mean, with stderr 0.
+        d = Uniform(18.857833532365774, 83.03744599033851)
+        m = MarketParams(p=67.91564877862923, g=1.651333780420735, w0=17.75718785659334,
+                         c=6.2384444198025655, beta=0.14197308716069165,
+                         theta=0.858506578675585)
+        o = OptionContract(c0=9.672773041749839, ce=26.676417896066216)
+        plan = optimal_plan(d, m, o, 1.3339772400897998)
+        assert m.theta * d.hi < plan.q_spot * (1.0 - m.beta)
+        profit = realized_supplier_profit(d.hi, m, o, plan)
+        assert realized_supplier_profit(d.lo, m, o, plan) == profit
+        est = mc_expected("supplier", d, m, o, 1.3339772400897998, plan, 1_000_000, 802254715)
+        assert est.mean == profit
+        assert est.stderr == 0.0
+
     def test_rejects_negative_seed(self, baseline_demand, baseline_market,
                                    baseline_contract):
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -115,7 +141,8 @@ class TestMcExpected:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bit_identical_to_one_draw_per_chunk(self, family):
-        # Reference fold: one draw of the whole chunk, then mean and squared deviations.
+        # Reference fold: one draw of the whole chunk, then its mean as the first profit
+        # plus the mean of the differences from it, and squared deviations.
         d, m, o, k = random_feasible_setup(np.random.default_rng(31), family)
         plan = optimal_plan(d, m, o, k)
         evaluators = {
@@ -131,8 +158,10 @@ class TestMcExpected:
                     take = min(chunk, n - i * chunk)
                     rng = np.random.Generator(np.random.PCG64(child))
                     p = evaluators[kind](d.sample(rng, size=take))
-                    chunk_mean = float(p.mean())
-                    chunk_m2 = float(np.sum((p - chunk_mean) ** 2))
+                    shifted = p - p[0]
+                    offset = float(shifted.mean())
+                    chunk_mean = float(p[0]) + offset
+                    chunk_m2 = float(np.sum((shifted - offset) ** 2))
                     delta, total = chunk_mean - mean, count + take
                     mean += delta * take / total
                     m2 += chunk_m2 + delta * delta * count * take / total

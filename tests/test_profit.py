@@ -332,6 +332,55 @@ class TestRealizedProfits:
             chain = realized_chain_profit(x, m, OPTIMAL_PLAN.q_total)
             assert retailer + supplier == pytest.approx(chain, rel=1e-12, abs=1e-9)
 
+    @staticmethod
+    def _reference(x, scale, m, o, plan):
+        """Realized (retailer, supplier, chain) profits from the exercised volume, sales and
+        shortage as clip, min and max, each with the largest of its terms and of the
+        price-times-demand terms that its affine pieces add."""
+        eff = 1.0 - m.beta
+        stock, spot, option = plan.q_total * eff, plan.q_spot * eff, plan.q_option * eff
+
+        def volumes(demand):
+            return (np.clip(demand - spot, 0.0, option), np.minimum(demand, stock),
+                    np.maximum(demand - stock, 0.0))
+
+        believed, true = scale * x, m.theta * x
+        exercised, sales, shortage = volumes(believed)
+        retailer = ((m.p * sales, -o.c0 * option, -o.ce * exercised, -m.w0 * spot,
+                     -m.g * shortage), (m.p * believed, o.ce * believed, m.g * believed))
+        exercised, sales, shortage = volumes(true)
+        supplier = ((m.w0 * spot, o.c0 * option, o.ce * exercised, -m.c * plan.q_total),
+                    (o.ce * true,))
+        chain = ((m.p * sales, -m.c * plan.q_total, -m.g * shortage), (m.p * true, m.g * true))
+        return [(sum(terms), np.max(np.abs(np.broadcast_arrays(*terms, *pieces)), axis=0))
+                for terms, pieces in (retailer, supplier, chain)]
+
+    @pytest.mark.parametrize("case", ["baseline", "exercise-above-p-plus-g", *FAMILIES])
+    def test_affine_pieces_match_clip_min_max(self, baseline_market, baseline_contract, case):
+        rng = np.random.default_rng(71)
+        if case in FAMILIES:
+            _, m, o, k = random_feasible_setup(rng, case)
+        else:
+            m, k = baseline_market, 1.15
+            # ce = 70 > p + g = 60: past the stock the profit rises again; it is not concave.
+            o = baseline_contract if case == "baseline" else OptionContract(c0=5.0, ce=70.0)
+        plan = OrderPlan(q_spot=37.5, q_option=21.25)
+        scale = m.theta * k
+        eff = 1.0 - m.beta
+        kinks = [q * eff / s for q in (plan.q_spot, plan.q_total) for s in (scale, m.theta)]
+        x = np.concatenate([rng.uniform(0.0, 2.0 * max(kinks), 2000), kinks,
+                            [0.0, 10.0 * max(kinks), 1e6]])
+        got = (realized_retailer_profit(x, scale, m, o, plan),
+               realized_supplier_profit(x, m, o, plan), realized_chain_profit(x, m, plan.q_total))
+        for value, (expected, largest) in zip(got, self._reference(x, scale, m, o, plan)):
+            assert np.all(np.abs(value - expected) <= 8.0 * np.spacing(largest))
+        for i in range(x.size):  # a float gives the array's entry, as a float
+            scalars = (realized_retailer_profit(float(x[i]), scale, m, o, plan),
+                       realized_supplier_profit(float(x[i]), m, o, plan),
+                       realized_chain_profit(float(x[i]), m, plan.q_total))
+            assert all(type(v) is float for v in scalars)
+            assert scalars == tuple(float(v[i]) for v in got)
+
     def test_vectorized_matches_scalar(self, baseline_market, baseline_contract):
         xs = np.array([0.0, 10.0, 55.5, 100.0, 400.0])
         vector = realized_retailer_profit(xs, 0.96, baseline_market, baseline_contract,

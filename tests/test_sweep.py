@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -329,6 +330,18 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="contract"):
             SweepScenario(mode="fixed-contract", demand=baseline_demand,
                           market=baseline_market, k_grid=(1.0,))
+
+    @pytest.mark.parametrize("mode,fixed,problem", [
+        ("fixed-exercise-price", {"fixed_ce": -1.0}, ("ce", "must be finite and > 0, got -1.0")),
+        ("fixed-premium", {"fixed_c0": math.nan}, ("c0", "must be finite and > 0, got nan")),
+    ])
+    def test_fixed_price_must_be_positive(self, baseline_demand, baseline_market, mode, fixed,
+                                          problem):
+        # Rejected when built, so run_sweep never raises for it.
+        with pytest.raises(InvalidValue) as err:
+            SweepScenario(mode=mode, demand=baseline_demand, market=baseline_market,
+                          k_grid=(1.0,), **fixed)
+        assert err.value.problems == [problem]
 
 
 DEMANDS = {
