@@ -13,11 +13,11 @@ as a mask over the grid (a flagged row's note is the error text, or the
 violation names, that the public functions give at its k), the plans
 from at most two array quantile calls, and the profits from two array
 ledger calls (theta*k, theta) and one array call of chain_expected_profit.
-Rows are tuples made from the columns, and printing goes by column too:
-one % format prints all rows, and only a row with a note sends its flag
-and note through csv.writer; monotonicity_report compares the nine
-numeric columns as they print, formatting only the steps that rounding
-could flatten.
+Rows are tuples made from the columns.  Each row prints as csv.writer
+prints its cells, and a solved row (ten floats, flag true, no note)
+prints the same text from one % template; monotonicity_report compares
+the nine numeric columns as they print, formatting only the steps that
+rounding could flatten.
 """
 from __future__ import annotations
 
@@ -26,9 +26,8 @@ import io
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import chain, repeat
-from types import SimpleNamespace
+from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -69,7 +68,6 @@ CSV_COLUMNS = (
 
 _NUMERIC_COLUMNS = CSV_COLUMNS[1:10]
 _NUMBERS = operator.itemgetter(slice(10))  # a row's ten number cells, row[:10]
-_not_none = partial(operator.is_not, None)
 
 # Largest {start, stop, step} range built; the default grids have 15 and 76 points.
 _MAX_K_POINTS = 100_000
@@ -120,7 +118,8 @@ def _check_k_grid(k_grid: tuple[float, ...]) -> None:
 class SweepScenario:
     """One sweep: a mode, its fixed value, a k grid, and the base setting.
 
-    Raises InvalidValue for a fixed price that is missing, not finite or not > 0.
+    Raises InvalidValue for a fixed price that is missing, not finite or not > 0,
+    and for a fixed price or contract that the mode does not read.
     """
 
     mode: str
@@ -140,6 +139,11 @@ class SweepScenario:
         value = getattr(self, required)
         if value is None:
             raise InvalidValue([(required, f"is required in {self.mode} mode")])
+        unread = [(name, f"is not read in {self.mode} mode")
+                  for name in ("fixed_ce", "fixed_c0", "contract")
+                  if name != required and getattr(self, name) is not None]
+        if unread:
+            raise InvalidValue(unread)
         if price is not None:
             _check_positive(price, value)
 
@@ -271,7 +275,7 @@ def monotonicity_report(rows: list[SweepRow]) -> MonotonicityReport:
     # Print moves a value by at most 5e-7 and keeps the order of any two, so only a
     # nonzero step below 2e-6 can change sign in print: those are taken as printed.
     near = (steps != 0.0) & (abs(steps) < 2e-6)
-    left, right = (np.array(_format_rows(list(zip(end[near].tolist()))), dtype=float)
+    left, right = (np.array(list(map(_format_cell, end[near].tolist())), dtype=float)
                    for end in (values[:, :-1], values[:, 1:]))
     steps[near] = right - left
     rising, falling = steps > 0.0, steps < 0.0
@@ -285,9 +289,6 @@ def monotonicity_report(rows: list[SweepRow]) -> MonotonicityReport:
     return MonotonicityReport(trends)
 
 
-_SPECS = {float: "%.6f", type(None): ""}  # None prints as nothing and takes no argument
-
-
 def _format_cell(value) -> str:
     """A value as it prints: a float (or float subclass) as %.6f, with -0.000000 as
     0.000000; None as empty; a bool as true or false; anything else as str()."""
@@ -299,41 +300,22 @@ def _format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _format_rows(rows: list[tuple], ends: list[str] | None = None) -> list[str]:
-    """The cells of each tuple (all of one length) as _format_cell prints them, joined by
-    ',', then its end if given (text without '%' or a line break); tuples of floats and
-    None share one % format, from a template per type pattern and end."""
-    cells = tuple(chain.from_iterable(rows))
-    ends = ends or [""] * len(rows)
-    kinds = list(zip(*[iter(map(type, cells))] * len(rows[0]), ends)) if rows else []
-    templates = dict.fromkeys(kinds)
-    for kind in templates:
-        *types, end = kind
-        if not _SPECS.keys() >= set(types):
-            return [",".join(map(_format_cell, row)) + end for row, end in zip(rows, ends)]
-        templates[kind] = ",".join(map(_SPECS.__getitem__, types)) + end + "\n"
-    text = "".join(map(templates.__getitem__, kinds)) % tuple(filter(_not_none, cells))
-    return text.replace("-0.000000", "0.000000").split("\n")[:-1]  # a sign only leads a cell
-
-
-# How csv.writer ends a row whose flag is a bool and whose note is empty: nothing to quote.
-_PLAIN_ENDS = {flag: f",{_format_cell(flag)}," for flag in (False, True)}
-_ECHO = SimpleNamespace(write=str)  # a csv.writer on it returns each line instead of writing it
+# A solved row: ten floats, flag True, empty note; its printed numbers hold nothing to quote.
+_SOLVED = ",".join(["%.6f"] * 10) + ",true,\n"
+_FLOATS = [float] * 10
 
 
 def write_csv(rows: list[SweepRow], stream) -> None:
-    """Fixed-column CSV: '.' decimals, ',' delimiter, header mandatory.  A printed number
-    holds no delimiter, quote or line break, so only a row with a note goes through
-    csv.writer; the others print whole from their % template."""
-    line = csv.writer(_ECHO, lineterminator="\n").writerow
-    plain = [type(row[10]) is bool and row[11] == "" for row in rows]
-    texts = _format_rows(list(map(_NUMBERS, rows)),
-                         [_PLAIN_ENDS[row[10]] if ok else "," for row, ok in zip(rows, plain)])
-    for i, ok in enumerate(plain):
-        if not ok:
-            texts[i] += line(map(_format_cell, rows[i][10:]))[:-1]
-    texts.append("")  # the last line's break
-    stream.write(line(CSV_COLUMNS) + "\n".join(texts))
+    """Fixed-column CSV: '.' decimals, ',' delimiter, header mandatory.  Each row prints
+    as csv.writer prints its _format_cell cells; a solved row prints the same text from
+    one % template, in which a '-' only ever leads a cell."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        if row[10] is True and row[11] == "" and list(map(type, row[:10])) == _FLOATS:
+            stream.write((_SOLVED % row[:10]).replace("-0.000000", "0.000000"))
+        else:
+            writer.writerow(map(_format_cell, row))
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

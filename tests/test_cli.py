@@ -159,6 +159,14 @@ class TestSimulate:
         assert lines["analytic"] == "497.142857"
         assert float(lines["sigma_distance"]) < 3.0
 
+    def test_failed_check_exits_one(self, capsys):
+        # Two draws cannot bring the mean near the analytic value.
+        code, out, err = run_cli(capsys, "simulate", "--kind", "retailer", "--n", "2",
+                                 "--seed", "11")
+        assert code == 1
+        assert "sigma_distance=29.890931\n" in out
+        assert err == "simulation check failed: |mc-analytic| = 29.89 standard errors\n"
+
     @pytest.mark.parametrize("kind", ["supplier", "chain"])
     def test_other_kinds(self, capsys, kind):
         code, out, _ = run_cli(capsys, "simulate", "--kind", kind,
@@ -269,6 +277,11 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "--config", "/no/such/file.json", "optimize")
         assert code == 2
         assert "not found" in err
+
+    def test_config_directory_exits_two(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "--config", str(tmp_path), "optimize")
+        assert code == 2
+        assert err == f"error: configuration path is a directory: {tmp_path}\n"
 
     def test_invalid_config_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from freshopt import (
+    MODES,
     ConfigNotFound,
     ConfigParseError,
     ConfigValidationError,
@@ -305,6 +306,8 @@ REJECTED_SHAPES = [
     ("comment-number", _baseline_with(("comment",), 7), ["comment: expected a string"]),
     ("k-grid-string", _baseline_with(("sweep", "k_grid"), "0.8:1.5"),
      ["sweep.k_grid: expected a list of numbers or {start, stop, step}"]),
+    ("sweep-mode-unknown", _baseline_with(("sweep",), {"mode": "x"}),
+     [f"sweep.mode: expected one of {MODES}, got 'x'"]),
     ("fixed-contract-without-contract",
      {**_baseline_without("contract"), "sweep": {"mode": "fixed-contract"}},
      ["sweep.mode: fixed-contract mode requires the contract section"]),

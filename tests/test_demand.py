@@ -323,6 +323,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             TruncatedNormal(mu=50.0, sigma=sigma)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_truncated_normal_rejects_non_finite_mu(self, mu):
+        with pytest.raises(InvalidValue) as info:
+            TruncatedNormal(mu=mu, sigma=20.0)
+        assert info.value.problems == [("mu", f"must be finite, got {mu}")]
+
     @pytest.mark.parametrize("mu,sigma", [(-60.0, 1.0), (-1e3, 10.0), (-37.8, 1.0), (-38.2, 1.0)])
     def test_truncated_normal_rejects_vanishing_mass(self, mu, sigma):
         # Phi(mu/sigma) underflows to 0, or to a subnormal short of digits (at mu = -38.2

@@ -20,42 +20,30 @@ def _run(probe: str) -> str:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
-    return result.stdout.strip()
+    return result.stdout
+
+
+_PRINT_SCIPY = "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
 
 
 def _scipy_modules_after(statement: str) -> set[str]:
     """Names of the scipy modules loaded in a fresh interpreter after running statement."""
-    probe = ("import contextlib, io, sys\n"
-             f"{statement}\n"
-             "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    return set(_run(probe).split())
+    return set(_run(f"import contextlib, io, sys\n{statement}\n{_PRINT_SCIPY}").split())
+
+
+def _argv(config: Path | None, *args: str) -> tuple[str, ...]:
+    return (() if config is None else ("--config", str(config))) + args
 
 
 def _cli(config: Path | None, *args: str) -> str:
-    argv = ([] if config is None else ["--config", str(config)]) + list(args)
     return ("from freshopt import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
-            f"    assert cli.main({argv!r}) == 0")
+            f"    assert cli.main({list(_argv(config, *args))!r}) == 0")
 
 
-def test_no_solver_submodules_loaded():
-    probe = ("import sys, freshopt, freshopt.cli; "
-             "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
-    assert _run(probe) == "[]"
-
-
-def test_import_loads_no_scipy():
-    assert _scipy_modules_after("import freshopt, freshopt.cli") == set()
-
-
-@pytest.mark.parametrize("config", [None, GOLDEN / "exponential.json"],
-                         ids=["packaged-uniform", "exponential"])
-def test_closed_form_families_load_no_scipy(config):
-    assert _scipy_modules_after(_cli(config, "optimize")) == set()
-
-
-@pytest.mark.parametrize("args", [
+FAMILIES = {"packaged-uniform": None, "exponential": GOLDEN / "exponential.json"}
+TRUNCATED_NORMAL_COMMANDS = [
     ("optimize",),
     ("evaluate", "--q1", "30", "--qq", "20"),
     ("coordinate",),
@@ -63,9 +51,48 @@ def test_closed_form_families_load_no_scipy(config):
     ("sweep", "--mode", "fixed-exercise-price", "--ce", "30"),
     ("sweep", "--mode", "fixed-premium", "--c0", "5"),
     ("sweep", "--mode", "fixed-contract"),
-], ids=lambda args: "-".join(a.lstrip("-") for a in args if not a[0].isdigit()))
-def test_truncated_normal_closed_forms_load_no_scipy(args):
-    assert _scipy_modules_after(_cli(GOLDEN / "truncated-normal.json", *args)) == set()
+]
+CLOSED_FORM_RUNS = ([_argv(config, "optimize") for config in FAMILIES.values()]
+                    + [_argv(GOLDEN / "truncated-normal.json", *args)
+                       for args in TRUNCATED_NORMAL_COMMANDS])
+
+
+@pytest.fixture(scope="module")
+def scipy_after() -> dict[tuple[str, ...], set[str]]:
+    """The scipy modules loaded in one fresh interpreter after importing freshopt and
+    freshopt.cli (key ()), then after each of CLOSED_FORM_RUNS in turn (key: its argv).
+    Loading only adds modules, so an empty set after a run shows that no run up to it
+    loaded scipy."""
+    probe = ("import contextlib, io, sys\n"
+             "import freshopt, freshopt.cli\n"
+             f"{_PRINT_SCIPY}\n"
+             f"for argv in {CLOSED_FORM_RUNS!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()), "
+             "contextlib.redirect_stderr(io.StringIO()):\n"
+             "        assert freshopt.cli.main(list(argv)) == 0\n"
+             f"    {_PRINT_SCIPY}")
+    lines = _run(probe).splitlines()
+    assert len(lines) == 1 + len(CLOSED_FORM_RUNS)
+    return {run: set(line.split()) for run, line in zip([(), *CLOSED_FORM_RUNS], lines)}
+
+
+def test_no_solver_submodules_loaded(scipy_after):
+    assert not {"scipy.integrate", "scipy.optimize"} & scipy_after[()]
+
+
+def test_import_loads_no_scipy(scipy_after):
+    assert scipy_after[()] == set()
+
+
+@pytest.mark.parametrize("config", FAMILIES.values(), ids=FAMILIES)
+def test_closed_form_families_load_no_scipy(scipy_after, config):
+    assert scipy_after[_argv(config, "optimize")] == set()
+
+
+@pytest.mark.parametrize("args", TRUNCATED_NORMAL_COMMANDS,
+                         ids=lambda args: "-".join(a.lstrip("-") for a in args if not a[0].isdigit()))
+def test_truncated_normal_closed_forms_load_no_scipy(scipy_after, args):
+    assert scipy_after[_argv(GOLDEN / "truncated-normal.json", *args)] == set()
 
 
 def test_truncated_normal_loads_only_special():

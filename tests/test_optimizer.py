@@ -11,6 +11,7 @@ from freshopt import (
     NoRoot,
     NonCoordinable,
     OptionContract,
+    TruncatedNormal,
     Uniform,
     chain_expected_profit,
     check_feasibility,
@@ -20,6 +21,7 @@ from freshopt import (
     optimal_plan,
     retailer_profit_gradient,
 )
+from freshopt.optimizer import _centralized_quantile
 from freshopt.profit import require_feasible_contract
 
 Q_CENTRAL = 5200.0 / 81.0  # 64.197530864...
@@ -30,6 +32,7 @@ class TestCheckFeasibility:
         report = check_feasibility(baseline_market, baseline_contract, 1.0)
         assert report.ok
         assert report.names() == ()
+        assert report.describe() == "ok"
 
     def test_assumption_four(self, baseline_demand, baseline_contract):
         from freshopt import MarketParams
@@ -222,6 +225,15 @@ class TestCoordinatingExercisePrice:
         # return a negative price.
         with pytest.raises(NoRoot, match="requires k >"):
             coordinating_exercise_price(baseline_demand, baseline_market, 5.0, 0.72)
+
+    def test_no_root_hint_from_upper_quantile_past_one_half(self, baseline_market):
+        # c0/(p+g) = 2/3 > 1/2 with mu > 0: the upper quantile goes through the lower one.
+        d, c0, pg = TruncatedNormal(50.0, 20.0), 40.0, 60.0
+        x_central = _centralized_quantile(d, baseline_market)
+        with pytest.raises(NoRoot) as err:
+            coordinating_exercise_price(d, baseline_market, c0, 0.5)
+        assert str(err.value).endswith(
+            f"requires k > {x_central / d.quantile(1.0 - c0 / pg):.6g}")
 
     def test_no_root_when_formula_negative(self, baseline_demand, baseline_market):
         # k = 0.75 is above the pole but the solution would be -75.

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -157,6 +158,34 @@ class TestScenarioFixedContract:
         assert {r.ce for r in rows} == {35.0}
 
 
+# Signed zeros, cells on either side of a sixth-decimal tie, huge and non-finite floats.
+_EDGE_NUMBERS = (-0.0, 0.0, -4e-7, 4e-7, -5e-7, 5e-7, -5.000001e-7, 4.999999e-7, 1.0000005,
+                 -2.5e-6, 1e300, -1e300, math.inf, -math.inf, math.nan)
+_NOTES = ("", "a,b", 'say "hi"', "line\nbreak", "100%", "-0.000000", "q_option;supplier")
+
+
+def _mixed_rows(seed: int, n: int) -> list[SweepRow]:
+    """A seeded table: about half solved rows (ten floats, flag True, no note), the rest
+    with None, int, np.float64 or bool cells, a flag of True, False or 1, and any note."""
+    rng = random.Random(seed)
+
+    def number():
+        if rng.random() < 0.5:
+            return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 6)
+        return rng.choice(_EDGE_NUMBERS)
+
+    rows = []
+    for _ in range(n):
+        cells = [number() for _ in range(10)]
+        if rng.random() < 0.5:
+            rows.append(SweepRow(*cells, True, ""))
+            continue
+        for i in rng.sample(range(10), rng.randint(0, 4)):
+            cells[i] = rng.choice([None, 7, -3, np.float64(cells[i]), True, False])
+        rows.append(SweepRow(*cells, rng.choice([True, False, 1]), rng.choice(_NOTES)))
+    return rows
+
+
 class TestDeterminismAndCsv:
     def test_rows_are_pure_functions_of_scenario(self, baseline_demand, baseline_market):
         scenario = _scenario_b(baseline_demand, baseline_market)
@@ -201,12 +230,14 @@ class TestDeterminismAndCsv:
             '3.000000,,,0.000000,,,,,,,false,"100% of -0.000000\nnext"\n'
             "4.000000,,,,,,,,,,true,kept\n"
             "5.000000,,,,,,,,,,1,\n")
-        # What csv.writer gives for every printed cell of every row.
-        reference = io.StringIO()
-        writer = csv.writer(reference, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows([_format_cell(cell) for cell in row] for row in rows)
-        assert text == reference.getvalue()
+        # What csv.writer gives for every printed cell of every row, here and on a seeded
+        # table that mixes solved rows with every other kind of row.
+        for table in (rows, _mixed_rows(seed=15, n=400)):
+            reference = io.StringIO()
+            writer = csv.writer(reference, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows([_format_cell(cell) for cell in row] for row in table)
+            assert rows_to_csv(table) == reference.getvalue()
 
     def test_infeasible_numeric_fields_empty(self, baseline_demand, baseline_market):
         rows = run_sweep(_scenario_b(baseline_demand, baseline_market))
@@ -300,6 +331,20 @@ class TestMonotonicityReport:
 
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize("mode,name,value", [
+        ("fixed-exercise-price", "fixed_c0", -7.0),
+        ("fixed-exercise-price", "contract", OptionContract(1.0, 2.0)),
+        ("fixed-premium", "fixed_ce", 35.0),
+        ("fixed-premium", "contract", OptionContract(1.0, 2.0)),
+        ("fixed-contract", "fixed_ce", math.nan),
+        ("fixed-contract", "fixed_c0", 5.0),
+    ])
+    def test_rejects_a_price_its_mode_does_not_read(self, baseline_demand, baseline_market,
+                                                    mode, name, value):
+        with pytest.raises(InvalidValue) as err:
+            _mode_scenario(mode, baseline_demand, baseline_market, (1.0, 1.1), **{name: value})
+        assert err.value.problems == [(name, f"is not read in {mode} mode")]
+
     def test_modes_exposed(self):
         assert MODES == ("fixed-exercise-price", "fixed-premium", "fixed-contract")
 
@@ -359,10 +404,10 @@ PLAN_AND_PROFIT = ("q_total", "q_spot", "q_option", "retailer_profit_believed",
                    "retailer_profit_true", "supplier_profit", "chain_profit")
 
 
-def _mode_scenario(mode, d, m, grid):
+def _mode_scenario(mode, d, m, grid, **unread):
     fixed = {"fixed-exercise-price": {"fixed_ce": 35.0}, "fixed-premium": {"fixed_c0": 5.0},
              "fixed-contract": {"contract": OptionContract(c0=5.0, ce=35.0)}}[mode]
-    return SweepScenario(mode=mode, demand=d, market=m, k_grid=grid, **fixed)
+    return SweepScenario(mode=mode, demand=d, market=m, k_grid=grid, **fixed, **unread)
 
 
 @pytest.mark.parametrize("mode", MODES)
