@@ -6,10 +6,17 @@ primitives: the CDF ``F``, its inverse, and the partial integral
 supported demand families, together with reproducible inverse-transform
 sampling.  All families live on the nonnegative half-line, as demand for
 a perishable good must.
+
+Each primitive takes a float or a numpy array.  A float computes with
+``math`` alone; an array maps the same ``math`` function over its entries
+wherever numpy's own (``expm1``, ``exp``) rounds differently, so each entry
+equals the float call bit for bit.  numpy itself loads on the first array
+operation, not at import: the package's other modules take ``np`` from here.
 """
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import math
 import sys
 from abc import ABC, abstractmethod
@@ -17,7 +24,21 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import ClassVar
 
-import numpy as np
+
+def _lazy_module(name: str):
+    """The module ``name``, registered in sys.modules now and executed on its first
+    attribute access.  Any later ``import name`` reads ``__spec__`` and so executes it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_module("numpy")
 
 
 class OutOfRange(ValueError):
@@ -57,8 +78,29 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def _scalar_or_array(values: np.ndarray, scalar_input: bool):
+def _scalar_or_array(values, scalar_input: bool):
+    """A 0-d input (a numpy scalar, an int, a 0-d array) takes the array branch; it
+    comes back as a float."""
     return float(values) if scalar_input else values
+
+
+def _entrywise(fn, x):
+    """fn of a float or, mapped entry by entry, of an array: each entry equals the
+    float call bit for bit, which numpy's vectorized expm1 and exp do not."""
+    if isinstance(x, float):
+        return fn(x)
+    flat = np.ravel(x)
+    return np.fromiter(map(fn, flat.tolist()), float, flat.size).reshape(np.shape(x))
+
+
+def _any(x) -> bool:
+    """np.any(x) for a number or an array; a number needs no numpy."""
+    return bool(x) if isinstance(x, (int, float)) else bool(np.any(x))
+
+
+def _floor_at_zero(x):
+    """np.maximum(x, 0.0) for a float or an array: nan stays nan and -0.0 becomes 0.0."""
+    return max(x, 0.0) + 0.0 if isinstance(x, float) else np.maximum(x, 0.0)
 
 
 def _check_level(q: float) -> float:
@@ -70,10 +112,7 @@ def _check_level(q: float) -> float:
 
 def _ndtr(z):
     """Standard normal CDF of a float or, entry by entry, an array; one formula for both."""
-    if isinstance(z, float):
-        return 0.5 * math.erfc(-z * _SQRT_HALF)
-    flat = np.ravel(z) * -_SQRT_HALF
-    return 0.5 * np.fromiter(map(math.erfc, flat.tolist()), float, flat.size).reshape(np.shape(z))
+    return 0.5 * _entrywise(math.erfc, -z * _SQRT_HALF)
 
 
 @cache
@@ -140,12 +179,15 @@ class DemandDistribution(ABC):
         """int_0^a F(x) dx for a >= 0; accepts scalars or numpy arrays.
 
         Nondecreasing and convex in ``a``, zero at ``a = 0``, and never
-        larger than ``a`` itself.
+        larger than ``a`` itself.  A nan ``a`` gives nan.  A float takes
+        plain Python arithmetic, equal bit for bit to the array path's entry.
         """
-        arr = np.asarray(a, dtype=float)
-        if np.any(arr < 0.0):
+        scalar = type(a) is float
+        arr = a if scalar else np.asarray(a, dtype=float)
+        if _any(arr < 0.0):
             raise ValueError("cdf_integral requires a >= 0")
-        return _scalar_or_array(self._cdf_integral(arr), arr.ndim == 0)
+        values = self._cdf_integral(arr)
+        return values if scalar else _scalar_or_array(values, arr.ndim == 0)
 
     def sample(self, stream, size=None):
         """Inverse-transform draw(s) from ``stream`` (a numpy Generator).
@@ -192,8 +234,9 @@ class Uniform(DemandDistribution):
         return self.hi - t * (self.hi - self.lo)
 
     def _cdf_integral(self, a):
-        inside = np.clip(a, self.lo, self.hi) - self.lo
-        return inside * inside / (2.0 * (self.hi - self.lo)) + np.maximum(a - self.hi, 0.0)
+        inside = (min(max(a, self.lo), self.hi) if isinstance(a, float)
+                  else np.clip(a, self.lo, self.hi)) - self.lo
+        return inside * inside / (2.0 * (self.hi - self.lo)) + _floor_at_zero(a - self.hi)
 
     def _inverse_transform(self, u):
         u *= self.hi - self.lo
@@ -214,10 +257,9 @@ class Exponential(DemandDistribution):
 
     def cdf(self, x):
         if type(x) is float:
-            # np.expm1, not math.expm1: the two differ in the last bit on some inputs.
-            return -float(np.expm1(-self.rate * x)) if x > 0.0 else 0.0
+            return -math.expm1(-self.rate * x) if x > 0.0 else 0.0
         arr = np.asarray(x, dtype=float)
-        vals = np.where(arr > 0.0, -np.expm1(-self.rate * np.maximum(arr, 0.0)), 0.0)
+        vals = np.where(arr > 0.0, -_entrywise(math.expm1, -self.rate * np.maximum(arr, 0.0)), 0.0)
         return _scalar_or_array(vals, arr.ndim == 0)
 
     def mean(self) -> float:
@@ -231,7 +273,7 @@ class Exponential(DemandDistribution):
 
     def _cdf_integral(self, a):
         # a - (1 - exp(-rate*a))/rate, written with expm1 so small a stay accurate
-        return a + np.expm1(-self.rate * a) / self.rate
+        return a + _entrywise(math.expm1, -self.rate * a) / self.rate
 
     def _inverse_transform(self, u):
         np.negative(u, out=u)
@@ -311,10 +353,10 @@ class TruncatedNormal(DemandDistribution):
         # regrouped as (a - mu) F(a) + sigma (phi(z_a) - phi(z_0)) / Phi(mu/sigma) so that
         # rounding scales with the terms; the clamp absorbs what is left near a = 0.
         z = (a - self.mu) / self.sigma
-        density = np.exp(-0.5 * z * z) / _SQRT_2PI
+        density = _entrywise(math.exp, -0.5 * z * z) / _SQRT_2PI
         vals = ((a - self.mu) * self.cdf(a)
                 + self.sigma * (density - self._density_at_cut) / self._mass_above_zero)
-        return np.maximum(vals, 0.0)
+        return _floor_at_zero(vals)
 
     def _inverse_transform(self, u):
         from scipy.special import ndtri  # vectorized: several times faster than any stdlib route

@@ -10,12 +10,11 @@ equals the centralized one.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .demand import DemandDistribution, InvalidValue, _check_positive
+from .demand import DemandDistribution, InvalidValue, _any, _check_positive, _floor_at_zero, np
 from .profit import (
     Infeasible,
     MarketParams,
@@ -144,9 +143,10 @@ def _plans(d: DemandDistribution, m: MarketParams, tf, sf, rows, q_total=None):
     if q_total is None:
         q_total = rows.scatter(_believed_stock(d, m, k, rows.gather(tf)))
     q_spot = rows.scatter(_believed_stock(d, m, k, rows.gather(sf)))
-    rows.screen(~np.isfinite(q_total), lambda at: _overflow("optimal plan"))
+    finite = math.isfinite(q_total) if isinstance(q_total, float) else np.isfinite(q_total)
+    rows.screen(_not(finite), lambda at: _overflow("optimal plan"))
     # q_spot <= q_total, since tf >= sf is already guaranteed; the floor only absorbs rounding dust.
-    return q_spot, np.maximum(q_total - q_spot, 0.0)
+    return q_spot, _floor_at_zero(q_total - q_spot)
 
 
 def _centralized_quantile(d: DemandDistribution, m: MarketParams, stacklevel: int = 3) -> float:
@@ -253,8 +253,8 @@ def _coordinating_premiums(d: DemandDistribution, m: MarketParams, ce: float, ro
     mass_below = d.cdf(x_central / rows.k)
     # Bounded-support families: the shrunk quantile fell past the top of
     # the demand support, so no positive premium can coordinate.
-    k_floor = _k_floor_for_premium(d, x_central)
-    hint = f" (requires k > {k_floor:.6g})" if k_floor is not None else ""
+    hi = getattr(d, "hi", None)
+    hint = f" (requires k > {x_central / hi:.6g})" if hi is not None else ""
     rows.screen(mass_below >= 1.0, lambda at: NonCoordinable(
         f"k-domain: coordinating premium would be <= 0 at k={at(rows.k)}{hint}"))
     # Demand floor above the shrunk quantile: the premium would have to
@@ -290,14 +290,6 @@ def _coordinated_total(d: DemandDistribution, m: MarketParams, o: _Prices, rows,
     return q_total
 
 
-def _k_floor_for_premium(d: DemandDistribution, x_central: float) -> float | None:
-    # Only bounded-support families can push the shrunk quantile off the top.
-    hi = getattr(d, "hi", None)
-    if hi is None or not (hi > 0.0):
-        return None
-    return x_central / hi
-
-
 def coordinating_exercise_price(d: DemandDistribution, m: MarketParams, c0: float,
                                 k: float) -> float:
     """Exercise price coordinating the channel at a fixed premium.
@@ -328,7 +320,7 @@ def _coordinating_exercise_prices(d: DemandDistribution, m: MarketParams, c0: fl
     mass_below = d.cdf(x_central / rows.k)
     no_price = f"no coordinating exercise price in (0, {pg - c0:.6g}) at k="
     too_low = mass_below >= 1.0 - c0 / pg
-    if np.any(too_low):
+    if _any(too_low):
         k_floor = x_central / d._upper_quantile(c0 / pg)
         rows.screen(too_low, lambda at: NoRoot(
             f"{no_price}{at(rows.k)}: coordination at this premium requires k > {k_floor:.6g}"))

@@ -23,10 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
-from .demand import DemandDistribution, InvalidValue, _check_positive
+from .demand import DemandDistribution, InvalidValue, _check_positive, np
 from .profit import (
     MarketParams,
     OptionContract,
@@ -93,11 +90,6 @@ def _check_draws(samples: int, seed: int) -> None:
 def chunk_stream(seed: int, index: int) -> np.random.SeedSequence:
     """Seed sequence of sample chunk ``index``; equals ``SeedSequence(seed).spawn(...)[index]``."""
     return np.random.SeedSequence(seed, spawn_key=(index,))
-
-
-def chunk_streams(seed: int, n: int) -> list[np.random.SeedSequence]:
-    """Child seed sequences for the fixed-size sample chunks of a run."""
-    return [chunk_stream(seed, i) for i in range((n + _CHUNK - 1) // _CHUNK)]
 
 
 def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionContract,
@@ -171,6 +163,19 @@ def _lattice(bounds: tuple[float, float], step: float) -> np.ndarray:
     return lo + step * np.arange(count)
 
 
+def _window_max(x: np.ndarray, w: int) -> np.ndarray:
+    """The maximum of each length-w window of x, as np.max would give it (nan included),
+    in O(len(x)) (van Herk / Gil-Werman): cut x into blocks of w; a window is a suffix of
+    one block and a prefix of the next, so its maximum is the larger of the two."""
+    blocks = -(-len(x) // w)
+    padded = np.full(blocks * w, -np.inf)
+    padded[:len(x)] = x
+    padded = padded.reshape(blocks, w)
+    prefix = np.maximum.accumulate(padded, axis=1).ravel()
+    suffix = np.maximum.accumulate(padded[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:len(x) - w + 1], prefix[w - 1:len(x)])
+
+
 def grid_search_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
                      k: float, spec: GridSpec) -> OrderPlan:
     """Grid point maximizing the retailer's expected profit.
@@ -191,7 +196,7 @@ def grid_search_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
     spot_part = (o.c0 + o.ce - m.w0) * eff * q1s - o.ce * scale * d.cdf_integral(q1s * eff / scale)
     # Adding a row's spot part is monotone in floating point, so the row
     # maximum of T + S is the window maximum of T plus S.
-    i = int(np.argmax(sliding_window_view(total_part, nq).max(axis=1) + spot_part))
+    i = int(np.argmax(_window_max(total_part, nq) + spot_part))
     j = int(np.argmax(total_part[i:i + nq] + spot_part[i]))
     return OrderPlan(q_spot=float(q1s[i]), q_option=float(qqs[j]))
 

@@ -28,9 +28,14 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .demand import DemandDistribution, InvalidValue, _check_nonnegative, _check_positive
+from .demand import (
+    DemandDistribution,
+    InvalidValue,
+    _any,
+    _check_nonnegative,
+    _check_positive,
+    np,
+)
 
 
 class InfeasibleContract(ValueError):
@@ -195,8 +200,8 @@ def _ledger(d: DemandDistribution, m: MarketParams, c0, ce, scale, q_spot, q_opt
     option_stock = q_option * eff
     partial = d.cdf_integral(stock / scale)
     # With no options the spot stock is the whole stock; with no spot stock its partial is 0.
-    spot_partial = (partial if not np.any(q_option)
-                    else d.cdf_integral(spot_stock / scale) if np.any(q_spot) else 0.0)
+    spot_partial = (partial if not _any(q_option)
+                    else d.cdf_integral(spot_stock / scale) if _any(q_spot) else 0.0)
     sales = stock - scale * partial
     shortage = scale * d.mean() - stock + scale * partial
     exercised = option_stock - scale * (partial - spot_partial)
@@ -260,13 +265,17 @@ def supplier_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
 
 def chain_expected_profit(d: DemandDistribution, m: MarketParams, q_total):
     """Expected profit of the integrated chain stocking q_total in total.  Vectorized."""
-    flat = np.ravel(q_total)  # one mask, float or array; the first bad entry names the error
-    bad = flat[~(np.isfinite(flat) & (flat >= 0.0))]
-    if bad.size:
-        _check_nonnegative("q_total", bad[0].item())
+    scalar = isinstance(q_total, float)
+    if scalar:
+        _check_nonnegative("q_total", q_total)
+    else:
+        flat = np.ravel(q_total)  # one mask; the first bad entry names the error
+        bad = flat[~(np.isfinite(flat) & (flat >= 0.0))]
+        if bad.size:
+            _check_nonnegative("q_total", bad[0].item())
     _, _, chain = _ledger(d, m, 0.0, 0.0, m.theta, q_total, 0.0)
     _require_finite("chain expected profit", chain)
-    return float(chain) if np.ndim(chain) == 0 else chain
+    return float(chain) if scalar or np.ndim(chain) == 0 else chain
 
 
 def realized_retailer_profit(x, demand_scale: float, m: MarketParams, o: OptionContract,

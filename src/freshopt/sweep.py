@@ -30,9 +30,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
-import numpy as np
-
-from .demand import DemandDistribution, InvalidValue, _check_positive
+from .demand import DemandDistribution, InvalidValue, _check_positive, np
 from .optimizer import (
     Infeasible,
     NonCoordinable,

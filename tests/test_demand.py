@@ -15,6 +15,7 @@ from freshopt import (
     Uniform,
     make_distribution,
 )
+from freshopt.demand import _floor_at_zero
 
 ALL_DISTRIBUTIONS = [
     Uniform(0.0, 100.0),
@@ -68,6 +69,15 @@ class TestCdf:
             value = d.cdf(x)
             assert type(value) is float
             assert value.hex() == float(d.cdf(np.array([x]))[0]).hex(), x
+
+    def test_exponential_array_entries_map_math_expm1(self):
+        # Inputs where numpy's expm1 and math's round differently: an array path
+        # that went back to np.expm1 would disagree with the float call on each.
+        d = Exponential(rate=0.02)
+        x = np.random.default_rng(71).exponential(50.0, size=20_000)
+        differ = x[-np.expm1(-d.rate * x) != np.array([d.cdf(v) for v in x.tolist()])]
+        assert differ.size >= 100
+        assert [d.cdf(v).hex() for v in differ.tolist()] == [v.hex() for v in d.cdf(differ).tolist()]
 
     @pytest.mark.parametrize("mu,sigma", [(-40.0, 10.0), (50.0, 10.0), (30.0, 1.0)])
     def test_truncated_normal_against_high_precision(self, mu, sigma):
@@ -237,6 +247,57 @@ class TestCdfIntegral:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Uniform(0.0, 100.0).cdf_integral(-1.0)
+
+    @pytest.mark.parametrize("d", [Uniform(10.0, 110.0), Exponential(rate=0.02),
+                                   TruncatedNormal(50.0, 20.0), TruncatedNormal(-30.0, 1.0)],
+                             ids=lambda d: f"{d.family}-{d.params()}")
+    def test_float_equals_array_entry(self, d):
+        # Floats take their own path; it must read like the array path, hex for hex.
+        points = [0.0, -0.0, 5e-324, 1e-300, 1e-9, 10.0, 50.0, 110.0, 110.0001, 1e3, 1e6,
+                  1e300, math.inf, math.nan]
+        for a in points:
+            value = d.cdf_integral(a)
+            assert type(value) is float
+            with np.errstate(over="ignore"):  # z * z overflows to inf at 1e300, as floats do
+                entry = float(d.cdf_integral(np.array([a]))[0])
+            assert value.hex() == entry.hex(), a
+
+    def test_float_floor_matches_numpy_maximum(self):
+        # max(-0.0, 0.0) is -0.0 and max(0.0, nan) is 0.0; np.maximum gives 0.0 and nan.
+        for x in (-0.0, 0.0, 5e-324, -5e-324, -1.0, 2.5, math.inf, -math.inf, math.nan):
+            assert _floor_at_zero(x).hex() == float(np.maximum(x, 0.0)).hex(), x
+
+    def test_float_path_edge_values(self):
+        for d in ALL_DISTRIBUTIONS:
+            assert math.isnan(d.cdf_integral(math.nan))
+            assert d.cdf_integral(-0.0) == 0.0
+            for a in (-5e-324, -1.0, -math.inf):
+                with pytest.raises(ValueError, match="requires a >= 0"):
+                    d.cdf_integral(a)
+
+    @staticmethod
+    def _with_numpy_exp(d, a):
+        """The partial integral on an array, with numpy's expm1 or exp in place of math's."""
+        if d.family == "exponential":
+            return a + np.expm1(-d.rate * a) / d.rate
+        z = (a - d.mu) / d.sigma
+        density = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return np.maximum((a - d.mu) * d.cdf(a) + d.sigma * (density - d._density_at_cut)
+                          / d._mass_above_zero, 0.0)
+
+    @pytest.mark.parametrize("d,scale", [(Exponential(rate=0.02), 150.0),
+                                         (TruncatedNormal(50.0, 20.0), 75.0),
+                                         (TruncatedNormal(-30.0, 1.0), 0.05)],
+                             ids=["exponential", "truncated-normal-mu50", "truncated-normal-mu-30"])
+    def test_array_entries_map_math_exp(self, d, scale):
+        # Inputs where numpy's expm1/exp and math's round differently: an array path
+        # that went back to numpy's function would disagree with the float call on each.
+        a = np.random.default_rng(72).exponential(scale, size=20_000)
+        floats = [d.cdf_integral(v) for v in a.tolist()]
+        differ = a[self._with_numpy_exp(d, a) != np.array(floats)]
+        assert differ.size >= 100
+        assert ([d.cdf_integral(v).hex() for v in differ.tolist()]
+                == [v.hex() for v in d.cdf_integral(differ).tolist()])
 
 
 class TestSampling:

@@ -26,7 +26,7 @@ from freshopt import (
     retailer_expected_profit,
     supplier_expected_profit,
 )
-from freshopt.oracle import MC_KINDS, _MAX_SAMPLES, _lattice, chunk_stream, chunk_streams
+from freshopt.oracle import MC_KINDS, _MAX_SAMPLES, _lattice, _window_max, chunk_stream
 
 REFERENCE_PLAN = OrderPlan(q_spot=240.0 / 6.3, q_option=2080.0 / 63.0)
 
@@ -58,7 +58,7 @@ class TestMcExpected:
                                                   baseline_contract):
         est = mc_expected("retailer", baseline_demand, baseline_market, baseline_contract,
                           1.0, REFERENCE_PLAN, 1, 99)
-        rng = np.random.Generator(np.random.PCG64(chunk_streams(99, 1)[0]))
+        rng = np.random.Generator(np.random.PCG64(chunk_stream(99, 0)))
         x = baseline_demand.sample(rng, size=1)
         expected = realized_retailer_profit(
             x, baseline_market.theta, baseline_market, baseline_contract, REFERENCE_PLAN)
@@ -137,7 +137,7 @@ class TestMcExpected:
                 expected = np.random.SeedSequence(seed).spawn(i + 1)[i]
                 assert (chunk_stream(seed, i).generate_state(4)
                         == expected.generate_state(4)).all()
-        assert [s.spawn_key for s in chunk_streams(3, 3 * 131072 + 1)] == [(0,), (1,), (2,), (3,)]
+        assert [chunk_stream(3, i).spawn_key for i in range(4)] == [(0,), (1,), (2,), (3,)]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bit_identical_to_one_draw_per_chunk(self, family):
@@ -305,6 +305,21 @@ class TestGridSearch:
         cases.append((d, m, o, k, GridSpec((12.0, 12.0), (0.0, 60.0), 0.05)))  # n1 = 1
         for d, m, o, k, spec in cases:
             assert grid_search_plan(d, m, o, k, spec) == self._per_row_loop(d, m, o, k, spec)
+
+    def test_window_max_equals_sliding_window_max(self):
+        from numpy.lib.stride_tricks import sliding_window_view
+        rng = np.random.default_rng(616)
+        arrays = [rng.normal(size=n) for n in (1, 2, 7, 64, 1001)]
+        ties = rng.integers(0, 3, size=500).astype(float)  # runs of equal maxima
+        ties[[0, 1, 2]] = [-0.0, 0.0, -0.0]
+        special = rng.normal(size=300)
+        special[rng.choice(300, 40, replace=False)] = -np.inf
+        special[[5, 150, 299]] = np.nan
+        arrays += [ties, special, np.full(9, -np.inf), np.full(9, np.nan)]
+        for x in arrays:
+            for w in sorted({1, 2, 3, len(x) // 2, len(x) - 1, len(x)} & set(range(1, len(x) + 1))):
+                np.testing.assert_array_equal(_window_max(x, w),
+                                              sliding_window_view(x, w).max(axis=1), f"w={w}")
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
