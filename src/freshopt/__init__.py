@@ -27,6 +27,7 @@ from .profit import (
     realized_supplier_profit,
     retailer_expected_profit,
     retailer_profit_gradient,
+    spot_fractile,
     supplier_expected_profit,
     total_fractile,
 )
@@ -41,7 +42,6 @@ from .optimizer import (
     coordinating_premium,
     optimal_centralized,
     optimal_plan,
-    spot_fractile,
     supplier_profit_gap,
 )
 from .oracle import (

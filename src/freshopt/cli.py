@@ -9,8 +9,8 @@ profit breakdown), ``evaluate`` (profits at a user-given plan),
 Flag values override config values, which override defaults.  Numeric
 output is fixed at 6 decimal places and identical inputs produce
 byte-identical output.  Exit codes: 0 success, 1 model infeasibility
-(or a simulation check outside 3 standard errors), 2 configuration error
-or a value outside its domain.
+(or a simulation check outside 3 standard errors), 2 configuration error,
+a value outside its domain, or an ``--out`` path that cannot be written.
 """
 from __future__ import annotations
 
@@ -190,8 +190,11 @@ def cmd_sweep(config: ScenarioConfig, args, out) -> int:
     )
     rows = run_sweep(scenario)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_csv(rows, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                write_csv(rows, fh)
+        except OSError as exc:  # a directory, a missing directory, no permission, a full disk
+            raise _UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     else:
         write_csv(rows, out)
     try:

@@ -5,7 +5,8 @@ primitives: the CDF ``F``, its inverse, and the partial integral
 ``int_0^a F(x) dx``.  The classes here provide those primitives for the
 supported demand families, together with reproducible inverse-transform
 sampling.  All families live on the nonnegative half-line, as demand for
-a perishable good must.
+a perishable good must: each states its CDF once, for x >= 0, and the
+shared ``cdf`` reads it at max(x, 0), so F is +0.0 at every x <= 0.
 
 Each primitive takes a float or a numpy array.  A float computes with
 ``math`` alone; an array maps the same ``math`` function over its entries
@@ -103,6 +104,11 @@ def _floor_at_zero(x):
     return max(x, 0.0) + 0.0 if isinstance(x, float) else np.maximum(x, 0.0)
 
 
+def _clip(x, lo: float, hi: float):
+    """np.clip(x, lo, hi) for a float or an array: nan stays nan."""
+    return min(max(x, lo), hi) if isinstance(x, float) else np.clip(x, lo, hi)
+
+
 def _check_level(q: float) -> float:
     """q, if it lies strictly inside (0, 1); OutOfRange otherwise."""
     if not 0.0 < q < 1.0:
@@ -135,16 +141,12 @@ class DemandDistribution(ABC):
     family: ClassVar[str]
 
     @abstractmethod
-    def cdf(self, x):
-        """F(x); accepts scalars or numpy arrays.
-
-        A float takes plain Python arithmetic, equal bit for bit to the
-        array path's entry.
-        """
-
-    @abstractmethod
     def mean(self) -> float:
         """E[x]."""
+
+    @abstractmethod
+    def _cdf(self, x):
+        """F(x) for x >= 0 or nan, a float or an array."""
 
     @abstractmethod
     def _quantile(self, q: float) -> float:
@@ -171,9 +173,17 @@ class DemandDistribution(ABC):
         if type(q) is float:
             return self._quantile(_check_level(q))
         levels = np.asarray(q, dtype=float)
-        values = map(self._quantile, map(_check_level, levels.ravel().tolist()))
-        return _scalar_or_array(np.fromiter(values, float, levels.size).reshape(levels.shape),
-                                levels.ndim == 0)
+        values = _entrywise(lambda level: self._quantile(_check_level(level)), levels)
+        return _scalar_or_array(values, levels.ndim == 0)
+
+    def cdf(self, x):
+        """F(x); accepts scalars or numpy arrays.  Demand is nonnegative, so F is +0.0
+        at every x <= 0 (-0.0 and -inf too); a nan x gives nan.  A float takes plain
+        Python arithmetic, equal bit for bit to the array path's entry."""
+        if type(x) is float:
+            return self._cdf(_floor_at_zero(x))
+        arr = np.asarray(x, dtype=float)
+        return _scalar_or_array(self._cdf(_floor_at_zero(arr)), arr.ndim == 0)
 
     def cdf_integral(self, a):
         """int_0^a F(x) dx for a >= 0; accepts scalars or numpy arrays.
@@ -217,13 +227,6 @@ class Uniform(DemandDistribution):
         if not (self.hi > self.lo and math.isfinite(self.hi)):
             raise InvalidValue([("hi", f"must be finite and > lo, got lo={self.lo}, hi={self.hi}")])
 
-    def cdf(self, x):
-        if type(x) is float:
-            return min(max((x - self.lo) / (self.hi - self.lo), 0.0), 1.0)
-        arr = np.asarray(x, dtype=float)
-        vals = np.clip((arr - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return _scalar_or_array(vals, arr.ndim == 0)
-
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
@@ -233,9 +236,11 @@ class Uniform(DemandDistribution):
     def _upper_quantile(self, t: float) -> float:
         return self.hi - t * (self.hi - self.lo)
 
+    def _cdf(self, x):
+        return _clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+
     def _cdf_integral(self, a):
-        inside = (min(max(a, self.lo), self.hi) if isinstance(a, float)
-                  else np.clip(a, self.lo, self.hi)) - self.lo
+        inside = _clip(a, self.lo, self.hi) - self.lo
         return inside * inside / (2.0 * (self.hi - self.lo)) + _floor_at_zero(a - self.hi)
 
     def _inverse_transform(self, u):
@@ -255,13 +260,6 @@ class Exponential(DemandDistribution):
     def __post_init__(self):
         _check_positive("rate", self.rate)
 
-    def cdf(self, x):
-        if type(x) is float:
-            return -math.expm1(-self.rate * x) if x > 0.0 else 0.0
-        arr = np.asarray(x, dtype=float)
-        vals = np.where(arr > 0.0, -_entrywise(math.expm1, -self.rate * np.maximum(arr, 0.0)), 0.0)
-        return _scalar_or_array(vals, arr.ndim == 0)
-
     def mean(self) -> float:
         return 1.0 / self.rate
 
@@ -270,6 +268,9 @@ class Exponential(DemandDistribution):
 
     def _upper_quantile(self, t: float) -> float:
         return -math.log(t) / self.rate
+
+    def _cdf(self, x):
+        return -_entrywise(math.expm1, -self.rate * x)
 
     def _cdf_integral(self, a):
         # a - (1 - exp(-rate*a))/rate, written with expm1 so small a stay accurate
@@ -317,21 +318,6 @@ class TruncatedNormal(DemandDistribution):
         alpha = -self.mu / self.sigma
         return math.exp(-0.5 * alpha * alpha) / _SQRT_2PI
 
-    def cdf(self, x):
-        scalar = type(x) is float
-        arr = x if scalar else np.asarray(x, dtype=float)
-        z = (arr - self.mu) / self.sigma
-        if self.mu > 0.0:
-            vals = (_ndtr(z) - self._mass_below_zero) / self._mass_above_zero
-        else:
-            # z >= -mu/sigma >= 0 on the support: upper tails keep the digits that
-            # Phi(z) - Phi(-mu/sigma), a difference of two numbers near 1, would lose.
-            vals = 1.0 - _ndtr(-z) / self._mass_above_zero
-        if scalar:
-            return 0.0 if x <= 0.0 else min(max(vals, 0.0), 1.0)
-        vals = np.where(arr <= 0.0, 0.0, np.clip(vals, 0.0, 1.0))
-        return _scalar_or_array(vals, arr.ndim == 0)
-
     def mean(self) -> float:
         return self.mu + self.sigma * self._density_at_cut / self._mass_above_zero
 
@@ -348,11 +334,22 @@ class TruncatedNormal(DemandDistribution):
         # every level goes this way, as _inverse_transform explains.
         return max(self.mu - self.sigma * _ndtri(t * self._mass_above_zero), 0.0)
 
+    def _cdf(self, x):
+        z = (x - self.mu) / self.sigma
+        if self.mu > 0.0:
+            vals = (_ndtr(z) - self._mass_below_zero) / self._mass_above_zero
+        else:
+            # z >= -mu/sigma >= 0 on the support: upper tails keep the digits that
+            # Phi(z) - Phi(-mu/sigma), a difference of two numbers near 1, would lose.
+            vals = 1.0 - _ndtr(-z) / self._mass_above_zero
+        return _clip(vals, 0.0, 1.0)
+
     def _cdf_integral(self, a):
         # (sigma [G(z_a) - G(z_0)] - a Phi(z_0)) / Phi(mu/sigma) with G(z) = z Phi(z) + phi(z),
         # regrouped as (a - mu) F(a) + sigma (phi(z_a) - phi(z_0)) / Phi(mu/sigma) so that
         # rounding scales with the terms; the clamp absorbs what is left near a = 0.
-        z = (a - self.mu) / self.sigma
+        # Past |z| = 40 the density is 0.0 already, and there an array's z * z could overflow.
+        z = _clip((a - self.mu) / self.sigma, -40.0, 40.0)
         density = _entrywise(math.exp, -0.5 * z * z) / _SQRT_2PI
         vals = ((a - self.mu) * self.cdf(a)
                 + self.sigma * (density - self._density_at_cut) / self._mass_above_zero)

@@ -20,12 +20,13 @@ from .profit import (
     MarketParams,
     OptionContract,
     OrderPlan,
-    _contract_failures,
-    _contract_message,
     _not,
     _overflow,
     _Prices,
+    _screen_message,
+    _screens,
     require_feasible_contract,
+    spot_fractile,
     supplier_expected_profit,
     total_fractile,
 )
@@ -72,32 +73,6 @@ class FeasibilityReport:
         return "; ".join(f"{v.name} ({v.message})" for v in self.violations)
 
 
-def spot_fractile(m: MarketParams, o: OptionContract) -> float:
-    """Critical fractile for the believed spot stock."""
-    return (o.c0 + o.ce - m.w0) / o.ce
-
-
-def _plan_failures(m: MarketParams, o: OptionContract | _Prices):
-    """(failures, tf, sf): whether the terms break each precondition of an order
-    plan but the k-domain, by violation name, and the total and spot fractiles;
-    for _Prices columns each failure is a column."""
-    failures, tf = _contract_failures(m, o)
-    sf = spot_fractile(m, o)
-    spot_ok = (0.0 < sf) & (sf < 1.0)
-    failures["fractile-range-spot"] = _not(spot_ok)
-    failures["negative-option-quantity"] = (
-        spot_ok & _not(failures["fractile-range-total"]) & (tf < sf))
-    return failures, tf, sf
-
-
-def _plan_message(name: str, m: MarketParams, o: OptionContract, tf: float, sf: float) -> str:
-    if name == "fractile-range-spot":
-        return f"(c0+ce-w0)/ce = {sf:.6g} outside (0, 1)"
-    if name == "negative-option-quantity":
-        return f"total fractile {tf:.6g} below spot fractile {sf:.6g}: optimal option quantity < 0"
-    return _contract_message(name, m, o, tf)
-
-
 def check_feasibility(m: MarketParams, o: OptionContract, k: float) -> FeasibilityReport:
     """Screen the model's preconditions; reports, never raises."""
     violations: list[Violation] = []
@@ -105,8 +80,8 @@ def check_feasibility(m: MarketParams, o: OptionContract, k: float) -> Feasibili
         _check_positive("k", k)
     except InvalidValue as exc:
         violations.append(Violation("k-domain", str(exc)))
-    failures, tf, sf = _plan_failures(m, o)
-    violations += (Violation(name, _plan_message(name, m, o, tf, sf))
+    failures, tf, sf = _screens(m, o)
+    violations += (Violation(name, _screen_message(name, m, o, tf, sf))
                    for name, failed in failures.items() if failed)
     return FeasibilityReport(tuple(violations))
 
@@ -265,15 +240,17 @@ def _coordinating_premiums(d: DemandDistribution, m: MarketParams, ce: float, ro
         f"k-domain: coordinating premium would leave no total fractile at k={at(rows.k)}"
         f"{floor_hint}"))
     c0 = margin * (1.0 - mass_below)
-    rows.screen(_not(m.w0 < c0 + ce), lambda at: NonCoordinable(
+    failures, tf, _ = _screens(m, _Prices(c0, ce))
+    rows.screen(failures["assumption-4"], lambda at: NonCoordinable(
         f"assumption-4: coordinating premium c0={at(c0):.6g} gives w0={m.w0} >= "
         f"c0+ce={at(c0) + ce:.6g}"))
-    return c0, _coordinated_total(d, m, _Prices(c0, ce), rows, x_central)
+    return c0, _coordinated_total(d, m, failures, tf, rows, x_central)
 
 
-def _coordinated_total(d: DemandDistribution, m: MarketParams, o: _Prices, rows,
+def _coordinated_total(d: DemandDistribution, m: MarketParams, failures, tf, rows,
                        x_central: float):
-    """Q*(k) at the solved contract, screened against Q** to _COORDINATION_TOL.
+    """Q*(k) at the solved contract, whose ``_screens`` gave failures and tf,
+    screened against Q** to _COORDINATION_TOL.
 
     At extreme k the solved price can be right yet leave a total fractile
     that rounds to 0 or too coarsely to reproduce Q**; that is Infeasible.
@@ -281,9 +258,7 @@ def _coordinated_total(d: DemandDistribution, m: MarketParams, o: _Prices, rows,
     q_central = (m.theta / (1.0 - m.beta)) * x_central
     failed = ("coordination identity failed: decentralized total {!r} vs centralized "
               f"{q_central!r}")
-    tf = total_fractile(m, o)
-    rows.screen(_not((0.0 < tf) & (tf < 1.0)),
-                lambda at: Infeasible(failed.format(None)))
+    rows.screen(failures["fractile-range-total"], lambda at: Infeasible(failed.format(None)))
     q_total = rows.scatter(_believed_stock(d, m, rows.gather(rows.k), rows.gather(tf)))
     rows.screen(abs(q_total - q_central) > _COORDINATION_TOL * q_central,
                 lambda at: Infeasible(failed.format(at(q_total))))
@@ -331,7 +306,8 @@ def _coordinating_exercise_prices(d: DemandDistribution, m: MarketParams, c0: fl
     ce = pg - c0 / (1.0 - mass_below)
     rows.screen(_not((0.0 < ce) & (ce < pg - c0)), lambda at: NoRoot(
         f"{no_price}{at(rows.k)}: the closed form rounds to {at(ce)!r}"))
-    return ce, _coordinated_total(d, m, _Prices(c0, ce), rows, x_central)
+    failures, tf, _ = _screens(m, _Prices(c0, ce))
+    return ce, _coordinated_total(d, m, failures, tf, rows, x_central)
 
 
 def supplier_profit_gap(d: DemandDistribution, m: MarketParams, o: OptionContract,

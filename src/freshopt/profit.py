@@ -13,7 +13,9 @@ can serve demand: a plan (Q1, Qq) puts ``Q1*(1-beta)`` firm units and
 
 Every expected profit (retailer, supplier, chain; scalars or arrays) is
 priced by one private ledger, ``_ledger``, from a single evaluation of
-E[sales], E[shortage] and E[exercised].  A realized profit is piecewise
+E[sales], E[shortage] and E[exercised], and every precondition of a
+contract or a plan is screened by one function, ``_screens``, and worded
+by one, ``_screen_message``.  A realized profit is piecewise
 affine in demand, and the ``realized_*`` functions evaluate it from its
 pieces: a minimum of lines, or one clipped line.
 
@@ -151,37 +153,53 @@ def total_fractile(m: MarketParams, o: OptionContract) -> float:
     return (m.p + m.g - o.ce - o.c0) / (m.p + m.g - o.ce)
 
 
-def _contract_failures(m: MarketParams, o: OptionContract | _Prices):
-    """(failures, tf): whether the terms break each contract-level precondition, by
-    violation name, and the total fractile; for _Prices columns each failure is a column.
+def spot_fractile(m: MarketParams, o: OptionContract) -> float:
+    """Critical fractile for the believed spot stock."""
+    return (o.c0 + o.ce - m.w0) / o.ce
 
-    A workable contract needs w0 < c0 + ce (otherwise every unit would be
-    ordered through options) and a total critical fractile inside (0, 1),
-    that is c0 + ce < p + g (otherwise options are worthless).  Where
-    p+g-ce <= 0 the fractile is undefined; since c0 > 0 the ratio then
-    comes out at 1 or more, or nan, so the range test flags it.
+
+def _screens(m: MarketParams, o: OptionContract | _Prices):
+    """(failures, tf, sf): whether the terms break each precondition of an order plan
+    but the k-domain, by violation name in report order, and the total and spot
+    fractiles; for _Prices columns each failure is a column.
+
+    The first two are the contract's own: w0 < c0 + ce (otherwise every unit would
+    be ordered through options) and a total critical fractile inside (0, 1), that
+    is c0 + ce < p + g (otherwise options are worthless).  Where p+g-ce <= 0 the
+    fractile is undefined; since c0 > 0 the ratio then comes out at 1 or more, or
+    nan, so the range test flags it.  A plan also needs the spot fractile inside
+    (0, 1) and no total fractile below it, or its option quantity would be negative.
     """
     try:
         tf = total_fractile(m, o)
     except ZeroDivisionError:  # float prices with ce == p+g; columns divide to -inf there
         tf = math.nan
+    sf = spot_fractile(m, o)
+    total_ok = (0.0 < tf) & (tf < 1.0)
+    spot_ok = (0.0 < sf) & (sf < 1.0)
     return {"assumption-4": _not(m.w0 < o.c0 + o.ce),
-            "fractile-range-total": _not((0.0 < tf) & (tf < 1.0))}, tf
+            "fractile-range-total": _not(total_ok),
+            "fractile-range-spot": _not(spot_ok),
+            "negative-option-quantity": spot_ok & total_ok & (tf < sf)}, tf, sf
 
 
-def _contract_message(name: str, m: MarketParams, o: OptionContract, tf: float) -> str:
-    """Why the float terms o break the contract-level precondition ``name``."""
+def _screen_message(name: str, m: MarketParams, o: OptionContract, tf: float, sf: float) -> str:
+    """Why the float terms o, with fractiles tf and sf, break the screen ``name``."""
     if name == "assumption-4":
         return f"w0={m.w0} >= c0+ce={o.c0 + o.ce}: all orders would move to options"
+    if name == "fractile-range-spot":
+        return f"(c0+ce-w0)/ce = {sf:.6g} outside (0, 1)"
+    if name == "negative-option-quantity":
+        return f"total fractile {tf:.6g} below spot fractile {sf:.6g}: optimal option quantity < 0"
     shown = f"{tf:.6g}" if m.p + m.g - o.ce > 0.0 else "undefined"
     return f"(p+g-ce-c0)/(p+g-ce) = {shown} outside (0, 1)"
 
 
 def require_feasible_contract(m: MarketParams, o: OptionContract) -> None:
-    """Raise InfeasibleContract unless the contract respects the market."""
-    failures, tf = _contract_failures(m, o)
-    violations = [f"{name} violated: {_contract_message(name, m, o, tf)}"
-                  for name, failed in failures.items() if failed]
+    """Raise InfeasibleContract unless the contract respects the market: the first two screens."""
+    failures, tf, sf = _screens(m, o)
+    violations = [f"{name} violated: {_screen_message(name, m, o, tf, sf)}"
+                  for name, failed in list(failures.items())[:2] if failed]
     if violations:
         raise InfeasibleContract("; ".join(violations))
 

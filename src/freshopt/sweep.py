@@ -37,7 +37,6 @@ from .optimizer import (
     NoRoot,
     _coordinating_exercise_prices,
     _coordinating_premiums,
-    _plan_failures,
     _plans,
     _Rows,
     optimal_plan,  # noqa: F401 -- stays reachable as sweep.optimal_plan, as bench/tests expects
@@ -48,6 +47,7 @@ from .profit import (
     _ledger,
     _overflow,
     _Prices,
+    _screens,
     chain_expected_profit,
 )
 
@@ -209,7 +209,7 @@ def _solve_plans(d: DemandDistribution, m: MarketParams, prices: _Prices, rows: 
     is the coordinated total, or None for a fixed contract.  A row whose plan or profits
     overflow is flagged, as the public functions raise Infeasible for it.
     """
-    failures, tf, sf = _plan_failures(m, prices)
+    failures, tf, sf = _screens(m, prices)
     names: dict[int, list[str]] = {}
     for name, failed in failures.items():
         for i in np.flatnonzero(rows.ok & failed).tolist():

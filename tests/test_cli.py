@@ -283,6 +283,17 @@ class TestErrorPaths:
         assert code == 2
         assert err == f"error: configuration path is a directory: {tmp_path}\n"
 
+    @pytest.mark.parametrize("target,reason", [(".", "Is a directory"),
+                                               ("missing/sweep.csv", "No such file or directory")],
+                             ids=["directory", "missing-directory"])
+    def test_unwritable_sweep_out_exits_two(self, capsys, tmp_path, target, reason):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, "sweep", "--mode", "fixed-contract", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write --out {path}: {reason}\n"
+        assert "Traceback" not in err
+
     def test_invalid_config_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         raw = json.loads(default_config_path().read_text(encoding="utf-8"))

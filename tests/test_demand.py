@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,17 @@ class TestCdf:
             value = d.cdf(x)
             assert type(value) is float
             assert value.hex() == float(d.cdf(np.array([x]))[0]).hex(), x
+
+    @pytest.mark.parametrize("d", [Uniform(0.0, 100.0), Uniform(10.0, 110.0), Exponential(rate=0.02),
+                                   TruncatedNormal(50.0, 20.0), TruncatedNormal(-30.0, 1.0)],
+                             ids=lambda d: f"{d.family}-{d.params()}")
+    def test_nonnegative_demand_rule(self, d):
+        # Every family reads its CDF at max(x, 0): +0.0 at and below zero, nan at nan,
+        # as cdf_integral(nan) is nan.
+        for call in (d.cdf, lambda x: float(d.cdf(np.array([x]))[0])):
+            assert math.isnan(call(math.nan))
+            for x in (-0.0, -1.0, -math.inf):
+                assert call(x).hex() == "0x0.0p+0", x
 
     def test_exponential_array_entries_map_math_expm1(self):
         # Inputs where numpy's expm1 and math's round differently: an array path
@@ -258,7 +270,8 @@ class TestCdfIntegral:
         for a in points:
             value = d.cdf_integral(a)
             assert type(value) is float
-            with np.errstate(over="ignore"):  # z * z overflows to inf at 1e300, as floats do
+            with warnings.catch_warnings():  # no overflow warning, at 1e300 or inf
+                warnings.simplefilter("error")
                 entry = float(d.cdf_integral(np.array([a]))[0])
             assert value.hex() == entry.hex(), a
 

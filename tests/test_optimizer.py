@@ -56,6 +56,36 @@ class TestCheckFeasibility:
         assert str(err.value) == (
             "fractile-range-total violated: (p+g-ce-c0)/(p+g-ce) = undefined outside (0, 1)")
 
+    @pytest.mark.parametrize("c0,ce,describe,contract_text", [
+        (5.0, 15.0,
+         "assumption-4 (w0=25.0 >= c0+ce=20.0: all orders would move to options); "
+         "fractile-range-spot ((c0+ce-w0)/ce = -0.333333 outside (0, 1))",
+         "assumption-4 violated: w0=25.0 >= c0+ce=20.0: all orders would move to options"),
+        (20.0, 45.0,
+         "fractile-range-total ((p+g-ce-c0)/(p+g-ce) = -0.333333 outside (0, 1))",
+         "fractile-range-total violated: (p+g-ce-c0)/(p+g-ce) = -0.333333 outside (0, 1)"),
+        (5.0, 70.0,
+         "fractile-range-total ((p+g-ce-c0)/(p+g-ce) = undefined outside (0, 1))",
+         "fractile-range-total violated: (p+g-ce-c0)/(p+g-ce) = undefined outside (0, 1)"),
+        (26.0, 30.0, "fractile-range-spot ((c0+ce-w0)/ce = 1.03333 outside (0, 1))", None),
+        (12.0, 35.0, "negative-option-quantity (total fractile 0.52 below spot fractile 0.628571: "
+                     "optimal option quantity < 0)", None),
+    ], ids=["assumption-4", "total-defined", "total-undefined", "spot", "negative-option"])
+    def test_screen_texts_in_every_report_form(self, baseline_demand, baseline_market, c0, ce,
+                                               describe, contract_text):
+        # Each screen's words, as the report, the contract error and the plan error give them.
+        contract = OptionContract(c0=c0, ce=ce)
+        assert check_feasibility(baseline_market, contract, 1.0).describe() == describe
+        with pytest.raises(Infeasible) as err:
+            optimal_plan(baseline_demand, baseline_market, contract, 1.0)
+        assert str(err.value) == f"no optimal plan: {describe}"
+        if contract_text is None:
+            require_feasible_contract(baseline_market, contract)
+        else:
+            with pytest.raises(InfeasibleContract) as err:
+                require_feasible_contract(baseline_market, contract)
+            assert str(err.value) == contract_text
+
     def test_negative_option_quantity(self, baseline_market):
         # c0=12, ce=35: total fractile 0.52 falls below spot fractile 0.6286.
         report = check_feasibility(baseline_market, OptionContract(c0=12.0, ce=35.0), 1.0)

@@ -1,0 +1,49 @@
+"""Static checks on the package source with the stdlib ``ast``: no module imports a name
+it never uses, and no private module-level function or class goes unreferenced."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "freshopt"
+MODULES = sorted(PACKAGE.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in MODULES}
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name the module reads: bare names and attribute names."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+@pytest.mark.parametrize("name", [name for name in TREES if name != "__init__.py"])
+def test_no_unused_import(name):
+    # __init__ imports to re-export; a line marked "noqa: F401" re-exports on purpose.
+    lines = (PACKAGE / name).read_text(encoding="utf-8").splitlines()
+    used = _used_names(TREES[name])
+    unused = []
+    for node in ast.walk(TREES[name]):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if (bound != "annotations" and bound not in used
+                    and "noqa: F401" not in lines[alias.lineno - 1]):
+                unused.append(f"{bound} (line {alias.lineno})")
+    assert unused == []
+
+
+def test_no_unreferenced_private_definition():
+    used = set().union(*map(_used_names, TREES.values()))
+    dead = [f"{name}: {node.name}" for name, tree in TREES.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in used]
+    assert dead == []
