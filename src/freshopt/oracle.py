@@ -9,12 +9,14 @@ maximum per spot row: it checks the optimizer, Monte-Carlo the profits.
 Sampling is chunked: every chunk owns a child stream spawned from
 (seed, chunk index) and chunks are reduced in fixed order, so a serial
 run and any worker-parallel run of the same (seed, n) agree bit for bit.
-A chunk is drawn and evaluated in cache-sized blocks into one buffer that
-the whole call reuses.  The generator yields the same doubles block by
-block as in one draw, and the chunk's mean and squared deviations are
-reduced over the same contiguous array, so the result is bit-identical to
-drawing each chunk at once; a call allocates one buffer of at most
-``_CHUNK`` doubles (1 MB) plus per-block temporaries of ``_BLOCK`` doubles.
+A chunk is drawn whole into one buffer that the whole call reuses
+(``sample(..., out=)``), then its profits are evaluated in place, block by
+cache-sized block; a call allocates one buffer of at most ``_CHUNK``
+doubles (1 MB) plus per-block temporaries of ``_BLOCK`` doubles.  A
+truncated-normal chunk maps its first half through ``ndtri`` on one helper
+thread while the calling thread maps the second (``demand._ndtri_in_place``);
+that thread calls nothing else, so every public function runs on the
+caller's thread, and the draws are the bits of one serial map.
 A chunk's mean is its first profit plus the mean of the differences from
 it, so a profit that never varies comes out exact, with standard error 0.
 """
@@ -74,15 +76,21 @@ class GridSpec:
         _check_positive("step", self.step)
 
 
+def _is_int(value) -> bool:
+    """Whether value is a Python int other than a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_draws(samples: int, seed: int) -> None:
-    """Raise InvalidValue unless samples is an integer in [1, _MAX_SAMPLES] and seed is >= 0."""
+    """Raise InvalidValue unless samples is an integer in [1, _MAX_SAMPLES] and seed an
+    integer >= 0; a bool is no integer here."""
     problems = []
-    if not (isinstance(samples, int) and samples >= 1):
-        problems.append(("samples", f"must be >= 1 and an integer, got {samples}"))
+    if not (_is_int(samples) and samples >= 1):
+        problems.append(("samples", f"must be >= 1 and an integer, got {samples!r}"))
     elif samples > _MAX_SAMPLES:
         problems.append(("samples", f"must be <= {_MAX_SAMPLES}, got {samples}"))
-    if not seed >= 0:
-        problems.append(("seed", f"must be >= 0, got {seed}"))
+    if not (_is_int(seed) and seed >= 0):
+        problems.append(("seed", f"must be >= 0 and an integer, got {seed!r}"))
     if problems:
         raise InvalidValue(problems)
 
@@ -123,10 +131,9 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
         for index, start in enumerate(range(0, n, _CHUNK)):
             take = min(_CHUNK, n - start)
             rng = np.random.Generator(np.random.PCG64(chunk_stream(seed, index)))
-            profits = buffer[:take]
+            profits = d.sample(rng, size=take, out=buffer[:take])
             for lo in range(0, take, _BLOCK):
-                hi = min(lo + _BLOCK, take)
-                profits[lo:hi] = evaluate(d.sample(rng, size=hi - lo))
+                profits[lo:lo + _BLOCK] = evaluate(profits[lo:lo + _BLOCK])
             # Deviations from the first profit: a constant profit averages to itself exactly.
             first = float(profits[0])
             np.subtract(profits, first, out=profits)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -16,13 +17,19 @@ from freshopt import (
     Uniform,
     make_distribution,
 )
-from freshopt.demand import _floor_at_zero
+from freshopt.demand import _SPLIT_MIN, _floor_at_zero
 
 ALL_DISTRIBUTIONS = [
     Uniform(0.0, 100.0),
     Exponential(rate=0.01),
     TruncatedNormal(mu=50.0, sigma=20.0),
 ]
+
+
+# Scales where a finite input overflows on the way to F: x / sigma with sigma < 1 (on
+# either truncated-normal branch), x / (hi - lo) on a subnormal width, rate * x.
+EXTREME_SCALES = [TruncatedNormal(50.0, 0.5), TruncatedNormal(-10.0, 0.5),
+                  Uniform(0.0, 1e-310), Exponential(rate=1e300)]
 
 
 class _FixedStream:
@@ -60,16 +67,20 @@ class TestCdf:
         assert d.cdf(1e9) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [Uniform(10.0, 110.0), Exponential(rate=0.02),
-                                   TruncatedNormal(50.0, 20.0), TruncatedNormal(-30.0, 1.0)],
+                                   TruncatedNormal(50.0, 20.0), TruncatedNormal(-30.0, 1.0),
+                                   *EXTREME_SCALES],
                              ids=lambda d: f"{d.family}-{d.params()}")
     def test_float_equals_array_entry(self, d):
         # Floats take their own path; it must read like the array path, hex for hex.
         points = [0.0, -0.0, -1.0, -1e300, 5e-324, 1e-300, 1e-9, 10.0, 50.0, 110.0, 110.0001,
-                  1e3, 1e6, 1e300, math.inf, -math.inf, math.nan]
+                  1e3, 1e6, 1e300, 1.7e308, math.inf, -math.inf, math.nan]
         for x in points:
             value = d.cdf(x)
             assert type(value) is float
-            assert value.hex() == float(d.cdf(np.array([x]))[0]).hex(), x
+            with warnings.catch_warnings():  # no overflow warning, where the float gives inf
+                warnings.simplefilter("error")
+                entry = float(d.cdf(np.array([x]))[0])
+            assert value.hex() == entry.hex(), x
 
     @pytest.mark.parametrize("d", [Uniform(0.0, 100.0), Uniform(10.0, 110.0), Exponential(rate=0.02),
                                    TruncatedNormal(50.0, 20.0), TruncatedNormal(-30.0, 1.0)],
@@ -261,16 +272,17 @@ class TestCdfIntegral:
             Uniform(0.0, 100.0).cdf_integral(-1.0)
 
     @pytest.mark.parametrize("d", [Uniform(10.0, 110.0), Exponential(rate=0.02),
-                                   TruncatedNormal(50.0, 20.0), TruncatedNormal(-30.0, 1.0)],
+                                   TruncatedNormal(50.0, 20.0), TruncatedNormal(-30.0, 1.0),
+                                   *EXTREME_SCALES],
                              ids=lambda d: f"{d.family}-{d.params()}")
     def test_float_equals_array_entry(self, d):
         # Floats take their own path; it must read like the array path, hex for hex.
         points = [0.0, -0.0, 5e-324, 1e-300, 1e-9, 10.0, 50.0, 110.0, 110.0001, 1e3, 1e6,
-                  1e300, math.inf, math.nan]
+                  1e300, 1.7e308, math.inf, math.nan]
         for a in points:
             value = d.cdf_integral(a)
             assert type(value) is float
-            with warnings.catch_warnings():  # no overflow warning, at 1e300 or inf
+            with warnings.catch_warnings():  # no overflow warning, where the float gives inf
                 warnings.simplefilter("error")
                 entry = float(d.cdf_integral(np.array([a]))[0])
             assert value.hex() == entry.hex(), a
@@ -373,6 +385,32 @@ class TestSampling:
             draw = d.sample(_FixedStream(q))
             assert type(draw) is float
             assert draw == self._out_of_place(d, q)
+
+    @pytest.mark.parametrize("d", [TruncatedNormal(50.0, 20.0), TruncatedNormal(-20.0, 8.0)],
+                             ids=lambda d: f"mu={d.mu}")
+    def test_split_transform_equals_serial_ndtri(self, d, monkeypatch):
+        # At a size that splits ndtri over a helper thread, odd so the halves differ in
+        # length, each draw is the serial transform of the same uniform, hex for hex.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        n = 2 * _SPLIT_MIN + 1
+        u = np.random.default_rng(19).random(n)
+        draws = d.sample(np.random.default_rng(19), size=n)
+        serial = self._out_of_place(d, u)
+        assert [x.hex() for x in draws.tolist()] == [x.hex() for x in serial.tolist()]
+        # A 2-d draw splits along its first axis.
+        rows = d.sample(np.random.default_rng(19), size=(3, n // 3))
+        assert np.array_equal(rows.ravel(), serial[:rows.size])
+
+    @pytest.mark.parametrize("d", ALL_DISTRIBUTIONS, ids=lambda d: d.family)
+    def test_sample_into_out_equals_new_array(self, d):
+        n = 2 * _SPLIT_MIN + 1
+        buffer = np.full(n + 5, -1.0)
+        out = buffer[:n]
+        draws = d.sample(np.random.default_rng(23), size=n, out=out)
+        assert draws is out
+        assert np.array_equal(draws, d.sample(np.random.default_rng(23), size=n))
+        assert np.all(buffer[n:] == -1.0)
 
     def test_truncated_normal_sampling_matches_quantile(self):
         # The vectorized sampling inverse and the two-branch quantile agree.

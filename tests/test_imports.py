@@ -24,26 +24,16 @@ def _run(probe: str) -> str:
     return result.stdout
 
 
-_PRINT_SCIPY = "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
 # Submodules, not the name numpy: a deferred numpy sits in sys.modules before its code runs.
+# Then whether as many threads run as before freshopt was imported, and the scipy and
+# concurrent modules loaded.
 _PRINT_FOOTPRINT = ("print(any(m.startswith('numpy.') for m in sys.modules), "
-                    "*(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-
-
-def _scipy_modules_after(statement: str) -> set[str]:
-    """Names of the scipy modules loaded in a fresh interpreter after running statement."""
-    return set(_run(f"import contextlib, io, sys\n{statement}\n{_PRINT_SCIPY}").split())
+                    "threading.active_count() == threads, "
+                    "*(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))")
 
 
 def _argv(config: Path | None, *args: str) -> tuple[str, ...]:
     return (() if config is None else ("--config", str(config))) + args
-
-
-def _cli(config: Path | None, *args: str) -> str:
-    return ("from freshopt import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()), "
-            "contextlib.redirect_stderr(io.StringIO()):\n"
-            f"    assert cli.main({list(_argv(config, *args))!r}) == 0")
 
 
 FAMILIES = {"packaged-uniform": None, "exponential": GOLDEN / "exponential.json"}
@@ -64,6 +54,10 @@ SCALAR_RUNS = [_argv(config, *args) for config in ALL_FAMILIES.values() for args
 # Every scalar run before any sweep, as loading only adds modules.
 CLOSED_FORM_RUNS = SCALAR_RUNS + [_argv(ALL_FAMILIES["truncated-normal"], *args)
                                   for args in SWEEP_COMMANDS]
+# Three chunks, two of them large enough to split ndtri over a helper thread.
+SIMULATE_RUN = _argv(ALL_FAMILIES["truncated-normal"], "simulate", "--kind", "retailer",
+                     "--n", str(2 * 131_072 + 3))
+RUNS = CLOSED_FORM_RUNS + [SIMULATE_RUN]
 _IMPORTS = ("import freshopt, freshopt.cli\n"
             "from freshopt import demand, optimizer, oracle, profit, sweep, config")
 
@@ -73,28 +67,37 @@ def _ids(args):
 
 
 @pytest.fixture(scope="module")
-def footprint() -> dict[tuple[str, ...], tuple[bool, set[str]]]:
-    """Whether any numpy submodule is loaded, and the scipy modules loaded, in one fresh
+def footprint() -> dict[tuple[str, ...], tuple[bool, bool, set[str]]]:
+    """Whether any numpy submodule is loaded, whether the thread count is back where it
+    was before the import, and the scipy and concurrent modules loaded, in one fresh
     interpreter after importing freshopt and its modules (key ()), then after each of
-    CLOSED_FORM_RUNS in turn (key: its argv).  Loading only adds modules, so nothing
-    loaded after a run shows that no run up to it loaded it."""
-    probe = ("import contextlib, io, sys\n"
+    RUNS in turn (key: its argv).  Loading only adds modules, so nothing loaded after a
+    run shows that no run up to it loaded it."""
+    probe = ("import contextlib, io, sys, threading\n"
+             "threads = threading.active_count()\n"
              f"{_IMPORTS}\n"
              f"{_PRINT_FOOTPRINT}\n"
-             f"for argv in {CLOSED_FORM_RUNS!r}:\n"
+             f"for argv in {RUNS!r}:\n"
              "    with contextlib.redirect_stdout(io.StringIO()), "
              "contextlib.redirect_stderr(io.StringIO()):\n"
              "        assert freshopt.cli.main(list(argv)) == 0\n"
              f"    {_PRINT_FOOTPRINT}")
     lines = _run(probe).splitlines()
-    assert len(lines) == 1 + len(CLOSED_FORM_RUNS)
-    return {run: (numpy == "True", set(scipy))
-            for run, (numpy, *scipy) in zip([(), *CLOSED_FORM_RUNS], map(str.split, lines))}
+    assert len(lines) == 1 + len(RUNS)
+    return {run: (numpy == "True", threads == "True", set(modules))
+            for run, (numpy, threads, *modules) in zip([(), *RUNS], map(str.split, lines))}
 
 
 @pytest.fixture(scope="module")
 def scipy_after(footprint) -> dict[tuple[str, ...], set[str]]:
-    return {run: scipy for run, (_, scipy) in footprint.items()}
+    return {run: {m for m in modules if m.split(".")[0] == "scipy"}
+            for run, (_, _, modules) in footprint.items()}
+
+
+@pytest.fixture(scope="module")
+def concurrent_after(footprint) -> dict[tuple[str, ...], set[str]]:
+    return {run: {m for m in modules if m.split(".")[0] == "concurrent"}
+            for run, (_, _, modules) in footprint.items()}
 
 
 def test_no_solver_submodules_loaded(scipy_after):
@@ -116,26 +119,39 @@ def test_truncated_normal_closed_forms_load_no_scipy(scipy_after, args):
 
 
 def test_import_loads_no_numpy(footprint):
-    numpy_loaded, _ = footprint[()]
+    numpy_loaded, _, _ = footprint[()]
     assert not numpy_loaded
 
 
 @pytest.mark.parametrize("config", ALL_FAMILIES.values(), ids=ALL_FAMILIES)
 @pytest.mark.parametrize("args", SCALAR_COMMANDS, ids=_ids)
 def test_scalar_commands_load_no_numpy(footprint, config, args):
-    numpy_loaded, _ = footprint[_argv(config, *args)]
+    numpy_loaded, _, _ = footprint[_argv(config, *args)]
     assert not numpy_loaded
 
 
 def test_sweep_loads_numpy(footprint):
     # The probe sees numpy once an array exists: the first sweep builds its k column.
-    numpy_loaded, _ = footprint[_argv(ALL_FAMILIES["truncated-normal"], *SWEEP_COMMANDS[0])]
+    numpy_loaded, _, _ = footprint[_argv(ALL_FAMILIES["truncated-normal"], *SWEEP_COMMANDS[0])]
     assert numpy_loaded
 
 
-def test_truncated_normal_loads_only_special():
-    # Sampling maps blocks of draws through scipy.special.ndtri; nothing else loads scipy.
-    loaded = _scipy_modules_after(_cli(GOLDEN / "truncated-normal.json",
-                                       "simulate", "--kind", "retailer", "--n", "1000"))
+def test_truncated_normal_loads_only_special(scipy_after):
+    # Sampling maps chunks of draws through scipy.special.ndtri; nothing else loads scipy.
+    loaded = scipy_after[SIMULATE_RUN]
     assert "scipy.special" in loaded
     assert not {"scipy.integrate", "scipy.optimize"} & loaded
+
+
+def test_no_thread_outlives_a_run(footprint):
+    # Truncated-normal sampling joins its ndtri helper thread before it returns.
+    assert all(threads_back for _, threads_back, _ in footprint.values())
+
+
+def test_no_executor_loaded(concurrent_after):
+    # concurrent.futures costs about 8.5 ms and pulls in logging; freshopt starts its
+    # one helper thread itself.  numpy.testing, which scipy loads, imports
+    # concurrent.futures, but no executor module (thread, process) loads with it.
+    assert all(not loaded for run, loaded in concurrent_after.items() if run != SIMULATE_RUN)
+    executors = {"concurrent.futures.thread", "concurrent.futures.process"}
+    assert not executors & concurrent_after[SIMULATE_RUN]

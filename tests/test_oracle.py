@@ -1,10 +1,16 @@
 """Oracle tests: seeded Monte-Carlo estimates and brute-force grid search."""
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from conftest import FAMILIES, random_feasible_setup
 from freshopt import (
@@ -14,6 +20,7 @@ from freshopt import (
     MarketParams,
     OptionContract,
     OrderPlan,
+    TruncatedNormal,
     Uniform,
     chain_expected_profit,
     default_grid_spec,
@@ -26,7 +33,8 @@ from freshopt import (
     retailer_expected_profit,
     supplier_expected_profit,
 )
-from freshopt.oracle import MC_KINDS, _MAX_SAMPLES, _lattice, _window_max, chunk_stream
+from freshopt.demand import _FAMILIES, _SPLIT_MIN, DemandDistribution
+from freshopt.oracle import MC_KINDS, _CHUNK, _MAX_SAMPLES, _lattice, _window_max, chunk_stream
 
 REFERENCE_PLAN = OrderPlan(q_spot=240.0 / 6.3, q_option=2080.0 / 63.0)
 
@@ -131,6 +139,21 @@ class TestMcExpected:
             mc_expected("chain", baseline_demand, baseline_market, baseline_contract,
                         1.0, REFERENCE_PLAN, 10, -1)
 
+    @pytest.mark.parametrize("samples,seed,problem", [
+        (10, 1.5, ("seed", "must be >= 0 and an integer, got 1.5")),
+        (10, "3", ("seed", "must be >= 0 and an integer, got '3'")),
+        (10, True, ("seed", "must be >= 0 and an integer, got True")),
+        (True, 1, ("samples", "must be >= 1 and an integer, got True")),
+        (10.0, 1, ("samples", "must be >= 1 and an integer, got 10.0")),
+    ])
+    def test_rejects_non_integer_draws(self, baseline_demand, baseline_market,
+                                       baseline_contract, samples, seed, problem):
+        with pytest.raises(InvalidValue) as err:
+            mc_expected("chain", baseline_demand, baseline_market, baseline_contract,
+                        1.0, REFERENCE_PLAN, samples, seed)
+        assert err.value.problems == [problem]
+        assert str(err.value).startswith(("seed must be >= 0", "sample count must be >= 1"))
+
     def test_chunk_stream_is_spawned_child(self):
         for seed in (0, 7, 2**40):
             for i in (0, 1, 5):
@@ -183,6 +206,84 @@ class TestMcExpected:
             for kind, analytic in checks.items():
                 est = mc_expected(kind, d, m, o, k, plan, 200_000, 500 + i)
                 assert abs(est.mean - analytic) <= 4.0 * est.stderr, (kind, i)
+
+
+def _report_cpus(monkeypatch, cpus: int) -> None:
+    """Make the CPU probes report that this process may run on cpus CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+def _record_threads(monkeypatch) -> tuple[set[int], list[tuple[threading.Thread, object]]]:
+    """Wrap every public freshopt function and public DemandDistribution method, wherever
+    a module binds it, to record the thread it runs on; and record every thread started,
+    with its target.  Returns (thread idents, [(thread, target)] started)."""
+    idents: set[int] = set()
+    started: list[tuple[threading.Thread, object]] = []
+
+    def recorded(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            idents.add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return call
+
+    wrappers = {}
+    for name, module in list(sys.modules.items()):
+        if name == "freshopt" or name.startswith("freshopt."):
+            for attr, obj in list(vars(module).items()):
+                if (not attr.startswith("_") and inspect.isfunction(obj)
+                        and obj.__module__.startswith("freshopt")):
+                    wrapper = wrappers.setdefault(id(obj), recorded(obj))
+                    monkeypatch.setattr(module, attr, wrapper)
+    for cls in (DemandDistribution, *_FAMILIES.values()):
+        for attr, obj in list(vars(cls).items()):
+            if not attr.startswith("_") and inspect.isfunction(obj):
+                monkeypatch.setattr(cls, attr, recorded(obj))
+
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append((thread, thread._target))  # run() drops _target once it ends
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return idents, started
+
+
+class TestThreads:
+    """A truncated-normal chunk maps half its levels through ndtri on one helper thread;
+    every public function, and every other family, stays on the calling thread."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_public_calls_run_on_calling_thread(self, family, monkeypatch):
+        d, m, o, k = random_feasible_setup(np.random.default_rng(31), family)
+        plan = optimal_plan(d, m, o, k)
+        threads = threading.active_count()
+        _report_cpus(monkeypatch, 2)
+        idents, started = _record_threads(monkeypatch)
+        for kind in MC_KINDS:
+            mc_expected(kind, d, m, o, k, plan, 2 * _CHUNK + 3, 11)  # chunks 2**17, 2**17, 3
+        assert idents == {threading.get_ident()}
+        # One helper per chunk of at least _SPLIT_MIN truncated-normal draws, running ndtri.
+        assert len(started) == (6 if family == "truncated-normal" else 0)
+        assert all(target is ndtri for _, target in started)
+        assert not any(thread.is_alive() for thread, _ in started)
+        assert threading.active_count() == threads
+
+    def test_no_helper_below_threshold_or_on_one_cpu(self, baseline_market, baseline_contract,
+                                                     monkeypatch):
+        d = TruncatedNormal(50.0, 20.0)
+        _report_cpus(monkeypatch, 2)
+        _, started = _record_threads(monkeypatch)
+        d.sample(np.random.default_rng(3), size=_SPLIT_MIN - 1)
+        assert started == []
+        d.sample(np.random.default_rng(3), size=_SPLIT_MIN)
+        assert len(started) == 1
+        _report_cpus(monkeypatch, 1)
+        mc_expected("chain", d, baseline_market, baseline_contract, 1.0, REFERENCE_PLAN,
+                    2 * _CHUNK, 5)
+        assert len(started) == 1
 
 
 class TestGridSearch:
