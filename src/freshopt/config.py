@@ -31,8 +31,6 @@ DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 42
 DEFAULT_GRID_STEP = 0.05
 
-_TOP_KEYS = {"schema", "comment", "demand", "market", "contract", "overconfidence",
-             "oracle", "sweep"}
 _DEMAND_KEYS = {"family", "params"}
 _KGRID_KEYS = {"start", "stop", "step"}
 
@@ -67,8 +65,15 @@ class OracleSettings:
     grid_step: float = DEFAULT_GRID_STEP
 
     def __post_init__(self):
-        _check_draws(self.samples, self.seed)
-        _check_positive("grid_step", self.grid_step)
+        problems = []
+        for check in (lambda: _check_draws(self.samples, self.seed),
+                      lambda: _check_positive("grid_step", self.grid_step)):
+            try:
+                check()
+            except InvalidValue as exc:
+                problems += exc.problems
+        if problems:
+            raise InvalidValue(problems)
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,7 @@ def parse_config(raw) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigValidationError(["top level: expected a JSON object"])
 
-    _reject_unknown(raw, _TOP_KEYS, "", problems)
+    _reject_unknown(raw, {"schema", "comment", *_field_names(ScenarioConfig)}, "", problems)
     schema = raw.get("schema")
     if schema != SCHEMA_VERSION:
         problems.append(f"schema: expected {SCHEMA_VERSION}, got {schema!r}")
@@ -133,7 +138,8 @@ def parse_config(raw) -> ScenarioConfig:
     overconfidence = _number(raw.get("overconfidence", 1.0), "overconfidence", problems)
     if overconfidence is not None:
         _checked(problems, "", lambda: _check_positive("overconfidence", overconfidence))
-    oracle = _parse_oracle(raw.get("oracle"), problems) if "oracle" in raw else OracleSettings()
+    oracle = (_read(OracleSettings, raw["oracle"], "oracle", problems) if "oracle" in raw
+              else OracleSettings())
     sweep = _parse_sweep(raw.get("sweep"), contract, problems) if "sweep" in raw else None
 
     if problems:
@@ -184,31 +190,33 @@ def _section(raw, path: str, problems: list[str], required: bool = False) -> dic
 
 
 def _read(cls, raw, path: str, problems: list[str], required: bool = False):
-    """A cls from the section raw at path, one number per field of cls; None after recording
-    why not: raw is not an object, or a key is unknown, missing, not a number or rejected by cls."""
+    """A cls from the section raw at path; None after recording why not: raw is not an object,
+    a key is unknown, missing or not a number, or cls rejects a value.  A field with a default
+    may be left out, and an int field goes to cls as given, for cls to judge."""
     raw = _section(raw, path, problems, required)
-    values = None if raw is None else _numbers(raw, _field_names(cls), f"{path}.", problems)
+    if raw is None:
+        return None
+    fields = [f for f in dataclasses.fields(cls) if f.name in raw or f.default is dataclasses.MISSING]
+    values = _numbers(raw, {f.name for f in fields}, f"{path}.", problems,
+                      {f.name for f in fields if f.type == "int"})
     return None if values is None else _checked(problems, f"{path}.", lambda: cls(**values))
 
 
-def _numbers(raw: dict, names: set[str], prefix: str, problems: list[str]) -> dict[str, float] | None:
-    """Each of names as a number, or None after recording what is unknown, missing or not one."""
+def _numbers(raw: dict, names: set[str], prefix: str, problems: list[str],
+             as_given: set[str] = frozenset()) -> dict | None:
+    """Each of names, as a number or, for those in as_given, as it is; None after recording
+    what is unknown, missing or not a number."""
     _reject_unknown(raw, names, prefix, problems)
     before = len(problems)
     values = {}
     for name in sorted(names):
         if name not in raw:
             problems.append(f"{prefix}{name}: required")
+        elif name in as_given:
+            values[name] = raw[name]
         else:
             values[name] = _number(raw[name], f"{prefix}{name}", problems)
     return values if len(problems) == before else None
-
-
-def _integer(value, path: str, problems: list[str]) -> int | None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.append(f"{path}: expected an integer, got {value!r}")
-        return None
-    return value
 
 
 def _parse_demand(raw, problems: list[str]) -> DemandDistribution | None:
@@ -222,22 +230,6 @@ def _parse_demand(raw, problems: list[str]) -> DemandDistribution | None:
             f"demand.family: expected one of {sorted(_FAMILIES)}, got {family!r}")
         return None
     return _read(_FAMILIES[family], raw.get("params"), "demand.params", problems)
-
-
-def _parse_oracle(raw, problems: list[str]) -> OracleSettings | None:
-    """The OracleSettings fields given, an int field as an integer; the rest keep their defaults."""
-    raw = _section(raw, "oracle", problems)
-    if raw is None:
-        return None
-    _reject_unknown(raw, _field_names(OracleSettings), "oracle.", problems)
-    values = {}
-    for field in dataclasses.fields(OracleSettings):
-        if field.name in raw:
-            parse = _integer if field.type == "int" else _number
-            value = parse(raw[field.name], f"oracle.{field.name}", problems)
-            if value is not None:
-                values[field.name] = value
-    return _checked(problems, "oracle.", lambda: OracleSettings(**values))
 
 
 def _parse_sweep(raw, contract: OptionContract | None, problems: list[str]) -> SweepSettings | None:

@@ -24,7 +24,7 @@ import sys
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import ClassVar
 
 
@@ -81,10 +81,13 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def _scalar_or_array(values, scalar_input: bool):
-    """A 0-d input (a numpy scalar, an int, a 0-d array) takes the array branch; it
+def _on_array(fn, x):
+    """fn of x as a float array, where an entry past the largest double overflows to inf
+    silently, as a float does; a 0-d result (from a numpy scalar, an int or a 0-d array)
     comes back as a float."""
-    return float(values) if scalar_input else values
+    with np.errstate(over="ignore"):
+        values = fn(np.asarray(x, dtype=float))
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _entrywise(fn, x):
@@ -206,9 +209,7 @@ class DemandDistribution(ABC):
         """
         if type(q) is float:
             return self._quantile(_check_level(q))
-        levels = np.asarray(q, dtype=float)
-        values = _entrywise(lambda level: self._quantile(_check_level(level)), levels)
-        return _scalar_or_array(values, levels.ndim == 0)
+        return _on_array(partial(_entrywise, lambda level: self._quantile(_check_level(level))), q)
 
     def cdf(self, x):
         """F(x); accepts scalars or numpy arrays.  Demand is nonnegative, so F is +0.0
@@ -216,10 +217,7 @@ class DemandDistribution(ABC):
         Python arithmetic, equal bit for bit to the array path's entry."""
         if type(x) is float:
             return self._cdf(_floor_at_zero(x))
-        arr = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):  # an entry past the largest double is inf, as a float's
-            values = self._cdf(_floor_at_zero(arr))
-        return _scalar_or_array(values, arr.ndim == 0)
+        return _on_array(lambda arr: self._cdf(_floor_at_zero(arr)), x)
 
     def cdf_integral(self, a):
         """int_0^a F(x) dx for a >= 0; accepts scalars or numpy arrays.
@@ -232,11 +230,7 @@ class DemandDistribution(ABC):
         arr = a if scalar else np.asarray(a, dtype=float)
         if _any(arr < 0.0):
             raise ValueError("cdf_integral requires a >= 0")
-        if scalar:
-            return self._cdf_integral(arr)
-        with np.errstate(over="ignore"):  # an entry past the largest double is inf, as a float's
-            values = self._cdf_integral(arr)
-        return _scalar_or_array(values, arr.ndim == 0)
+        return self._cdf_integral(arr) if scalar else _on_array(self._cdf_integral, arr)
 
     def sample(self, stream, size=None, out=None):
         """Inverse-transform draw(s) from ``stream`` (a numpy Generator).
@@ -429,9 +423,10 @@ _FAMILIES: dict[str, type[DemandDistribution]] = {
 }
 
 
-def _field_names(cls: type) -> set[str]:
+@cache
+def _field_names(cls: type) -> frozenset[str]:
     """The field names of a dataclass: a demand family's parameters, a config section's keys."""
-    return {f.name for f in dataclasses.fields(cls)}
+    return frozenset(f.name for f in dataclasses.fields(cls))
 
 
 def make_distribution(family: str, **params: float) -> DemandDistribution:

@@ -86,12 +86,12 @@ def check_feasibility(m: MarketParams, o: OptionContract, k: float) -> Feasibili
     return FeasibilityReport(tuple(violations))
 
 
-def _believed_stock(d: DemandDistribution, m: MarketParams, k, level):
-    """k*theta/(1-beta) * F^-1(level): the stock a retailer with belief k holds at a fractile.
-
-    k and level may be numpy columns of equal length.
+def _believed_stock(d: DemandDistribution, m: MarketParams, rows, level):
+    """k*theta/(1-beta) * F^-1(level) at the k of ``rows`` (a _Row or _Rows): the stock a
+    retailer with belief k holds at a fractile; level is a float or a column of the rows.
     """
-    return k * m.theta / (1.0 - m.beta) * d.quantile(level)
+    k = rows.gather(rows.k)
+    return rows.scatter(k * m.theta / (1.0 - m.beta) * d.quantile(rows.gather(level)))
 
 
 def optimal_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
@@ -105,7 +105,7 @@ def optimal_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
     if not report.ok:
         raise Infeasible(f"no optimal plan: {report.describe()}", report)
     q_spot, q_option = _plans(d, m, total_fractile(m, o), spot_fractile(m, o), _Row(k))
-    return OrderPlan(q_spot=q_spot, q_option=float(q_option))
+    return OrderPlan(q_spot=float(q_spot), q_option=float(q_option))
 
 
 def _plans(d: DemandDistribution, m: MarketParams, tf, sf, rows, q_total=None):
@@ -114,10 +114,9 @@ def _plans(d: DemandDistribution, m: MarketParams, tf, sf, rows, q_total=None):
 
     q_total, if given, is the total already solved at tf (a coordinated one).
     """
-    k = rows.gather(rows.k)
     if q_total is None:
-        q_total = rows.scatter(_believed_stock(d, m, k, rows.gather(tf)))
-    q_spot = rows.scatter(_believed_stock(d, m, k, rows.gather(sf)))
+        q_total = _believed_stock(d, m, rows, tf)
+    q_spot = _believed_stock(d, m, rows, sf)
     finite = math.isfinite(q_total) if isinstance(q_total, float) else np.isfinite(q_total)
     rows.screen(_not(finite), lambda at: _overflow("optimal plan"))
     # q_spot <= q_total, since tf >= sf is already guaranteed; the floor only absorbs rounding dust.
@@ -256,12 +255,12 @@ def _coordinated_total(d: DemandDistribution, m: MarketParams, failures, tf, row
     that rounds to 0 or too coarsely to reproduce Q**; that is Infeasible.
     """
     q_central = (m.theta / (1.0 - m.beta)) * x_central
-    failed = ("coordination identity failed: decentralized total {!r} vs centralized "
-              f"{q_central!r}")
-    rows.screen(failures["fractile-range-total"], lambda at: Infeasible(failed.format(None)))
-    q_total = rows.scatter(_believed_stock(d, m, rows.gather(rows.k), rows.gather(tf)))
-    rows.screen(abs(q_total - q_central) > _COORDINATION_TOL * q_central,
-                lambda at: Infeasible(failed.format(at(q_total))))
+    failed = "coordination identity failed: "
+    rows.screen(failures["fractile-range-total"], lambda at: Infeasible(
+        f"{failed}total fractile {at(tf)!r} of the solved contract is outside (0, 1)"))
+    q_total = _believed_stock(d, m, rows, tf)
+    rows.screen(abs(q_total - q_central) > _COORDINATION_TOL * q_central, lambda at: Infeasible(
+        f"{failed}decentralized total {at(q_total)!r} vs centralized {q_central!r}"))
     return q_total
 
 

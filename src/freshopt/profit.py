@@ -36,6 +36,7 @@ from .demand import (
     _any,
     _check_nonnegative,
     _check_positive,
+    _on_array,
     np,
 )
 
@@ -283,17 +284,17 @@ def supplier_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
 
 def chain_expected_profit(d: DemandDistribution, m: MarketParams, q_total):
     """Expected profit of the integrated chain stocking q_total in total.  Vectorized."""
-    scalar = isinstance(q_total, float)
-    if scalar:
+    if type(q_total) is float:
         _check_nonnegative("q_total", q_total)
+        profit = float(_ledger(d, m, 0.0, 0.0, m.theta, q_total, 0.0)[2])
     else:
-        flat = np.ravel(q_total)  # one mask; the first bad entry names the error
-        bad = flat[~(np.isfinite(flat) & (flat >= 0.0))]
-        if bad.size:
+        totals = np.asarray(q_total, dtype=float)
+        bad = totals[~np.isfinite(totals) | (totals < 0.0)]
+        if bad.size:  # the first bad entry names the error
             _check_nonnegative("q_total", bad[0].item())
-    _, _, chain = _ledger(d, m, 0.0, 0.0, m.theta, q_total, 0.0)
-    _require_finite("chain expected profit", chain)
-    return float(chain) if scalar or np.ndim(chain) == 0 else chain
+        profit = _on_array(lambda q: _ledger(d, m, 0.0, 0.0, m.theta, q, 0.0)[2], totals)
+    _require_finite("chain expected profit", profit)
+    return profit
 
 
 def realized_retailer_profit(x, demand_scale: float, m: MarketParams, o: OptionContract,

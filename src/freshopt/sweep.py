@@ -58,15 +58,6 @@ MODES = (MODE_FIXED_EXERCISE, MODE_FIXED_PREMIUM, MODE_FIXED_CONTRACT)
 # The price each mode holds fixed, an OptionContract field; None holds the whole contract.
 FIXED_PRICE = {MODE_FIXED_EXERCISE: "ce", MODE_FIXED_PREMIUM: "c0", MODE_FIXED_CONTRACT: None}
 
-CSV_COLUMNS = (
-    "k", "c0", "ce", "q_total", "q_spot", "q_option",
-    "retailer_profit_believed", "retailer_profit_true",
-    "supplier_profit", "chain_profit", "feasible", "note",
-)
-
-_NUMERIC_COLUMNS = CSV_COLUMNS[1:10]
-_NUMBERS = operator.itemgetter(slice(10))  # a row's ten number cells, row[:10]
-
 # Largest {start, stop, step} range built; the default grids have 15 and 76 points.
 _MAX_K_POINTS = 100_000
 
@@ -75,11 +66,18 @@ class TooFewRows(ValueError):
     """Not enough feasible rows to classify monotonicity."""
 
 
+def _check_mode(mode: str) -> str:
+    """mode, if it is one of MODES; InvalidValue otherwise."""
+    if mode not in MODES:
+        raise InvalidValue([("mode", f"must be one of {MODES}, got {mode!r}")])
+    return mode
+
+
 @lru_cache(maxsize=len(MODES))
 def default_k_grid(mode: str) -> tuple[float, ...]:
     """Default k grids: a coarse one for premium re-coordination, a fine
     one elsewhere (fine enough to expose the low-k singular region)."""
-    if mode == MODE_FIXED_EXERCISE:
+    if _check_mode(mode) == MODE_FIXED_EXERCISE:
         return _k_range(0.8, 1.5, 0.05)
     return _k_range(0.75, 1.5, 0.01)
 
@@ -129,8 +127,7 @@ class SweepScenario:
     contract: OptionContract | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidValue([("mode", f"must be one of {MODES}, got {self.mode!r}")])
+        _check_mode(self.mode)
         _check_k_grid(self.k_grid)
         price = FIXED_PRICE[self.mode]
         required = "contract" if price is None else f"fixed_{price}"
@@ -147,7 +144,7 @@ class SweepScenario:
 
 
 class SweepRow(NamedTuple):
-    """One k of a sweep, its cells in CSV_COLUMNS order; infeasible rows keep
+    """One k of a sweep, its fields the CSV columns in order; infeasible rows keep
     solved prices but no plan.  A tuple: it iterates and equals a plain tuple."""
 
     k: float
@@ -162,6 +159,11 @@ class SweepRow(NamedTuple):
     chain_profit: float | None = None
     feasible: bool = False
     note: str = ""
+
+
+CSV_COLUMNS = SweepRow._fields
+_NUMERIC_COLUMNS = CSV_COLUMNS[1:10]
+_NUMBERS = operator.itemgetter(slice(10))  # a row's ten number cells, row[:10]
 
 
 def run_sweep(scenario: SweepScenario) -> list[SweepRow]:

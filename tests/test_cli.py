@@ -138,6 +138,12 @@ class TestCoordinate:
         assert code == 1
         assert "infeasible" in err
 
+    def test_unsolvable_identity_names_the_fractile(self, capsys):
+        code, out, err = run_cli(capsys, "coordinate", "--k", "1e17")
+        assert (code, out) == (1, "")
+        assert err == ("infeasible: coordination identity failed: total fractile 0.0 "
+                       "of the solved contract is outside (0, 1)\n")
+
     def test_tiny_premium_has_no_root(self, capsys):
         # 1 - c0/(p+g) rounds to 1 here; the k floor comes from the upper tail at c0/(p+g).
         code, out, err = run_cli(capsys, "--config", str(GOLDEN / "uniform.json"), "coordinate",

@@ -12,6 +12,7 @@ from freshopt import (
     ConfigNotFound,
     ConfigParseError,
     ConfigValidationError,
+    InvalidValue,
     MarketParams,
     OptionContract,
     OracleSettings,
@@ -365,10 +366,20 @@ class TestSchemaFollowsModelTypes:
         raw = _baseline_with(("oracle",), {"samples": 7.0, "seed": True, "grid_step": 1})
         with pytest.raises(ConfigValidationError) as err:
             parse_config(raw)
-        assert err.value.problems == ["oracle.samples: expected an integer, got 7.0",
-                                      "oracle.seed: expected an integer, got True"]
+        assert err.value.problems == ["oracle.samples: must be >= 1 and an integer, got 7.0",
+                                      "oracle.seed: must be >= 0 and an integer, got True"]
         del raw["oracle"]["samples"], raw["oracle"]["seed"]
         assert parse_config(raw).oracle == OracleSettings(grid_step=1.0)
+
+    def test_oracle_reports_draw_and_grid_step_problems_together(self):
+        with pytest.raises(InvalidValue) as err:
+            OracleSettings(samples=0, seed=-1, grid_step=math.nan)
+        assert [field for field, _ in err.value.problems] == ["samples", "seed", "grid_step"]
+        raw = _baseline_with(("oracle",), {"samples": 0, "seed": -1, "grid_step": math.nan})
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(raw)
+        assert [p.split(":")[0] for p in err.value.problems] == [
+            "oracle.samples", "oracle.seed", "oracle.grid_step"]
 
     def test_oracle_unknown_key_rejected(self):
         with pytest.raises(ConfigValidationError) as err:

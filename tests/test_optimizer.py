@@ -132,6 +132,15 @@ class TestOptimalPlan:
             assert abs(grad[0]) <= 1e-8
             assert abs(grad[1]) <= 1e-8
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_numpy_scalar_or_int_k_gives_the_float_plan(self, family):
+        d, m, o, k = random_feasible_setup(np.random.default_rng(62), family)
+        for given, as_float in ((np.float64(k), k), (1, 1.0), (2, 2.0)):
+            plan, expected = optimal_plan(d, m, o, given), optimal_plan(d, m, o, as_float)
+            assert type(plan.q_spot) is float and type(plan.q_option) is float
+            assert (plan.q_spot.hex(), plan.q_option.hex()) == (
+                expected.q_spot.hex(), expected.q_option.hex())
+
     def test_raises_on_infeasible(self, baseline_demand, baseline_market):
         with pytest.raises(Infeasible) as err:
             optimal_plan(baseline_demand, baseline_market,
@@ -231,6 +240,13 @@ class TestCoordinatingPremium:
         # to give back Q** within the tolerance.
         with pytest.raises(Infeasible, match="coordination identity failed"):
             coordinating_premium(baseline_demand, baseline_market, 35.0, 1e10)
+
+    def test_solved_fractile_outside_range_is_named(self, baseline_demand, baseline_market):
+        # At k = 1e17 the solved premium takes the whole option margin: the fractile is 0.
+        with pytest.raises(Infeasible) as err:
+            coordinating_premium(baseline_demand, baseline_market, 35.0, 1e17)
+        assert str(err.value) == ("coordination identity failed: total fractile 0.0 "
+                                  "of the solved contract is outside (0, 1)")
 
     def test_chain_prefers_centralized_total(self, baseline_demand, baseline_market,
                                              baseline_contract):

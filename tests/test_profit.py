@@ -242,6 +242,19 @@ class TestChainExpectedProfit:
         assert isinstance(got, np.ndarray)
         assert got.tolist() == [chain_expected_profit(d, m, float(q)) for q in totals]
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_any_number_or_array_like_equals_the_float_or_array_call(self, family):
+        d, m, _, _ = random_feasible_setup(np.random.default_rng(74), family)
+        q = d.quantile(0.5)
+        alone = chain_expected_profit(d, m, q)
+        for value in (np.float64(q), np.array(q)):
+            got = chain_expected_profit(d, m, value)
+            assert type(got) is float and got.hex() == alone.hex()
+        got = chain_expected_profit(d, m, 3)
+        assert type(got) is float and got.hex() == chain_expected_profit(d, m, 3.0).hex()
+        got = chain_expected_profit(d, m, [1.0, q])
+        assert got.tolist() == chain_expected_profit(d, m, np.array([1.0, q])).tolist()
+
     @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
     def test_array_rejects_any_bad_total(self, baseline_demand, baseline_market, bad):
         with pytest.raises(InvalidValue, match="q_total"):

@@ -365,6 +365,17 @@ class TestScenarioValidation:
                           market=baseline_market, k_grid=(1.0,), fixed_c0=5.0)
         assert err.value.problems == [("mode", f"must be one of {MODES}, got 'fixed-both'")]
 
+    def test_default_grid_rejects_unknown_mode_as_the_scenario_does(self, baseline_demand,
+                                                                    baseline_market):
+        with pytest.raises(InvalidValue) as scenario:
+            SweepScenario(mode="nope", demand=baseline_demand,
+                          market=baseline_market, k_grid=(1.0,), fixed_c0=5.0)
+        for _ in range(2):  # a failure is not cached
+            with pytest.raises(InvalidValue) as err:
+                default_k_grid("nope")
+            assert err.value.problems == scenario.value.problems == [
+                ("mode", f"must be one of {MODES}, got 'nope'")]
+
     def test_mode_needs_its_fixed_value(self, baseline_demand, baseline_market):
         with pytest.raises(ValueError, match="fixed_ce"):
             SweepScenario(mode="fixed-exercise-price", demand=baseline_demand,
@@ -488,6 +499,14 @@ def test_flagged_notes_are_the_scalar_functions_text(baseline_market, family, mo
     assert sum(not r.feasible for r in rows) >= 2
     for row in rows:
         assert row.note == _scalar_note(d, m, mode, row.k), row.k
+
+
+def test_unsolvable_coordination_note_names_the_fractile(baseline_demand, baseline_market):
+    row, = run_sweep(_mode_scenario("fixed-exercise-price", baseline_demand, baseline_market,
+                                    (1e17,)))
+    assert row.note == _scalar_note(baseline_demand, baseline_market, "fixed-exercise-price", 1e17)
+    assert row.note == ("Infeasible: coordination identity failed: total fractile 0.0 "
+                        "of the solved contract is outside (0, 1)")
 
 
 @pytest.mark.parametrize("family", sorted(DEMANDS))
