@@ -209,7 +209,11 @@ class DemandDistribution(ABC):
         """
         if type(q) is float:
             return self._quantile(_check_level(q))
-        return _on_array(partial(_entrywise, lambda level: self._quantile(_check_level(level))), q)
+        levels = np.asarray(q, dtype=float)
+        bad = levels[~((levels > 0.0) & (levels < 1.0))]
+        if bad.size:  # the first bad level names the error
+            _check_level(bad[0].item())
+        return _on_array(partial(_entrywise, self._quantile), levels)
 
     def cdf(self, x):
         """F(x); accepts scalars or numpy arrays.  Demand is nonnegative, so F is +0.0

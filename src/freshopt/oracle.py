@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .demand import DemandDistribution, InvalidValue, _check_positive, np
+from .optimizer import _believed_stock, _Row
 from .profit import (
     MarketParams,
     OptionContract,
@@ -213,5 +214,5 @@ def default_grid_spec(d: DemandDistribution, m: MarketParams, k: float,
     """Search box up to the believed stock at the larger of 0.9999 and o's total fractile:
     it contains the optimum for valid fractiles (without o, for those up to 0.9999)."""
     level = 0.9999 if o is None else max(0.9999, total_fractile(m, o))
-    reach = d.quantile(level) * k * m.theta / (1.0 - m.beta)
+    reach = _believed_stock(d, m, _Row(k), level)
     return GridSpec(q1_range=(0.0, reach), qq_range=(0.0, reach), step=step)

@@ -11,23 +11,22 @@ The whole grid is solved as columns, by the code behind the public
 solvers: the coordinating prices from one array cdf call, every screen
 as a mask over the grid (a flagged row's note is the error text, or the
 violation names, that the public functions give at its k), the plans
-from at most two array quantile calls, and the profits from two array
-ledger calls (theta*k, theta) and one array call of chain_expected_profit.
-Rows are tuples made from the columns.  Each row prints as csv.writer
-prints its cells, and a solved row (ten floats, flag true, no note)
-prints the same text from one % template; monotonicity_report compares
-the nine numeric columns as they print, formatting only the steps that
-rounding could flatten.
+from at most two array quantile calls, and the profits from one array
+ledger call over both views (scale theta*k, then theta) and one array call
+of chain_expected_profit.  Rows are tuples made from the columns.  Each
+row prints as csv.writer prints its cells; a run of solved rows, or a
+flagged row, prints the same text from one % template.  monotonicity_report
+compares the nine numeric columns as they print, reading a printed sign
+from rint(x * 1e6), and prints only ends within a few ulps of a rounding tie.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, groupby, repeat
 from typing import NamedTuple
 
 from .demand import DemandDistribution, InvalidValue, _check_positive, np
@@ -163,7 +162,6 @@ class SweepRow(NamedTuple):
 
 CSV_COLUMNS = SweepRow._fields
 _NUMERIC_COLUMNS = CSV_COLUMNS[1:10]
-_NUMBERS = operator.itemgetter(slice(10))  # a row's ten number cells, row[:10]
 
 
 def run_sweep(scenario: SweepScenario) -> list[SweepRow]:
@@ -224,10 +222,10 @@ def _solve_plans(d: DemandDistribution, m: MarketParams, prices: _Prices, rows: 
 
     q_spot, q_option = _plans(d, m, tf, sf, rows, q_total)
     k, c0, ce, spot, option = map(rows.gather, (rows.k, prices.c0, prices.ce, q_spot, q_option))
-    believed, _, _ = _ledger(d, m, c0, ce, m.theta * k, spot, option)
-    true_view, supplier, chain = _ledger(d, m, c0, ce, m.theta, spot, option)
-    cells[:, rows.ok] = [spot + option, spot, option, sum(believed.values()),
-                         sum(true_view.values()), supplier, chain]
+    scale = np.stack([m.theta * k, np.full_like(k, m.theta)])  # both views: believed, true
+    retailer, supplier, whole_chain = _ledger(d, m, c0, ce, scale, spot, option)
+    believed, true_view = sum(retailer.values())
+    cells[:, rows.ok] = [spot + option, spot, option, believed, true_view, supplier[1], whole_chain[1]]
     rows.screen(~np.isfinite(cells[3:]).all(axis=0), lambda at: _overflow("expected profit"))
     # Through the public function by name, so a patched chain_expected_profit reaches every cell.
     cells[6, rows.ok] = chain_expected_profit(d, m, cells[0, rows.ok])
@@ -269,15 +267,22 @@ def monotonicity_report(rows: list[SweepRow]) -> MonotonicityReport:
     if len(feasible) < 3:
         raise TooFewRows(
             f"monotonicity needs at least 3 feasible rows, got {len(feasible)}")
-    table = np.array(list(map(_NUMBERS, feasible)), dtype=float).T
+    table = np.array([r[:10] for r in feasible], dtype=float).T
     ks, values = table[0].tolist(), table[1:]
     steps = np.diff(values, axis=1)
-    # Print moves a value by at most 5e-7 and keeps the order of any two, so only a
-    # nonzero step below 2e-6 can change sign in print: those are taken as printed.
+    # Print moves a value by at most 5e-7 and keeps the order of any two, so only a nonzero
+    # step below 2e-6 can change sign in print.  %.6f prints x as rint(x * 1e6) millionths
+    # unless rounding the product, by at most |x * 1e6| * 2**-53, crosses a .5 tie: a pair
+    # with an end within 8 times that of one (every product past 2**51) is printed.
     near = (steps != 0.0) & (abs(steps) < 2e-6)
-    left, right = (np.array(list(map(_format_cell, end[near].tolist())), dtype=float)
-                   for end in (values[:, :-1], values[:, 1:]))
-    steps[near] = right - left
+    if near.any():
+        ends = np.stack([values[:, :-1][near], values[:, 1:][near]])
+        scaled = ends * 1e6
+        printed = np.rint(scaled)
+        unsure = (abs(scaled - np.floor(scaled) - 0.5) <= abs(scaled) * 2**-50).any(axis=0)
+        for i in np.flatnonzero(unsure).tolist():
+            printed[:, i] = [float(_format_cell(x)) for x in ends[:, i].tolist()]
+        steps[near] = printed[1] - printed[0]
     rising, falling = steps > 0.0, steps < 0.0
     # The first step against the first step's direction; a flat first step is one.
     against = np.argmax(np.where(rising[:, :1], ~rising, ~falling), axis=1).tolist()
@@ -300,22 +305,42 @@ def _format_cell(value) -> str:
     return "" if value is None else str(value)
 
 
-# A solved row: ten floats, flag True, empty note; its printed numbers hold nothing to quote.
-_SOLVED = ",".join(["%.6f"] * 10) + ",true,\n"
-_FLOATS = [float] * 10
+# Row templates by cell types (%.0s takes a cell and prints nothing): a run of solved rows
+# prints from one % over _SOLVED repeated, a flagged row its k and prices from _FLAGGED.
+_SOLVED_TYPES = (float,) * 10 + (bool, str)
+_SOLVED = ",".join(["%.6f"] * 10) + ",true,%.0s%.0s\n"
+_PRICE = {float: "%.6f", type(None): "%.0s"}
+_FLAGGED = {(float, a, b, *[type(None)] * 7, bool, str): f"%.6f,{_PRICE[a]},{_PRICE[b]},,,,,,,,false,"
+            for a in _PRICE for b in _PRICE}
+
+
+def _template(row) -> str | None:
+    """The template that prints ``row`` as csv.writer prints its cells, or None: a flagged
+    row's note holds no '"', CR or LF, so it needs quotes only if it holds a comma."""
+    types = tuple(map(type, row))
+    if types == _SOLVED_TYPES:
+        return _SOLVED if row[10] and not row[11] else None
+    flagged = types in _FLAGGED and not (row[10] or '"' in row[11] or "\r" in row[11] or "\n" in row[11])
+    return _FLAGGED[types] if flagged else None
 
 
 def write_csv(rows: list[SweepRow], stream) -> None:
     """Fixed-column CSV: '.' decimals, ',' delimiter, header mandatory.  Each row prints
-    as csv.writer prints its _format_cell cells; a solved row prints the same text from
-    one % template, in which a '-' only ever leads a cell."""
+    as csv.writer prints its _format_cell cells; a row with a template prints the same
+    text from it, in which a '-' only ever leads a number cell."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        if row[10] is True and row[11] == "" and list(map(type, row[:10])) == _FLOATS:
-            stream.write((_SOLVED % row[:10]).replace("-0.000000", "0.000000"))
+    for template, group in groupby(rows, _template):
+        if template is _SOLVED:
+            group = list(group)
+            text = _SOLVED * len(group) % tuple(chain.from_iterable(group))
+            stream.write(text.replace("-0.000000", "0.000000"))
+        elif template is not None:
+            for row in group:
+                stream.write((template % row[:3]).replace("-0.000000", "0.000000")
+                             + (f'"{row[11]}"\n' if "," in row[11] else row[11] + "\n"))
         else:
-            writer.writerow(map(_format_cell, row))
+            writer.writerows([_format_cell(cell) for cell in row] for row in group)
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

@@ -185,8 +185,9 @@ class TestQuantile:
     def test_out_of_range(self, q):
         with pytest.raises(OutOfRange):
             Uniform(0.0, 100.0).quantile(q)
-        with pytest.raises(OutOfRange):
-            Uniform(0.0, 100.0).quantile(np.array([0.5, q]))
+        # An array names its first bad level, as the float call at that level does.
+        with pytest.raises(OutOfRange, match=f"got {q}$"):
+            Uniform(0.0, 100.0).quantile(np.array([[0.5, q], [math.nan, 2.0]]))
 
     @pytest.mark.parametrize("d", ALL_DISTRIBUTIONS + [TruncatedNormal(-30.0, 1.0)],
                              ids=lambda d: f"{d.family}-{d.params()}")

@@ -32,6 +32,7 @@ from freshopt import (
     realized_supplier_profit,
     retailer_expected_profit,
     supplier_expected_profit,
+    total_fractile,
 )
 from freshopt.demand import _FAMILIES, _SPLIT_MIN, DemandDistribution
 from freshopt.oracle import MC_KINDS, _CHUNK, _MAX_SAMPLES, _lattice, _window_max, chunk_stream
@@ -320,6 +321,16 @@ class TestGridSearch:
         # The box does not move while the fractile is at most 0.9999.
         base = OptionContract(c0=5.0, ce=35.0)
         assert default_grid_spec(d, m, 1.3, 0.05, base) == default_grid_spec(d, m, 1.3, 0.05)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_box_edge_is_the_optimizers_believed_stock(self, family):
+        # The edge is k*theta/(1-beta) * F^-1(level), multiplied in the optimizer's order.
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            d, m, o, k = random_feasible_setup(rng, family)
+            level = max(0.9999, total_fractile(m, o))
+            reach = k * m.theta / (1.0 - m.beta) * d.quantile(level)
+            assert default_grid_spec(d, m, k, 0.05, o) == GridSpec((0.0, reach), (0.0, reach), 0.05)
 
     def test_halving_step_never_hurts(self, baseline_demand, baseline_market,
                                       baseline_contract):

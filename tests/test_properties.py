@@ -1,4 +1,5 @@
-"""Property tests: any number in a config or on a flag ends in a finite result or a typed error."""
+"""Property tests: any number in a config or on a flag ends in a finite result or a typed
+error, and the monotonicity report classifies columns as their printed cells compare."""
 from __future__ import annotations
 
 import contextlib
@@ -6,13 +7,31 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from freshopt import ConfigValidationError, parse_config  # noqa: E402
+from test_sweep import DEMANDS, WIDE_GRID, _mode_scenario  # noqa: E402
+
+from freshopt import (  # noqa: E402
+    MODES,
+    ConfigValidationError,
+    SweepRow,
+    TooFewRows,
+    default_k_grid,
+    monotonicity_report,
+    parse_config,
+    run_sweep,
+)
 from freshopt.cli import default_config_path, main  # noqa: E402
+from freshopt.sweep import (  # noqa: E402
+    _NUMERIC_COLUMNS,
+    ColumnTrend,
+    MonotonicityReport,
+    _format_cell,
+)
 
 # Fixed examples keep the suite deterministic and its wall time small.
 CHECKS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -77,3 +96,77 @@ def test_cli_exits_zero_one_or_two(command, flags):
     # A result is finite: an overflow ends in a typed error instead.
     if code == 0:
         assert "nan" not in stdout.getvalue() and "inf" not in stdout.getvalue(), argv
+
+
+def _reference_report(rows):
+    """monotonicity_report as it was before it read printed signs from rint(x * 1e6):
+    the two ends of every near step printed with _format_cell and parsed back."""
+    feasible = [r for r in rows if r.feasible]
+    if len(feasible) < 3:
+        raise TooFewRows(
+            f"monotonicity needs at least 3 feasible rows, got {len(feasible)}")
+    table = np.array([r[:10] for r in feasible], dtype=float).T
+    ks, values = table[0].tolist(), table[1:]
+    steps = np.diff(values, axis=1)
+    near = (steps != 0.0) & (abs(steps) < 2e-6)
+    left, right = (np.array(list(map(_format_cell, end[near].tolist())), dtype=float)
+                   for end in (values[:, :-1], values[:, 1:]))
+    steps[near] = right - left
+    rising, falling = steps > 0.0, steps < 0.0
+    against = np.argmax(np.where(rising[:, :1], ~rising, ~falling), axis=1).tolist()
+    trends = {}
+    for column, up, down, idx in zip(_NUMERIC_COLUMNS, rising.all(axis=1).tolist(),
+                                     falling.all(axis=1).tolist(), against):
+        direction = "strictly-increasing" if up else "strictly-decreasing" if down else "non-monotone"
+        trends[column] = ColumnTrend(direction, None if up or down else (ks[idx], ks[idx + 1]))
+    return MonotonicityReport(trends)
+
+
+def _walk(x: float, ulps: int) -> float:
+    """x moved by ulps steps of math.nextafter."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# A column's centre: a sixth-decimal tie (0.0078125 prints from exactly 7812.5
+# millionths; k + 5e-7 is one up to rounding), a signed zero, or any size up to 1e12.
+CENTRES = st.one_of(
+    st.sampled_from([0.0078125, -0.0078125, 0.0, -0.0]),
+    st.integers(-10**12, 10**12).map(lambda k: k + 5e-7),
+    st.floats(-1e12, 1e12),
+)
+
+
+@st.composite
+def _tie_columns(draw):
+    """Rows of nine columns, each a few ulps and millionths around its own centre, so
+    most steps are below 2e-6 and many ends sit on or beside a rounding tie."""
+    n = draw(st.integers(3, 8))
+    columns = []
+    for _ in range(9):
+        centre = draw(CENTRES)
+        columns.append([_walk(centre + draw(st.sampled_from([0.0, 1e-6, -1e-6, 5e-7, 1.5e-6])),
+                              draw(st.integers(-4, 4)))
+                        if draw(st.booleans()) else centre for _ in range(n)])
+    return [SweepRow(0.5 + 0.25 * i, *cells, True, "") for i, cells in enumerate(zip(*columns))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_tie_columns())
+def test_monotonicity_report_equals_printing_both_ends(rows):
+    assert monotonicity_report(rows) == _reference_report(rows)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("family", sorted(DEMANDS))
+def test_monotonicity_report_equals_reference_on_sweeps(baseline_market, family, mode):
+    for grid in (WIDE_GRID, default_k_grid(mode)):
+        rows = run_sweep(_mode_scenario(mode, DEMANDS[family], baseline_market, grid))
+        try:
+            expected = _reference_report(rows)
+        except TooFewRows:
+            with pytest.raises(TooFewRows):
+                monotonicity_report(rows)
+        else:
+            assert monotonicity_report(rows) == expected

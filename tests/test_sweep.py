@@ -164,6 +164,19 @@ _EDGE_NUMBERS = (-0.0, 0.0, -4e-7, 4e-7, -5e-7, 5e-7, -5.000001e-7, 4.999999e-7,
 _NOTES = ("", "a,b", 'say "hi"', "line\nbreak", "100%", "-0.000000", "q_option;supplier")
 
 
+_FLAGGED_NOTES = ("", "negative-option-quantity", "NoRoot: no price in (0, 55) at k=1.25",
+                  'say "hi"', 'say "hi", twice', "carriage\rreturn", "line\nfeed", "-0.000000 %s")
+
+
+def _csv_writer_text(table) -> str:
+    """What csv.writer prints for the header and the _format_cell cells of every row."""
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([_format_cell(cell) for cell in row] for row in table)
+    return reference.getvalue()
+
+
 def _mixed_rows(seed: int, n: int) -> list[SweepRow]:
     """A seeded table: about half solved rows (ten floats, flag True, no note), the rest
     with None, int, np.float64 or bool cells, a flag of True, False or 1, and any note."""
@@ -233,11 +246,36 @@ class TestDeterminismAndCsv:
         # What csv.writer gives for every printed cell of every row, here and on a seeded
         # table that mixes solved rows with every other kind of row.
         for table in (rows, _mixed_rows(seed=15, n=400)):
-            reference = io.StringIO()
-            writer = csv.writer(reference, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows([_format_cell(cell) for cell in row] for row in table)
-            assert rows_to_csv(table) == reference.getvalue()
+            assert rows_to_csv(table) == _csv_writer_text(table)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_row_templates_print_what_csv_writer_prints(self, seed):
+        # Runs of 0, 1 or many solved rows, flagged rows with every kind of note and
+        # either price missing, and rows whose cells no template takes, interleaved.
+        rng = random.Random(seed)
+
+        def number():
+            return rng.choice([-0.0, -1e-7, 0.0, 5e-7, 0.0078125, rng.uniform(-1e6, 1e6)])
+
+        def solved_run():
+            return [SweepRow(*[number() for _ in range(10)], True, "")
+                    for _ in range(rng.choice([0, 1, 2, 40]))]
+
+        def flagged():
+            return [SweepRow(number(), rng.choice([None, number()]), rng.choice([None, number()]),
+                             note=rng.choice(_FLAGGED_NOTES))]
+
+        def other():
+            cells = [number() for _ in range(10)]
+            cells[rng.randrange(10)] = rng.choice([7, True, np.float64(0.25), None, "x,y"])
+            return [rng.choice([SweepRow(*cells, rng.choice([True, False]), rng.choice(_NOTES)),
+                                SweepRow(3, 5.0, note="int k"),
+                                SweepRow(1.0, np.float64(5.0), note="numpy price"),
+                                SweepRow(1.0, 5.0, feasible=True, note="flag true"),
+                                SweepRow(1.0, 5.0, q_total=2.0, note="a plan cell")])]
+
+        table = [row for make in rng.choices([solved_run, flagged, other], k=30) for row in make()]
+        assert rows_to_csv(table) == _csv_writer_text(table)
 
     def test_infeasible_numeric_fields_empty(self, baseline_demand, baseline_market):
         rows = run_sweep(_scenario_b(baseline_demand, baseline_market))
@@ -467,10 +505,10 @@ class TestColumnPricing:
             monkeypatch.setattr(owner, name, counting)
         rows = run_sweep(_mode_scenario(mode, d, baseline_market, default_k_grid(mode)))
         assert sum(r.feasible for r in rows) >= 5
-        # Two partials at theta*k, two at theta, one for the chain.
-        assert calls["cdf_integral"] <= 5
+        # Two partials for both views at once (theta*k and theta), one for the chain.
+        assert calls["cdf_integral"] <= 3
         # One for the coordinating prices; a truncated-normal partial reads the cdf once more.
-        assert calls["cdf"] <= 1 + (5 if family == "truncated-normal" else 0)
+        assert calls["cdf"] <= 1 + (3 if family == "truncated-normal" else 0)
         # The centralized quantile, the fixed premium's k floor, then the two plan fractiles.
         assert calls["quantile"] <= 4
 
