@@ -77,23 +77,6 @@ from .config import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DemandDistribution", "Uniform", "Exponential", "TruncatedNormal",
-    "make_distribution", "OutOfRange", "InvalidValue",
-    "MarketParams", "OptionContract", "OrderPlan", "ProfitBreakdown",
-    "InfeasibleContract",
-    "retailer_expected_profit", "retailer_profit_gradient",
-    "supplier_expected_profit", "supplier_profit_gap",
-    "chain_expected_profit",
-    "realized_retailer_profit", "realized_supplier_profit", "realized_chain_profit",
-    "FeasibilityReport", "Violation", "Infeasible", "NonCoordinable", "NoRoot",
-    "check_feasibility", "optimal_plan", "optimal_centralized",
-    "coordinating_premium", "coordinating_exercise_price",
-    "total_fractile", "spot_fractile",
-    "McEstimate", "GridSpec", "mc_expected", "grid_search_plan", "default_grid_spec",
-    "SweepScenario", "SweepRow", "MODES", "run_sweep", "monotonicity_report",
-    "MonotonicityReport", "TooFewRows", "default_k_grid", "write_csv", "rows_to_csv",
-    "ScenarioConfig", "OracleSettings", "SweepSettings", "load_config", "parse_config",
-    "ConfigError", "ConfigNotFound", "ConfigParseError", "ConfigValidationError",
-    "__version__",
-]
+# Every public name bound above but the submodules, plus __version__: each export is written once.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, type(demand))] + ["__version__"]

@@ -1,10 +1,11 @@
 """Scenario configuration files: a strict, versioned JSON schema.
 
-Unknown keys are rejected (typo safety) and every validation failure is
-collected with its field path before anything is constructed, so a bad
-file reports all its problems at once.  The keys of the market, contract,
-oracle, sweep and demand-parameter sections are the fields of the type each
-builds.
+Unknown keys are rejected (typo safety).  Problems are collected with their
+field paths before anything is constructed, and all sections' problems are
+reported together; a section's range checks run once all its values are
+numbers (a market with "p": "x" and "beta": 2.0 reports market.p alone).
+The keys of the market, contract, oracle, sweep and demand-parameter
+sections are the fields of the type each builds.
 """
 from __future__ import annotations
 
@@ -23,13 +24,17 @@ from .demand import (
 )
 from .oracle import _check_draws
 from .profit import MarketParams, OptionContract
-from .sweep import FIXED_PRICE, MODES, _check_k_grid, _k_range
+from .sweep import FIXED_PRICE, _check_k_grid, _check_mode, _k_range
 
 SCHEMA_VERSION = 1
 
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 42
 DEFAULT_GRID_STEP = 0.05
+# Largest scenario file read; the packaged one is under 1 kB.
+MAX_CONFIG_BYTES = 1 << 20
+# Read first, so that a scenario-sized file does not allocate a buffer the size of the bound.
+_FIRST_READ = 1 << 16
 
 _DEMAND_KEYS = {"family", "params"}
 _KGRID_KEYS = {"start", "stop", "step"}
@@ -98,16 +103,23 @@ def load_config(path) -> ScenarioConfig:
     """Read, parse, and validate a scenario file; the text is read on every call."""
     file_path = Path(path)
     try:
-        text = file_path.read_text(encoding="utf-8")
+        with file_path.open("rb") as file:  # bounded reads: the path may be a device
+            data = file.read(_FIRST_READ)
+            if len(data) == _FIRST_READ:
+                data += file.read(MAX_CONFIG_BYTES + 1 - _FIRST_READ)
+        if len(data) > MAX_CONFIG_BYTES:
+            raise ConfigError(f"{file_path}: larger than {MAX_CONFIG_BYTES} bytes")
+        # Newlines as text mode reads them, so a JSON error position counts a lone CR as a line break.
+        return _parse_text(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except FileNotFoundError:
         raise ConfigNotFound(f"configuration file not found: {file_path}") from None
     except IsADirectoryError:
         raise ConfigNotFound(f"configuration path is a directory: {file_path}") from None
-    try:
-        return _parse_text(text)
+    except OSError as exc:  # no permission, a symlink loop, a name too long, ...
+        raise ConfigNotFound(f"cannot read configuration file {file_path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigParseError(str(file_path), exc.lineno, exc.colno, exc.msg) from None
-    except (ValueError, RecursionError) as exc:  # past Python's integer-digit or nesting limit
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or past an integer-digit or nesting limit
         raise ConfigError(f"{file_path}: {exc}") from None
 
 
@@ -237,9 +249,8 @@ def _parse_sweep(raw, contract: OptionContract | None, problems: list[str]) -> S
     if raw is None:
         return None
     _reject_unknown(raw, _field_names(SweepSettings), "sweep.", problems)
-    mode = raw.get("mode")
-    if mode not in MODES:
-        problems.append(f"sweep.mode: expected one of {MODES}, got {mode!r}")
+    mode = _checked(problems, "sweep.", lambda: _check_mode(raw.get("mode")))
+    if mode is None:
         return None
     fixed = FIXED_PRICE[mode]
     for name in sorted((_field_names(OptionContract) - {fixed}) & raw.keys()):

@@ -53,9 +53,9 @@ from .profit import (
 MODE_FIXED_EXERCISE = "fixed-exercise-price"
 MODE_FIXED_PREMIUM = "fixed-premium"
 MODE_FIXED_CONTRACT = "fixed-contract"
-MODES = (MODE_FIXED_EXERCISE, MODE_FIXED_PREMIUM, MODE_FIXED_CONTRACT)
 # The price each mode holds fixed, an OptionContract field; None holds the whole contract.
 FIXED_PRICE = {MODE_FIXED_EXERCISE: "ce", MODE_FIXED_PREMIUM: "c0", MODE_FIXED_CONTRACT: None}
+MODES = tuple(FIXED_PRICE)
 
 # Largest {start, stop, step} range built; the default grids have 15 and 76 points.
 _MAX_K_POINTS = 100_000

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from freshopt.cli import _build_parser, default_config_path, main
+from freshopt.config import MAX_CONFIG_BYTES
 
 OPTIMIZE_EXPECTED = """\
 Q=71.111111
@@ -288,6 +289,37 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "--config", str(tmp_path), "optimize")
         assert code == 2
         assert err == f"error: configuration path is a directory: {tmp_path}\n"
+
+    def test_config_symlink_loop_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "loop.json"
+        path.symlink_to(path)
+        code, out, err = run_cli(capsys, "--config", str(path), "optimize")
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read configuration file {path}: "
+                       "Too many levels of symbolic links\n")
+
+    def test_config_name_too_long_exits_two(self, capsys, tmp_path):
+        path = tmp_path / ("x" * 300)
+        code, out, err = run_cli(capsys, "--config", str(path), "optimize")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read configuration file {path}: File name too long\n"
+
+    def test_non_utf8_config_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(default_config_path().read_bytes() + b"\xff")
+        code, out, err = run_cli(capsys, "--config", str(path), "optimize")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_config_over_the_bound_exits_two(self, capsys, tmp_path):
+        data = default_config_path().read_bytes()
+        path = tmp_path / "padded.json"
+        path.write_bytes(data + b" " * (MAX_CONFIG_BYTES - len(data)))
+        assert run_cli(capsys, "--config", str(path), "optimize")[:2] == (0, OPTIMIZE_EXPECTED)
+        path.write_bytes(data + b" " * (MAX_CONFIG_BYTES + 1 - len(data)))
+        code, out, err = run_cli(capsys, "--config", str(path), "optimize")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: larger than {MAX_CONFIG_BYTES} bytes\n"
 
     @pytest.mark.parametrize("target,reason", [(".", "Is a directory"),
                                                ("missing/sweep.csv", "No such file or directory")],

@@ -16,6 +16,7 @@ from freshopt import (
     MarketParams,
     OptionContract,
     OracleSettings,
+    SweepScenario,
     Uniform,
     load_config,
     parse_config,
@@ -57,9 +58,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigNotFound):
             load_config(tmp_path / "nope.json")
 
-    def test_parse_error_carries_position(self, tmp_path):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_parse_error_carries_position(self, tmp_path, newline):
         bad = tmp_path / "bad.json"
-        bad.write_text('{\n  "schema": 1,\n  oops\n}\n', encoding="utf-8")
+        bad.write_bytes('{\n  "schema": 1,\n  oops\n}\n'.replace("\n", newline).encode())
         with pytest.raises(ConfigParseError) as err:
             load_config(bad)
         assert err.value.line == 3
@@ -308,7 +310,7 @@ REJECTED_SHAPES = [
     ("k-grid-string", _baseline_with(("sweep", "k_grid"), "0.8:1.5"),
      ["sweep.k_grid: expected a list of numbers or {start, stop, step}"]),
     ("sweep-mode-unknown", _baseline_with(("sweep",), {"mode": "x"}),
-     [f"sweep.mode: expected one of {MODES}, got 'x'"]),
+     [f"sweep.mode: must be one of {MODES}, got 'x'"]),
     ("fixed-contract-without-contract",
      {**_baseline_without("contract"), "sweep": {"mode": "fixed-contract"}},
      ["sweep.mode: fixed-contract mode requires the contract section"]),
@@ -322,6 +324,17 @@ class TestRejectedShapes:
         with pytest.raises(ConfigValidationError) as err:
             parse_config(raw)
         assert err.value.problems == problems
+
+    @pytest.mark.parametrize("mode", ["x", None, 3, ["fixed-premium"]])
+    def test_unknown_sweep_mode_as_the_sweep_words_it(self, mode, baseline_demand,
+                                                      baseline_market):
+        with pytest.raises(InvalidValue) as scenario:
+            SweepScenario(mode=mode, demand=baseline_demand, market=baseline_market,
+                          k_grid=(1.0,), fixed_c0=5.0)
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(_baseline_with(("sweep",), {"mode": mode}))
+        assert err.value.problems == [f"sweep.{field}: {rule}"
+                                      for field, rule in scenario.value.problems]
 
     @pytest.mark.parametrize("raw", [[], "scenario", 1, None])
     def test_top_level_not_an_object(self, raw):

@@ -1,11 +1,15 @@
 """Static checks on the package source with the stdlib ``ast``: no module imports a name
-it never uses, and no private module-level function or class goes unreferenced."""
+it never uses, and no private module-level function or class goes unreferenced; and the
+package's star-import surface."""
 from __future__ import annotations
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import freshopt
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "freshopt"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -47,3 +51,34 @@ def test_no_unreferenced_private_definition():
             and node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in used]
     assert dead == []
+
+
+PUBLIC_NAMES = {
+    "ConfigError", "ConfigNotFound", "ConfigParseError", "ConfigValidationError",
+    "DemandDistribution", "Exponential", "FeasibilityReport", "GridSpec", "Infeasible",
+    "InfeasibleContract", "InvalidValue", "MODES", "MarketParams", "McEstimate",
+    "MonotonicityReport", "NoRoot", "NonCoordinable", "OptionContract", "OracleSettings",
+    "OrderPlan", "OutOfRange", "ProfitBreakdown", "ScenarioConfig", "SweepRow", "SweepScenario",
+    "SweepSettings", "TooFewRows", "TruncatedNormal", "Uniform", "Violation", "__version__",
+    "chain_expected_profit", "check_feasibility", "coordinating_exercise_price",
+    "coordinating_premium", "default_grid_spec", "default_k_grid", "grid_search_plan",
+    "load_config", "make_distribution", "mc_expected", "monotonicity_report",
+    "optimal_centralized", "optimal_plan", "parse_config", "realized_chain_profit",
+    "realized_retailer_profit", "realized_supplier_profit", "retailer_expected_profit",
+    "retailer_profit_gradient", "rows_to_csv", "run_sweep", "spot_fractile",
+    "supplier_expected_profit", "supplier_profit_gap", "total_fractile", "write_csv",
+}
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from freshopt import *", namespace)
+    del namespace["__builtins__"]
+    assert len(freshopt.__all__) == len(PUBLIC_NAMES) == 57
+    assert set(freshopt.__all__) == set(namespace) == PUBLIC_NAMES
+
+
+def test_all_holds_no_module_and_no_private_name():
+    assert [name for name in freshopt.__all__
+            if isinstance(getattr(freshopt, name), types.ModuleType)
+            or (name.startswith("_") and name != "__version__")] == []
