@@ -18,10 +18,9 @@ import argparse
 import functools
 import sys
 import warnings
-from importlib import resources
 from pathlib import Path
 
-from .config import ConfigError, OracleSettings, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, load_config
 from .demand import InvalidValue, OutOfRange, _check_positive
 from .optimizer import (
     Infeasible,
@@ -32,7 +31,7 @@ from .optimizer import (
     coordinating_premium,
     optimal_plan,
 )
-from .oracle import MC_KINDS, mc_expected
+from .oracle import MC_KINDS, _check_draws, mc_expected
 from .profit import (
     InfeasibleContract,
     OptionContract,
@@ -62,7 +61,7 @@ class _UsageError(Exception):
 
 def default_config_path() -> Path:
     """The packaged example scenario."""
-    return Path(str(resources.files("freshopt").joinpath("data/default_scenario.json")))
+    return Path(__file__).with_name("data") / "default_scenario.json"
 
 
 def _emit(out, **values) -> None:
@@ -138,8 +137,9 @@ def cmd_simulate(config: ScenarioConfig, args, out) -> int:
     contract = _resolve_contract(config, args)
     k = _resolve_k(config, args)
     d, m = config.demand, config.market
-    draws = OracleSettings(samples=args.n if args.n is not None else config.oracle.samples,
-                           seed=args.seed if args.seed is not None else config.oracle.seed)
+    n = args.n if args.n is not None else config.oracle.samples
+    seed = args.seed if args.seed is not None else config.oracle.seed
+    _check_draws(n, seed)
     if args.q1 is not None or args.qq is not None:
         if args.q1 is None or args.qq is None:
             raise _UsageError("provide both --q1 and --qq, or neither")
@@ -153,7 +153,7 @@ def cmd_simulate(config: ScenarioConfig, args, out) -> int:
         analytic = supplier_expected_profit(d, m, contract, plan)
     else:
         analytic = chain_expected_profit(d, m, plan.q_total)
-    estimate = mc_expected(args.kind, d, m, contract, k, plan, draws.samples, draws.seed)
+    estimate = mc_expected(args.kind, d, m, contract, k, plan, n, seed)
     distance = abs(estimate.mean - analytic) / estimate.stderr if estimate.stderr > 0 else 0.0
 
     _emit(out, kind=args.kind, n=estimate.n, seed=estimate.seed, analytic=float(analytic),

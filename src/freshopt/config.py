@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from .demand import (
     _FAMILIES,
     DemandDistribution,
     InvalidValue,
+    _check_each,
     _check_positive,
     _field_names,
 )
@@ -70,19 +73,13 @@ class OracleSettings:
     grid_step: float = DEFAULT_GRID_STEP
 
     def __post_init__(self):
-        problems = []
-        for check in (lambda: _check_draws(self.samples, self.seed),
-                      lambda: _check_positive("grid_step", self.grid_step)):
-            try:
-                check()
-            except InvalidValue as exc:
-                problems += exc.problems
-        if problems:
-            raise InvalidValue(problems)
+        _check_each((_check_draws, self.samples, self.seed), (_check_positive, "grid_step", self.grid_step))
 
 
 @dataclass(frozen=True)
 class SweepSettings:
+    """A config's sweep section: mode, the fixed price it reads, and an optional k grid."""
+
     mode: str
     c0: float | None = None
     ce: float | None = None
@@ -91,6 +88,8 @@ class SweepSettings:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated scenario file: demand, market, contract, k, oracle and sweep settings."""
+
     demand: DemandDistribution
     market: MarketParams
     contract: OptionContract | None
@@ -103,18 +102,25 @@ def load_config(path) -> ScenarioConfig:
     """Read, parse, and validate a scenario file; the text is read on every call."""
     file_path = Path(path)
     try:
-        with file_path.open("rb") as file:  # bounded reads: the path may be a device
-            data = file.read(_FIRST_READ)
+        mode = os.stat(file_path).st_mode
+        if stat.S_ISDIR(mode):
+            raise ConfigNotFound(f"configuration path is a directory: {file_path}")
+        if not stat.S_ISREG(mode):  # a FIFO would block in open, a device read without end
+            raise ConfigNotFound(f"cannot read configuration file {file_path}: not a regular file")
+        # Non-blocking, should the path have become a FIFO since the stat.
+        fd = os.open(file_path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            data = os.read(fd, _FIRST_READ)
             if len(data) == _FIRST_READ:
-                data += file.read(MAX_CONFIG_BYTES + 1 - _FIRST_READ)
+                data += os.read(fd, MAX_CONFIG_BYTES + 1 - _FIRST_READ)
+        finally:
+            os.close(fd)
         if len(data) > MAX_CONFIG_BYTES:
             raise ConfigError(f"{file_path}: larger than {MAX_CONFIG_BYTES} bytes")
         # Newlines as text mode reads them, so a JSON error position counts a lone CR as a line break.
         return _parse_text(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except FileNotFoundError:
         raise ConfigNotFound(f"configuration file not found: {file_path}") from None
-    except IsADirectoryError:
-        raise ConfigNotFound(f"configuration path is a directory: {file_path}") from None
     except OSError as exc:  # no permission, a symlink loop, a name too long, ...
         raise ConfigNotFound(f"cannot read configuration file {file_path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:

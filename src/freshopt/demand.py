@@ -77,6 +77,19 @@ def _check_nonnegative(field: str, value: float) -> None:
         raise InvalidValue([(field, f"must be finite and >= 0, got {value}")])
 
 
+def _check_each(*checks) -> None:
+    """Call check(a, b) for each (check, a, b); then raise one InvalidValue with every
+    problem they raised, in order, if any did."""
+    problems = []
+    for check, a, b in checks:
+        try:
+            check(a, b)
+        except InvalidValue as exc:
+            problems += exc.problems
+    if problems:
+        raise InvalidValue(problems)
+
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 

@@ -50,6 +50,8 @@ class NoRoot(ValueError):
 
 @dataclass(frozen=True)
 class Violation:
+    """One screen a contract or plan fails: its name and why."""
+
     name: str
     message: str
 

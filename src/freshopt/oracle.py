@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .demand import DemandDistribution, InvalidValue, _check_positive, np
+from .demand import DemandDistribution, InvalidValue, _check_each, _check_positive, np
 from .optimizer import _believed_stock, _Row
 from .profit import (
     MarketParams,
@@ -71,10 +71,15 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
-        for name, (lo, hi) in (("q1_range", self.q1_range), ("qq_range", self.qq_range)):
-            if not (0.0 <= lo <= hi and math.isfinite(hi)):
-                raise InvalidValue([(name, f"must satisfy 0 <= lo <= hi < inf, got ({lo}, {hi})")])
-        _check_positive("step", self.step)
+        _check_each((_check_range, "q1_range", self.q1_range), (_check_range, "qq_range", self.qq_range),
+                    (_check_positive, "step", self.step))
+
+
+def _check_range(field: str, bounds: tuple[float, float]) -> None:
+    """Raise InvalidValue unless bounds is a finite (lo, hi) with 0 <= lo <= hi."""
+    lo, hi = bounds
+    if not (0.0 <= lo <= hi and math.isfinite(hi)):
+        raise InvalidValue([(field, f"must satisfy 0 <= lo <= hi < inf, got ({lo}, {hi})")])
 
 
 def _is_int(value) -> bool:

@@ -34,6 +34,7 @@ from .demand import (
     DemandDistribution,
     InvalidValue,
     _any,
+    _check_each,
     _check_nonnegative,
     _check_positive,
     _on_array,
@@ -107,8 +108,7 @@ class OptionContract:
     ce: float
 
     def __post_init__(self):
-        _check_positive("c0", self.c0)
-        _check_positive("ce", self.ce)
+        _check_each((_check_positive, "c0", self.c0), (_check_positive, "ce", self.ce))
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ class OrderPlan:
     q_option: float
 
     def __post_init__(self):
-        _check_nonnegative("q_spot", self.q_spot)
-        _check_nonnegative("q_option", self.q_option)
+        _check_each((_check_nonnegative, "q_spot", self.q_spot),
+                    (_check_nonnegative, "q_option", self.q_option))
 
     @property
     def q_total(self) -> float:

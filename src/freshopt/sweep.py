@@ -234,12 +234,16 @@ def _solve_plans(d: DemandDistribution, m: MarketParams, prices: _Prices, rows: 
 
 @dataclass(frozen=True)
 class ColumnTrend:
+    """How one sweep column moves with k, and the first adjacent k pair that breaks it, if any."""
+
     direction: str  # strictly-increasing | strictly-decreasing | non-monotone
     first_violation: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
 class MonotonicityReport:
+    """Each numeric sweep column's trend over the feasible k range, in column order."""
+
     trends: dict[str, ColumnTrend]
 
     def describe(self) -> str:

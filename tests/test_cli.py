@@ -3,10 +3,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import freshopt.cli
 from freshopt.cli import _build_parser, default_config_path, main
 from freshopt.config import MAX_CONFIG_BYTES
 
@@ -64,6 +69,12 @@ def test_reused_parser_carries_nothing_between_calls(capsys, tmp_path):
     assert together[4][0] == 2 and together[4][2].startswith("usage: freshopt")
     assert "unrecognized arguments: --no-such-flag" in together[4][2]
     assert [code for code, *_ in together] == [0, 0, 0, 0, 2, 0, 0]
+
+
+def test_default_config_is_the_packaged_scenario():
+    path = default_config_path()
+    assert path == Path(freshopt.cli.__file__).with_name("data") / "default_scenario.json"
+    assert path.is_file()
 
 
 class TestOptimize:
@@ -290,6 +301,31 @@ class TestErrorPaths:
         assert code == 2
         assert err == f"error: configuration path is a directory: {tmp_path}\n"
 
+    def test_config_fifo_exits_two_without_reading(self, tmp_path):
+        # open() on a FIFO waits for a writer, so the CLI runs in its own process under a
+        # timeout: a hang fails this test instead of stalling the suite.
+        path = tmp_path / "scenario.fifo"
+        os.mkfifo(path)
+        src = str(Path(freshopt.cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "freshopt.cli", "--config", str(path),
+                                 "optimize"], env=env, capture_output=True, text=True, timeout=30)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: cannot read configuration file {path}: not a regular file\n"
+
+    @pytest.mark.parametrize("kind", ["device", "socket"])
+    def test_config_not_a_regular_file_exits_two(self, capsys, tmp_path, kind):
+        path = Path("/dev/null")
+        if kind == "socket":
+            path = tmp_path / "scenario.sock"
+            server = socket.socket(socket.AF_UNIX)
+            server.bind(str(path))
+            server.close()
+        code, out, err = run_cli(capsys, "--config", str(path), "optimize")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read configuration file {path}: not a regular file\n"
+
     def test_config_symlink_loop_exits_two(self, capsys, tmp_path):
         path = tmp_path / "loop.json"
         path.symlink_to(path)
@@ -406,12 +442,26 @@ class TestErrorPaths:
         (("--n", "-3"), "sample count must be >= 1"),
         (("--seed", "-1"), "seed must be >= 0"),
         (("--n", "1000000001"), "sample count must be <= 1000000000, got 1000000001"),
+        (("--n", "0", "--seed", "-1"), "error: sample count must be >= 1 and an integer, got 0; "
+                                       "seed must be >= 0 and an integer, got -1\n"),
     ])
     def test_bad_sample_count_or_seed_exits_two(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "simulate", "--kind", "retailer", *flags)
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_draws_checked_before_the_contract_is_priced(self, capsys):
+        # c0=40, ce=35 leaves no optimal plan (exit 1), but the bad draw count comes first.
+        argv = ("simulate", "--kind", "retailer", "--c0", "40", "--ce", "35")
+        assert run_cli(capsys, *argv)[0] == 1
+        assert run_cli(capsys, *argv, "--n", "0") == (
+            2, "", "error: sample count must be >= 1 and an integer, got 0\n")
+
+    def test_evaluate_names_both_bad_quantities(self, capsys):
+        assert run_cli(capsys, "evaluate", "--q1", "-1", "--qq", "nan") == (
+            2, "", "error: q_spot must be finite and >= 0, got -1.0; "
+                   "q_option must be finite and >= 0, got nan\n")
 
     def test_negative_config_seed_exits_two(self, capsys, tmp_path):
         raw = json.loads(default_config_path().read_text(encoding="utf-8"))

@@ -149,6 +149,14 @@ class TestValidation:
         assert "demand" in joined
         assert len(err.value.problems) >= 4
 
+    def test_contract_reports_both_prices(self):
+        raw = _baseline_raw()
+        raw["contract"] = {"c0": -5.0, "ce": -1.0}
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(raw)
+        assert err.value.problems == ["contract.c0: must be finite and > 0, got -5.0",
+                                      "contract.ce: must be finite and > 0, got -1.0"]
+
     def test_schema_version_required(self):
         raw = _baseline_raw()
         raw["schema"] = 2

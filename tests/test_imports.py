@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -155,3 +156,13 @@ def test_no_executor_loaded(concurrent_after):
     assert all(not loaded for run, loaded in concurrent_after.items() if run != SIMULATE_RUN)
     executors = {"concurrent.futures.thread", "concurrent.futures.process"}
     assert not executors & concurrent_after[SIMULATE_RUN]
+
+
+def test_cli_import_loads_no_importlib_resources():
+    # -S: no site module, so no .pth file can load it first; site-packages stays importable.
+    src = str(Path(freshopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, sysconfig.get_paths()["purelib"]]))
+    probe = "import sys, freshopt.cli; print('importlib.resources' in sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "False\n"

@@ -349,6 +349,16 @@ class TestGridSearch:
         assert plan.q_spot == 12.0
         assert plan.q_option == 7.5
 
+    @pytest.mark.parametrize("args,fields", [
+        (((5.0, 1.0), (0.0, math.inf), 0.0), ["q1_range", "qq_range", "step"]),
+        (((-1.0, 1.0), (0.0, 1.0), math.nan), ["q1_range", "step"]),
+        (((0.0, 1.0), (2.0, 1.0), 0.5), ["qq_range"]),
+    ], ids=["all-three", "first-and-step", "second"])
+    def test_grid_spec_reports_every_broken_field_in_order(self, args, fields):
+        with pytest.raises(InvalidValue) as err:
+            GridSpec(*args)
+        assert [field for field, _ in err.value.problems] == fields
+
     def test_worthless_options_drive_quantity_to_floor(self, baseline_demand,
                                                        baseline_market):
         # Premium at/above the option margin: profit strictly decreases in

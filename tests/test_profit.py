@@ -434,3 +434,15 @@ class TestTypes:
             OptionContract(c0=0.0, ce=35.0)
         with pytest.raises(ValueError):
             OptionContract(c0=5.0, ce=-1.0)
+
+    @pytest.mark.parametrize("build,fields", [
+        (lambda: OptionContract(c0=-5.0, ce=-1.0), ["c0", "ce"]),
+        (lambda: OptionContract(c0=math.nan, ce=35.0), ["c0"]),
+        (lambda: OrderPlan(q_spot=-1.0, q_option=math.nan), ["q_spot", "q_option"]),
+        (lambda: OrderPlan(q_spot=1.0, q_option=-math.inf), ["q_option"]),
+    ], ids=["contract-both", "contract-one", "plan-both", "plan-one"])
+    def test_report_every_broken_field_in_order(self, build, fields):
+        with pytest.raises(InvalidValue) as err:
+            build()
+        assert [field for field, _ in err.value.problems] == fields
+        assert str(err.value) == "; ".join(f"{field} {rule}" for field, rule in err.value.problems)

@@ -53,6 +53,15 @@ def test_no_unreferenced_private_definition():
     assert dead == []
 
 
+def test_every_public_dataclass_has_a_docstring():
+    # Without one, dataclass writes the generated signature into __doc__ and help() shows only that.
+    bare = [f"{name}: {node.name}" for name, tree in TREES.items() for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            and ast.get_docstring(node) is None]
+    assert bare == []
+
+
 PUBLIC_NAMES = {
     "ConfigError", "ConfigNotFound", "ConfigParseError", "ConfigValidationError",
     "DemandDistribution", "Exponential", "FeasibilityReport", "GridSpec", "Infeasible",
