@@ -21,7 +21,7 @@ import warnings
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, load_config
-from .demand import InvalidValue, OutOfRange, _check_positive
+from .demand import InvalidValue, OutOfRange, _check_each, _check_positive
 from .optimizer import (
     Infeasible,
     NonCoordinable,
@@ -84,14 +84,12 @@ def _resolve_contract(config: ScenarioConfig, args) -> OptionContract:
 
 
 def _resolve_k(config: ScenarioConfig, args) -> float:
-    k = args.k if args.k is not None else config.overconfidence
-    _check_positive("k", k)
-    return k
+    return args.k if args.k is not None else config.overconfidence
 
 
 def cmd_optimize(config: ScenarioConfig, args, out) -> int:
-    contract = _resolve_contract(config, args)
     k = _resolve_k(config, args)
+    contract, _ = _check_each((_resolve_contract, config, args), (_check_positive, "k", k))
     plan = optimal_plan(config.demand, config.market, contract, k)
     breakdown = retailer_expected_profit(config.demand, config.market, contract, k, plan)
     _emit(out, Q=plan.q_total, Q1=plan.q_spot, Qq=plan.q_option,
@@ -100,9 +98,9 @@ def cmd_optimize(config: ScenarioConfig, args, out) -> int:
 
 
 def cmd_evaluate(config: ScenarioConfig, args, out) -> int:
-    contract = _resolve_contract(config, args)
     k = _resolve_k(config, args)
-    plan = OrderPlan(q_spot=args.q1, q_option=args.qq)
+    contract, _, plan = _check_each((_resolve_contract, config, args), (_check_positive, "k", k),
+                                    (OrderPlan, args.q1, args.qq))
     believed = retailer_expected_profit(config.demand, config.market, contract, k, plan)
     true_view = retailer_expected_profit(config.demand, config.market, contract, 1.0, plan)
     supplier = supplier_expected_profit(config.demand, config.market, contract, plan)
@@ -115,6 +113,7 @@ def cmd_evaluate(config: ScenarioConfig, args, out) -> int:
 
 def cmd_coordinate(config: ScenarioConfig, args, out) -> int:
     k = _resolve_k(config, args)
+    _check_positive("k", k)
     d, m = config.demand, config.market
     if args.solve_exercise:
         c0 = _price("c0", args, "--solve-exercise needs --c0 or a contract section in the config",
@@ -134,18 +133,15 @@ def cmd_coordinate(config: ScenarioConfig, args, out) -> int:
 
 
 def cmd_simulate(config: ScenarioConfig, args, out) -> int:
-    contract = _resolve_contract(config, args)
-    k = _resolve_k(config, args)
-    d, m = config.demand, config.market
+    d, m, k = config.demand, config.market, _resolve_k(config, args)
     n = args.n if args.n is not None else config.oracle.samples
     seed = args.seed if args.seed is not None else config.oracle.seed
-    _check_draws(n, seed)
-    if args.q1 is not None or args.qq is not None:
-        if args.q1 is None or args.qq is None:
-            raise _UsageError("provide both --q1 and --qq, or neither")
-        plan = OrderPlan(q_spot=args.q1, q_option=args.qq)
-    else:
-        plan = optimal_plan(d, m, contract, k)
+    given = [(OrderPlan, args.q1, args.qq)] if None not in (args.q1, args.qq) else []
+    contract, _, _, *plan = _check_each((_resolve_contract, config, args), (_check_positive, "k", k),
+                                        (_check_draws, n, seed), *given)
+    if (args.q1 is None) != (args.qq is None):
+        raise _UsageError("provide both --q1 and --qq, or neither")
+    plan = plan[0] if plan else optimal_plan(d, m, contract, k)
 
     if args.kind == "retailer":
         analytic = retailer_expected_profit(d, m, contract, k, plan).total

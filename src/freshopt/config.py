@@ -25,15 +25,14 @@ from .demand import (
     _check_positive,
     _field_names,
 )
-from .oracle import _check_draws
+from .oracle import DEFAULT_GRID_STEP, _check_draws
 from .profit import MarketParams, OptionContract
-from .sweep import FIXED_PRICE, _check_k_grid, _check_mode, _k_range
+from .sweep import MODE_FIXED_CONTRACT, SweepScenario, _check_mode, _k_range, default_k_grid
 
 SCHEMA_VERSION = 1
 
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 42
-DEFAULT_GRID_STEP = 0.05
 # Largest scenario file read; the packaged one is under 1 kB.
 MAX_CONFIG_BYTES = 1 << 20
 # Read first, so that a scenario-sized file does not allocate a buffer the size of the bound.
@@ -251,28 +250,24 @@ def _parse_demand(raw, problems: list[str]) -> DemandDistribution | None:
 
 
 def _parse_sweep(raw, contract: OptionContract | None, problems: list[str]) -> SweepSettings | None:
+    """The sweep section, checked as the SweepScenario it describes once its values are numbers."""
     raw = _section(raw, "sweep", problems)
     if raw is None:
         return None
     _reject_unknown(raw, _field_names(SweepSettings), "sweep.", problems)
     mode = _checked(problems, "sweep.", lambda: _check_mode(raw.get("mode")))
-    if mode is None:
+    prices = {name: _number(raw[name], f"sweep.{name}", problems) for name in ("c0", "ce") if name in raw}
+    k_grid = _parse_k_grid(raw["k_grid"], problems) if "k_grid" in raw else None
+    if mode is None or None in prices.values() or (k_grid is None and "k_grid" in raw):
         return None
-    fixed = FIXED_PRICE[mode]
-    for name in sorted((_field_names(OptionContract) - {fixed}) & raw.keys()):
-        problems.append(f"sweep.{name}: not read in {mode} mode")
-    prices: dict[str, float | None] = {}
-    if fixed is not None:
-        if fixed not in raw:
-            problems.append(f"sweep.{fixed}: required for {mode} mode")
-            return None
-        price = prices[fixed] = _number(raw[fixed], f"sweep.{fixed}", problems)
-        if price is not None:
-            _checked(problems, "sweep.", lambda: _check_positive(fixed, price))
-    elif contract is None:
-        problems.append(f"sweep.mode: {mode} mode requires the contract section")
+    try:  # the sweep's own fields: demand and market are checked as their sections
+        SweepScenario(mode, None, None, default_k_grid(mode) if k_grid is None else k_grid,
+                      contract=contract if mode == MODE_FIXED_CONTRACT else None,
+                      **{f"fixed_{name}": value for name, value in prices.items()})
+    except InvalidValue as exc:
+        problems += [f"sweep.mode: {mode} mode requires the contract section" if field == "contract"
+                     else f"sweep.{field.removeprefix('fixed_')}: {rule}" for field, rule in exc.problems]
         return None
-    k_grid = _parse_k_grid(raw.get("k_grid"), problems) if "k_grid" in raw else None
     return SweepSettings(mode=mode, k_grid=k_grid, **prices)
 
 
@@ -285,7 +280,4 @@ def _parse_k_grid(raw, problems: list[str]) -> tuple[float, ...] | None:
     else:
         problems.append("sweep.k_grid: expected a list of numbers or {start, stop, step}")
         return None
-    if grid is None or None in grid:  # a bound, a range or an item was rejected
-        return None
-    _checked(problems, "sweep.", lambda: _check_k_grid(grid))
-    return grid
+    return None if grid is None or None in grid else grid  # a bound, a range or an item was rejected

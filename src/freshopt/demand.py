@@ -77,17 +77,24 @@ def _check_nonnegative(field: str, value: float) -> None:
         raise InvalidValue([(field, f"must be finite and >= 0, got {value}")])
 
 
-def _check_each(*checks) -> None:
-    """Call check(a, b) for each (check, a, b); then raise one InvalidValue with every
-    problem they raised, in order, if any did."""
-    problems = []
-    for check, a, b in checks:
+def _require(field: str, holds: bool, rule: str, *values) -> None:
+    """Raise InvalidValue naming field unless holds; only then is rule.format(*values) made."""
+    if not holds:
+        raise InvalidValue([(field, rule.format(*values))])
+
+
+def _check_each(*checks) -> list:
+    """Call check(*args) for each (check, *args) and return their results, in order;
+    or raise one InvalidValue with every problem they raised, in order, if any did."""
+    problems, results = [], []
+    for check, *args in checks:
         try:
-            check(a, b)
+            results.append(check(*args))
         except InvalidValue as exc:
             problems += exc.problems
     if problems:
         raise InvalidValue(problems)
+    return results
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -274,7 +281,10 @@ class DemandDistribution(ABC):
 
 @dataclass(frozen=True)
 class Uniform(DemandDistribution):
-    """Uniform demand on [lo, hi] with 0 <= lo < hi."""
+    """Uniform demand on [lo, hi] with 0 <= lo < hi.
+
+    Both rules run, so a bad lo and a bad hi are named together; hi's rule reads lo as given.
+    """
 
     lo: float
     hi: float
@@ -282,9 +292,9 @@ class Uniform(DemandDistribution):
     family: ClassVar[str] = "uniform"
 
     def __post_init__(self):
-        _check_nonnegative("lo", self.lo)
-        if not (self.hi > self.lo and math.isfinite(self.hi)):
-            raise InvalidValue([("hi", f"must be finite and > lo, got lo={self.lo}, hi={self.hi}")])
+        _check_each((_check_nonnegative, "lo", self.lo),
+                    (_require, "hi", self.hi > self.lo and math.isfinite(self.hi),
+                     "must be finite and > lo, got lo={}, hi={}", self.lo, self.hi))
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -347,7 +357,8 @@ class TruncatedNormal(DemandDistribution):
     """Normal(mu, sigma) demand truncated at 0 and renormalized.
 
     The mass a plain normal would put on negative demand is discarded and
-    the remainder rescaled, so the support is exactly [0, inf).
+    the remainder rescaled, so the support is exactly [0, inf).  A bad mu and a
+    bad sigma are named together; the mass check runs only once both pass.
     """
 
     mu: float
@@ -356,13 +367,11 @@ class TruncatedNormal(DemandDistribution):
     family: ClassVar[str] = "truncated-normal"
 
     def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise InvalidValue([("mu", f"must be finite, got {self.mu}")])
-        _check_positive("sigma", self.sigma)
+        _check_each((_require, "mu", math.isfinite(self.mu), "must be finite, got {}", self.mu),
+                    (_check_positive, "sigma", self.sigma))
         # Every formula divides by the mass kept above zero; a subnormal one has lost its digits.
-        if self._mass_above_zero < sys.float_info.min:
-            raise InvalidValue([("mu", f"must leave demand mass above 0, got mu={self.mu}, "
-                                       f"sigma={self.sigma}: Phi(mu/sigma) underflows to 0")])
+        _require("mu", self._mass_above_zero >= sys.float_info.min, "must leave demand mass above 0, "
+                 "got mu={}, sigma={}: Phi(mu/sigma) underflows to 0", self.mu, self.sigma)
 
     @cached_property
     def _mass_below_zero(self) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .demand import DemandDistribution, InvalidValue, _check_each, _check_positive, np
+from .demand import DemandDistribution, _check_each, _check_positive, _require, np
 from .optimizer import _believed_stock, _Row
 from .profit import (
     MarketParams,
@@ -41,6 +41,7 @@ from .profit import (
 )
 
 MC_KINDS = ("retailer", "supplier", "chain")
+DEFAULT_GRID_STEP = 0.05
 
 _CHUNK = 1 << 17
 _BLOCK = 1 << 13  # a block's temporaries (64 KB) stay under glibc's 128 KB mmap threshold
@@ -78,8 +79,8 @@ class GridSpec:
 def _check_range(field: str, bounds: tuple[float, float]) -> None:
     """Raise InvalidValue unless bounds is a finite (lo, hi) with 0 <= lo <= hi."""
     lo, hi = bounds
-    if not (0.0 <= lo <= hi and math.isfinite(hi)):
-        raise InvalidValue([(field, f"must satisfy 0 <= lo <= hi < inf, got ({lo}, {hi})")])
+    _require(field, 0.0 <= lo <= hi and math.isfinite(hi),
+             "must satisfy 0 <= lo <= hi < inf, got ({}, {})", lo, hi)
 
 
 def _is_int(value) -> bool:
@@ -90,15 +91,12 @@ def _is_int(value) -> bool:
 def _check_draws(samples: int, seed: int) -> None:
     """Raise InvalidValue unless samples is an integer in [1, _MAX_SAMPLES] and seed an
     integer >= 0; a bool is no integer here."""
-    problems = []
-    if not (_is_int(samples) and samples >= 1):
-        problems.append(("samples", f"must be >= 1 and an integer, got {samples!r}"))
-    elif samples > _MAX_SAMPLES:
-        problems.append(("samples", f"must be <= {_MAX_SAMPLES}, got {samples}"))
-    if not (_is_int(seed) and seed >= 0):
-        problems.append(("seed", f"must be >= 0 and an integer, got {seed!r}"))
-    if problems:
-        raise InvalidValue(problems)
+    is_count = _is_int(samples) and samples >= 1
+    _check_each((_require, "samples", is_count, "must be >= 1 and an integer, got {!r}", samples),
+                (_require, "samples", not is_count or samples <= _MAX_SAMPLES, "must be <= {}, got {}",
+                 _MAX_SAMPLES, samples),
+                (_require, "seed", _is_int(seed) and seed >= 0, "must be >= 0 and an integer, got {!r}",
+                 seed))
 
 
 def chunk_stream(seed: int, index: int) -> np.random.SeedSequence:
@@ -215,7 +213,7 @@ def grid_search_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
 
 
 def default_grid_spec(d: DemandDistribution, m: MarketParams, k: float,
-                      step: float = 0.05, o: OptionContract | None = None) -> GridSpec:
+                      step: float = DEFAULT_GRID_STEP, o: OptionContract | None = None) -> GridSpec:
     """Search box up to the believed stock at the larger of 0.9999 and o's total fractile:
     it contains the optimum for valid fractiles (without o, for those up to 0.9999)."""
     level = 0.9999 if o is None else max(0.9999, total_fractile(m, o))

@@ -32,12 +32,12 @@ from typing import NamedTuple
 
 from .demand import (
     DemandDistribution,
-    InvalidValue,
     _any,
     _check_each,
     _check_nonnegative,
     _check_positive,
     _on_array,
+    _require,
     np,
 )
 
@@ -83,21 +83,13 @@ class MarketParams:
 
     def __post_init__(self):
         p, g, w0, c, beta, theta = self.p, self.g, self.w0, self.c, self.beta, self.theta
-        problems = []
-        if not (p > w0 and math.isfinite(p)):
-            problems.append(("p", f"must be finite with p > w0, got p={p}, w0={w0}"))
-        if not w0 > c:
-            problems.append(("w0", f"must satisfy w0 > c, got w0={w0}, c={c}"))
-        if not c >= 0.0:
-            problems.append(("c", f"must be >= 0, got {c}"))
-        if not (g >= 0.0 and math.isfinite(g)):
-            problems.append(("g", f"must be finite and >= 0, got {g}"))
-        if not 0.0 < beta < 1.0:
-            problems.append(("beta", f"must satisfy 0 < beta < 1, got {beta}"))
-        if not 0.0 < theta <= 1.0:
-            problems.append(("theta", f"must satisfy 0 < theta <= 1, got {theta}"))
-        if problems:
-            raise InvalidValue(problems)
+        _check_each((_require, "p", p > w0 and math.isfinite(p),
+                     "must be finite with p > w0, got p={}, w0={}", p, w0),
+                    (_require, "w0", w0 > c, "must satisfy w0 > c, got w0={}, c={}", w0, c),
+                    (_require, "c", c >= 0.0, "must be >= 0, got {}", c),
+                    (_check_nonnegative, "g", g),
+                    (_require, "beta", 0.0 < beta < 1.0, "must satisfy 0 < beta < 1, got {}", beta),
+                    (_require, "theta", 0.0 < theta <= 1.0, "must satisfy 0 < theta <= 1, got {}", theta))
 
 
 @dataclass(frozen=True)

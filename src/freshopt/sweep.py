@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import chain, groupby, repeat
 from typing import NamedTuple
 
-from .demand import DemandDistribution, InvalidValue, _check_positive, np
+from .demand import DemandDistribution, _check_each, _check_positive, _require, np
 from .optimizer import (
     Infeasible,
     NonCoordinable,
@@ -67,8 +67,7 @@ class TooFewRows(ValueError):
 
 def _check_mode(mode: str) -> str:
     """mode, if it is one of MODES; InvalidValue otherwise."""
-    if mode not in MODES:
-        raise InvalidValue([("mode", f"must be one of {MODES}, got {mode!r}")])
+    _require("mode", mode in MODES, "must be one of {}, got {!r}", MODES, mode)
     return mode
 
 
@@ -89,21 +88,18 @@ def _k_range(start: float, stop: float, step: float) -> tuple[float, ...]:
     """
     _check_positive("start", start)
     _check_positive("step", step)
-    if not (stop >= start and math.isfinite(stop)):
-        raise InvalidValue([("stop", f"must be finite and >= start, got start={start}, stop={stop}")])
+    _require("stop", stop >= start and math.isfinite(stop),
+             "must be finite and >= start, got start={}, stop={}", start, stop)
     intervals = (stop - start) / step + 1e-9
-    if not intervals < _MAX_K_POINTS:
-        raise InvalidValue([("step", f"gives more than {_MAX_K_POINTS} points from {start} to {stop}, "
-                                     f"got {step}")])
+    _require("step", intervals < _MAX_K_POINTS, "gives more than {} points from {} to {}, got {}",
+             _MAX_K_POINTS, start, stop, step)
     return tuple(round(start + i * step, 12) for i in range(int(math.floor(intervals)) + 1))
 
 
 def _check_k_grid(k_grid: tuple[float, ...]) -> None:
     """Raise InvalidValue unless k_grid is non-empty, strictly increasing, finite and > 0."""
-    if len(k_grid) == 0:
-        raise InvalidValue([("k_grid", "must not be empty")])
-    if not all(b > a for a, b in zip(k_grid, k_grid[1:])):
-        raise InvalidValue([("k_grid", "must be strictly increasing")])
+    _require("k_grid", len(k_grid) > 0, "must not be empty")
+    _require("k_grid", all(b > a for a, b in zip(k_grid, k_grid[1:])), "must be strictly increasing")
     # Increasing, so its two ends bound every value.
     _check_positive("k_grid[0]", k_grid[0])
     _check_positive(f"k_grid[{len(k_grid) - 1}]", k_grid[-1])
@@ -113,8 +109,9 @@ def _check_k_grid(k_grid: tuple[float, ...]) -> None:
 class SweepScenario:
     """One sweep: a mode, its fixed value, a k grid, and the base setting.
 
-    Raises InvalidValue for a fixed price that is missing, not finite or not > 0,
-    and for a fixed price or contract that the mode does not read.
+    Raises one InvalidValue naming, in this order: an unknown mode; for a known
+    mode, its fixed price or contract if missing, each fixed price or contract it
+    does not read, and its fixed price if not finite and > 0; then a bad k grid.
     """
 
     mode: str
@@ -126,20 +123,17 @@ class SweepScenario:
     contract: OptionContract | None = None
 
     def __post_init__(self):
-        _check_mode(self.mode)
-        _check_k_grid(self.k_grid)
-        price = FIXED_PRICE[self.mode]
-        required = "contract" if price is None else f"fixed_{price}"
-        value = getattr(self, required)
-        if value is None:
-            raise InvalidValue([(required, f"is required in {self.mode} mode")])
-        unread = [(name, f"is not read in {self.mode} mode")
-                  for name in ("fixed_ce", "fixed_c0", "contract")
-                  if name != required and getattr(self, name) is not None]
-        if unread:
-            raise InvalidValue(unread)
-        if price is not None:
-            _check_positive(price, value)
+        checks = [(_check_mode, self.mode)]
+        if self.mode in MODES:
+            price = FIXED_PRICE[self.mode]
+            required = "contract" if price is None else f"fixed_{price}"
+            value = getattr(self, required)
+            checks.append((_require, required, value is not None, "is required in {} mode", self.mode))
+            checks += [(_require, name, getattr(self, name) is None, "is not read in {} mode", self.mode)
+                       for name in ("fixed_ce", "fixed_c0", "contract") if name != required]
+            if price is not None and value is not None:
+                checks.append((_check_positive, price, value))
+        _check_each(*checks, (_check_k_grid, self.k_grid))
 
 
 class SweepRow(NamedTuple):

@@ -156,6 +156,10 @@ class TestCoordinate:
         assert err == ("infeasible: coordination identity failed: total fractile 0.0 "
                        "of the solved contract is outside (0, 1)\n")
 
+    def test_premium_at_p_plus_g_has_no_root(self, capsys):
+        assert run_cli(capsys, "coordinate", "--solve-exercise", "--c0", "60") == (
+            1, "", "infeasible: premium c0=60.0 >= p+g=60.0: no exercise price can be admissible\n")
+
     def test_tiny_premium_has_no_root(self, capsys):
         # 1 - c0/(p+g) rounds to 1 here; the k floor comes from the upper tail at c0/(p+g).
         code, out, err = run_cli(capsys, "--config", str(GOLDEN / "uniform.json"), "coordinate",
@@ -462,6 +466,32 @@ class TestErrorPaths:
         assert run_cli(capsys, "evaluate", "--q1", "-1", "--qq", "nan") == (
             2, "", "error: q_spot must be finite and >= 0, got -1.0; "
                    "q_option must be finite and >= 0, got nan\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("evaluate", "--c0", "-1", "--k", "0", "--q1", "-1", "--qq", "1"),
+         "c0 must be finite and > 0, got -1.0; k must be finite and > 0, got 0.0; "
+         "q_spot must be finite and >= 0, got -1.0"),
+        (("optimize", "--ce", "0", "--k", "nan"),
+         "ce must be finite and > 0, got 0.0; k must be finite and > 0, got nan"),
+        (("simulate", "--kind", "chain", "--k", "-1", "--n", "0", "--q1", "1", "--qq", "inf"),
+         "k must be finite and > 0, got -1.0; sample count must be >= 1 and an integer, got 0; "
+         "q_option must be finite and >= 0, got inf"),
+    ])
+    def test_commands_name_every_bad_flag(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_half_a_plan_is_named_after_the_bad_flags(self, capsys):
+        argv = ("simulate", "--kind", "chain", "--q1", "1")
+        assert run_cli(capsys, *argv) == (2, "", "error: provide both --q1 and --qq, or neither\n")
+        assert run_cli(capsys, *argv, "--n", "0") == (
+            2, "", "error: sample count must be >= 1 and an integer, got 0\n")
+
+    def test_plain_value_error_from_a_command_exits_one(self, capsys, monkeypatch):
+        def broken(config, args, out):
+            raise ValueError("no answer here")
+
+        monkeypatch.setattr(freshopt.cli, "cmd_optimize", broken)
+        assert run_cli(capsys, "optimize") == (1, "", "error: no answer here\n")
 
     def test_negative_config_seed_exits_two(self, capsys, tmp_path):
         raw = json.loads(default_config_path().read_text(encoding="utf-8"))

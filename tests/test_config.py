@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 
@@ -17,12 +18,15 @@ from freshopt import (
     OptionContract,
     OracleSettings,
     SweepScenario,
+    SweepSettings,
     Uniform,
     load_config,
     parse_config,
 )
 from freshopt.cli import default_config_path
 from freshopt.demand import _FAMILIES
+from freshopt.oracle import DEFAULT_GRID_STEP, default_grid_spec
+from freshopt.sweep import FIXED_PRICE, default_k_grid
 
 
 def _baseline_raw():
@@ -351,6 +355,89 @@ class TestRejectedShapes:
         assert err.value.problems == ["top level: expected a JSON object"]
 
 
+def _sweep_fault_cases():
+    """(mode, fault, sweep section, contract section or None, the SweepScenario's fixed
+    arguments) for every mode and each fault, alone and all at once."""
+    contract = {"c0": 5.0, "ce": 35.0}
+    for mode in MODES:
+        fixed = FIXED_PRICE[mode]
+        other = "c0" if fixed == "ce" else "ce"  # a price the mode does not read
+        # Each setting of the read price: (its sweep keys, the contract section, the scenario's arguments).
+        if fixed is None:  # both prices come from the contract section
+            good = ({}, contract, {"contract": OptionContract(**contract)})
+            missing = ({}, None, {"contract": None})
+            bad = ({}, {"c0": -1.0, "ce": 35.0}, {"contract": None})
+        else:
+            good = ({fixed: 35.0}, contract, {f"fixed_{fixed}": 35.0})
+            missing = ({}, contract, {})
+            bad = ({fixed: -1.0}, contract, {f"fixed_{fixed}": -1.0})
+        for fault, (keys, section, fixed_args), extra in [
+                ("missing-price", missing, {}),
+                ("unread-price", good, {other: 5.0}),
+                ("non-positive-price", bad, {}),
+                ("decreasing-k-grid", good, {"k_grid": [1.0, 0.9]}),
+                ("all-at-once", missing, {other: 5.0, "k_grid": [1.0, 0.9]})]:
+            unread = {f"fixed_{other}": 5.0} if other in extra else {}
+            yield mode, fault, {"mode": mode, **keys, **extra}, section, {**fixed_args, **unread}
+
+
+class TestSweepSectionIsTheScenario:
+    """The config checks its sweep section by building the SweepScenario it describes."""
+
+    @pytest.mark.parametrize("mode,fault,sweep,contract,fixed", list(_sweep_fault_cases()),
+                             ids=[f"{c[0]}-{c[1]}" for c in _sweep_fault_cases()])
+    def test_reports_exactly_the_scenario_problems(self, baseline_demand, baseline_market,
+                                                   mode, fault, sweep, contract, fixed):
+        raw = {**_baseline_without("contract"), "sweep": sweep}
+        if contract is not None:
+            raw["contract"] = contract
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(raw)
+        with pytest.raises(InvalidValue) as scenario:
+            SweepScenario(mode=mode, demand=baseline_demand, market=baseline_market,
+                          k_grid=tuple(sweep.get("k_grid", default_k_grid(mode))), **fixed)
+        # The config has no sweep.contract: a missing contract is the mode's problem.
+        expected = [f"sweep.mode: {mode} mode requires the contract section" if field == "contract"
+                    else f"sweep.{field.removeprefix('fixed_')}: {rule}"
+                    for field, rule in scenario.value.problems]
+        assert [p for p in err.value.problems if not p.startswith("contract.")] == expected
+        if "contract" in fixed and fixed["contract"] is None:
+            assert expected[0].startswith("sweep.mode: ")
+
+    def test_reworded_texts(self):
+        raw = _baseline_with(("sweep",), {"mode": "fixed-premium", "ce": 35.0})
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(raw)
+        assert err.value.problems == ["sweep.c0: is required in fixed-premium mode",
+                                      "sweep.ce: is not read in fixed-premium mode"]
+
+    def test_bad_mode_comes_before_the_section_number_problems(self):
+        raw = _baseline_with(("sweep",), {"mode": "x", "c0": "abc", "k_grid": [1.0, "y"]})
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(raw)
+        assert err.value.problems == [f"sweep.mode: must be one of {MODES}, got 'x'",
+                                      "sweep.c0: expected a number, got 'abc'",
+                                      "sweep.k_grid[1]: expected a number, got 'y'"]
+
+    def test_a_good_section_keeps_its_own_grid_or_none(self):
+        raw = _baseline_with(("sweep",), {"mode": "fixed-contract"})
+        assert parse_config(raw).sweep == SweepSettings(mode="fixed-contract")
+        raw["sweep"]["k_grid"] = [1.0, 1.5]
+        assert parse_config(raw).sweep == SweepSettings(mode="fixed-contract", k_grid=(1.0, 1.5))
+
+
+class TestDemandParamsNameEveryField:
+    @pytest.mark.parametrize("family,params,fields", [
+        ("uniform", {"lo": -1.0, "hi": math.nan}, ["lo", "hi"]),
+        ("truncated-normal", {"mu": math.nan, "sigma": 0.0}, ["mu", "sigma"]),
+    ])
+    def test_both_problems_reported(self, family, params, fields):
+        raw = _baseline_with(("demand",), {"family": family, "params": params})
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(raw)
+        assert [p.split(":")[0] for p in err.value.problems] == [f"demand.params.{f}" for f in fields]
+
+
 def _sections_and_types():
     """(path of the section in the config, the model type it builds) for each numeric section."""
     yield ("market",), MarketParams
@@ -382,6 +469,10 @@ class TestSchemaFollowsModelTypes:
         raw = _baseline_with(("oracle",), {"samples": 7, "seed": 3, "grid_step": 0.5})
         assert parse_config(raw).oracle == OracleSettings(samples=7, seed=3, grid_step=0.5)
         assert {f.name for f in dataclasses.fields(OracleSettings)} == raw["oracle"].keys()
+
+    def test_grid_step_default_is_the_grid_search_default(self):
+        step = inspect.signature(default_grid_spec).parameters["step"].default
+        assert OracleSettings().grid_step == step == DEFAULT_GRID_STEP == 0.05
 
     def test_oracle_int_fields_take_only_integers(self):
         raw = _baseline_with(("oracle",), {"samples": 7.0, "seed": True, "grid_step": 1})

@@ -17,7 +17,7 @@ from freshopt import (
     Uniform,
     make_distribution,
 )
-from freshopt.demand import _SPLIT_MIN, _floor_at_zero
+from freshopt.demand import _SPLIT_MIN, _check_each, _floor_at_zero, _require
 
 ALL_DISTRIBUTIONS = [
     Uniform(0.0, 100.0),
@@ -449,6 +449,34 @@ class TestValidation:
         with pytest.raises(InvalidValue) as info:
             TruncatedNormal(mu=mu, sigma=sigma)
         assert [field for field, _ in info.value.problems] == ["mu"]
+
+    def test_uniform_names_both_bad_bounds(self):
+        with pytest.raises(InvalidValue) as info:
+            Uniform(lo=-1.0, hi=math.nan)
+        assert info.value.problems == [("lo", "must be finite and >= 0, got -1.0"),
+                                       ("hi", "must be finite and > lo, got lo=-1.0, hi=nan")]
+
+    def test_truncated_normal_names_both_bad_parameters(self):
+        with pytest.raises(InvalidValue) as info:
+            TruncatedNormal(mu=math.nan, sigma=0.0)
+        assert info.value.problems == [("mu", "must be finite, got nan"),
+                                       ("sigma", "must be finite and > 0, got 0.0")]
+
+    def test_a_rule_that_holds_formats_no_text(self):
+        class Unprintable:
+            def __format__(self, spec):
+                raise AssertionError("formatted")
+
+        _require("x", True, "got {}", Unprintable())
+        with pytest.raises(AssertionError, match="formatted"):
+            _require("x", False, "got {}", Unprintable())
+
+    def test_check_each_returns_results_or_every_problem(self):
+        assert _check_each((abs, -2.0), (max, 1.0, 3.0)) == [2.0, 3.0]
+        with pytest.raises(InvalidValue) as info:
+            _check_each((_require, "a", False, "is {}", 1), (abs, -2.0),
+                        (_require, "b", False, "is {!r}", "x"))
+        assert info.value.problems == [("a", "is 1"), ("b", "is 'x'")]
 
     def test_factory_round_trip(self):
         d = make_distribution("uniform", lo=0.0, hi=100.0)

@@ -292,6 +292,12 @@ class TestCoordinatingExercisePrice:
         with pytest.raises(NoRoot, match="demand floor"):
             coordinating_exercise_price(Uniform(20.0, 100.0), baseline_market, 5.0, 5.0)
 
+    @pytest.mark.parametrize("c0", [60.0, 75.0])
+    def test_no_root_for_a_premium_at_or_past_p_plus_g(self, baseline_demand, baseline_market, c0):
+        with pytest.raises(NoRoot) as err:
+            coordinating_exercise_price(baseline_demand, baseline_market, c0, 1.0)
+        assert str(err.value) == f"premium c0={c0} >= p+g=60.0: no exercise price can be admissible"
+
     def test_no_root_when_price_rounds_to_the_margin(self, baseline_demand, baseline_market):
         # c0/(1 - F) vanishes next to p+g = 60, so the closed form rounds to 60 itself.
         with pytest.raises(NoRoot, match="rounds to 60.0"):
