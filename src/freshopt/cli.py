@@ -113,7 +113,6 @@ def cmd_evaluate(config: ScenarioConfig, args, out) -> int:
 
 def cmd_coordinate(config: ScenarioConfig, args, out) -> int:
     k = _resolve_k(config, args)
-    _check_positive("k", k)
     d, m = config.demand, config.market
     if args.solve_exercise:
         c0 = _price("c0", args, "--solve-exercise needs --c0 or a contract section in the config",

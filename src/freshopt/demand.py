@@ -261,17 +261,14 @@ class DemandDistribution(ABC):
 
         Identical stream state gives identical draws, which is what makes
         the simulation oracles reproducible.  A draw with ``size=None`` is a float.
-        ``out``, a contiguous float64 array of shape ``size``, receives the draws
-        and is returned; without it ``stream.random(size)`` supplies a new array.
+        The uniforms come from one ``stream.random(size, out=out)`` call: ``out``, a
+        contiguous float64 array of shape ``size``, receives the draws and is returned;
+        without it the stream supplies a new array.
         A truncated-normal draw of 32,768 values or more, in a process that may
         run on two CPUs, maps half its levels through ``ndtri`` on one helper
         thread; the draws are the bits of one serial map.
         """
-        if out is None:
-            u = np.asarray(stream.random(size), dtype=float)
-        else:
-            u = stream.random(size, out=out)
-        x = self._inverse_transform(u)
+        x = self._inverse_transform(np.asarray(stream.random(size, out=out), dtype=float))
         return float(x) if size is None else x
 
     def params(self) -> dict[str, float]:

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .demand import DemandDistribution, InvalidValue, _any, _check_positive, _floor_at_zero, np
+from .demand import DemandDistribution, InvalidValue, _any, _check_each, _check_positive, _floor_at_zero, np
 from .profit import (
     Infeasible,
     MarketParams,
@@ -185,7 +185,7 @@ class _Rows:
         the row's entry of a column x, as a Python float, or x if it is a float."""
         hit = self.ok & failed
         for i in np.flatnonzero(hit).tolist():
-            self.errors[i] = error(lambda x, i=i: x[i].item() if isinstance(x, np.ndarray) else x)
+            self.errors[i] = error(lambda x, i=i: x.item(i) if isinstance(x, np.ndarray) else x)
         self.ok &= ~hit
 
     def gather(self, x):
@@ -208,8 +208,7 @@ def coordinating_premium(d: DemandDistribution, m: MarketParams, ce: float,
     The resulting (c0, ce) pair must still be a workable contract;
     otherwise NonCoordinable reports which condition broke.
     """
-    _check_positive("ce", ce)
-    _check_positive("k", k)
+    _check_each((_check_positive, "ce", ce), (_check_positive, "k", k))
     c0, _ = _coordinating_premiums(d, m, ce, _Row(k))
     return float(c0)
 
@@ -276,8 +275,7 @@ def coordinating_exercise_price(d: DemandDistribution, m: MarketParams, c0: floa
     ``0 < F(x_c/k) < 1 - c0/(p+g)``; otherwise NoRoot explains the k-range
     that would admit one.
     """
-    _check_positive("c0", c0)
-    _check_positive("k", k)
+    _check_each((_check_positive, "c0", c0), (_check_positive, "k", k))
     ce, _ = _coordinating_exercise_prices(d, m, c0, _Row(k))
     return float(ce)
 

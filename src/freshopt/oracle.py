@@ -110,10 +110,11 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
 
     kind selects the party: retailer profits are realized under the
     believed demand scale theta*k, supplier and chain under true theta.
+    One InvalidValue names, in this order, an unknown kind, a bad draw count or
+    seed, and a k that is not finite and > 0, whatever the kind.
     """
-    if kind not in MC_KINDS:
-        raise ValueError(f"kind must be one of {MC_KINDS}, got {kind!r}")
-    _check_draws(n, seed)
+    _check_each((_require, "kind", kind in MC_KINDS, "must be one of {}, got {!r}", MC_KINDS, kind),
+                (_check_draws, n, seed), (_check_positive, "k", k))
     if kind in ("retailer", "supplier"):
         require_feasible_contract(m, o)
 
@@ -194,8 +195,9 @@ def grid_search_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
     Prices the raw surface (no contract screening, so degenerate contracts
     can be probed too) as ``T(q_total) + S(q_spot)`` with ``T = profit(0, .)``
     and ``S(q) = profit(q, 0) - profit(0, q)``.  Ties break toward smaller
-    q_spot, then smaller q_option.
+    q_spot, then smaller q_option.  A k that is not finite and > 0 raises InvalidValue.
     """
+    _check_positive("k", k)
     q1s = _lattice(spec.q1_range, spec.step)
     qqs = _lattice(spec.qq_range, spec.step)
     nq = len(qqs)
@@ -216,6 +218,7 @@ def default_grid_spec(d: DemandDistribution, m: MarketParams, k: float,
                       step: float = DEFAULT_GRID_STEP, o: OptionContract | None = None) -> GridSpec:
     """Search box up to the believed stock at the larger of 0.9999 and o's total fractile:
     it contains the optimum for valid fractiles (without o, for those up to 0.9999)."""
+    _check_positive("k", k)
     level = 0.9999 if o is None else max(0.9999, total_fractile(m, o))
     reach = _believed_stock(d, m, _Row(k), level)
     return GridSpec(q1_range=(0.0, reach), qq_range=(0.0, reach), step=step)

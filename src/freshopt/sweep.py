@@ -25,8 +25,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, groupby, repeat
+from operator import or_
 from typing import NamedTuple
 
 from .demand import DemandDistribution, _check_each, _check_positive, _require, np
@@ -71,13 +72,16 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-@lru_cache(maxsize=len(MODES))
 def default_k_grid(mode: str) -> tuple[float, ...]:
     """Default k grids: a coarse one for premium re-coordination, a fine
     one elsewhere (fine enough to expose the low-k singular region)."""
-    if _check_mode(mode) == MODE_FIXED_EXERCISE:
-        return _k_range(0.8, 1.5, 0.05)
-    return _k_range(0.75, 1.5, 0.01)
+    return _default_k_grid(_check_mode(mode))
+
+
+@lru_cache(maxsize=len(MODES))
+def _default_k_grid(mode: str) -> tuple[float, ...]:
+    """default_k_grid of a checked mode, built on its first use."""
+    return _k_range(0.8, 1.5, 0.05) if mode == MODE_FIXED_EXERCISE else _k_range(0.75, 1.5, 0.01)
 
 
 def _k_range(start: float, stop: float, step: float) -> tuple[float, ...]:
@@ -163,7 +167,6 @@ def run_sweep(scenario: SweepScenario) -> list[SweepRow]:
     s, d, m = scenario, scenario.demand, scenario.market
     rows = _Rows(np.array(s.k_grid, dtype=float))
     c0, ce, q_total = s.fixed_c0, s.fixed_ce, None
-    notes: dict[int, str] = {}
     cells = np.full((7, rows.k.size), np.nan)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # in the rows it flags
         try:
@@ -177,8 +180,7 @@ def run_sweep(scenario: SweepScenario) -> list[SweepRow]:
             rows.screen(True, lambda at: exc)
         solved = rows.ok.copy()
         if solved.any():
-            notes, cells = _solve_plans(d, m, _Prices(c0, ce), rows, q_total)
-    notes.update((i, f"{type(exc).__name__}: {exc}") for i, exc in rows.errors.items())
+            _solve_plans(d, m, _Prices(c0, ce), rows, q_total, cells)
 
     n = rows.k.size
     c0s, ces = ([x] * n if x is None or np.ndim(x) == 0 else x.tolist() for x in (c0, ce))
@@ -187,32 +189,32 @@ def run_sweep(scenario: SweepScenario) -> list[SweepRow]:
         blank[i] = None
     ks, make = rows.k.tolist(), SweepRow._make
     table = list(map(make, zip(ks, c0s, ces, *cells.tolist(), repeat(True), repeat(""))))
-    for i in np.flatnonzero(~rows.ok).tolist():
-        table[i] = make((ks[i], c0s[i], ces[i], *[None] * 7, False, notes[i]))
+    for i, exc in rows.errors.items():
+        note = str(exc) if type(exc) is _NoPlan else f"{type(exc).__name__}: {exc}"
+        table[i] = make((ks[i], c0s[i], ces[i], *[None] * 7, False, note))
     return table
 
 
+class _NoPlan(Exception):
+    """A row whose contract admits no plan; its note is the screens it fails, as
+    optimal_plan's report names them (a grid's k always passes the k-domain)."""
+
+
 def _solve_plans(d: DemandDistribution, m: MarketParams, prices: _Prices, rows: _Rows,
-                 q_total) -> tuple[dict[int, str], np.ndarray]:
+                 q_total, cells: np.ndarray) -> None:
     """optimal_plan and the four expected profits at every solved row, as columns.
 
-    Returns the notes of the rows whose contract admits no plan, each naming
-    the screens it fails as optimal_plan's report does (a grid's k always
-    passes the k-domain), and the cells q_total, q_spot, q_option, believed
-    and true retailer profit, supplier and chain profit.  The argument q_total
-    is the coordinated total, or None for a fixed contract.  A row whose plan or profits
-    overflow is flagged, as the public functions raise Infeasible for it.
+    Flags each row whose contract admits no plan with a _NoPlan, and fills the
+    solved rows of cells with q_total, q_spot, q_option, believed and true retailer
+    profit, supplier and chain profit.  The argument q_total is the coordinated
+    total, or None for a fixed contract.  A row whose plan or profits overflow is
+    flagged, as the public functions raise Infeasible for it.
     """
     failures, tf, sf = _screens(m, prices)
-    names: dict[int, list[str]] = {}
-    for name, failed in failures.items():
-        for i in np.flatnonzero(rows.ok & failed).tolist():
-            names.setdefault(i, []).append(name)
-    rows.ok[list(names)] = False
-    notes = {i: ";".join(failed) for i, failed in names.items()}
-    cells = np.full((7, rows.k.size), np.nan)
+    rows.screen(reduce(or_, failures.values()), lambda at: _NoPlan(
+        ";".join(name for name, failed in failures.items() if at(failed))))
     if not rows.ok.any():
-        return notes, cells
+        return
 
     q_spot, q_option = _plans(d, m, tf, sf, rows, q_total)
     k, c0, ce, spot, option = map(rows.gather, (rows.k, prices.c0, prices.ce, q_spot, q_option))
@@ -223,7 +225,6 @@ def _solve_plans(d: DemandDistribution, m: MarketParams, prices: _Prices, rows: 
     rows.screen(~np.isfinite(cells[3:]).all(axis=0), lambda at: _overflow("expected profit"))
     # Through the public function by name, so a patched chain_expected_profit reaches every cell.
     cells[6, rows.ok] = chain_expected_profit(d, m, cells[0, rows.ok])
-    return notes, cells
 
 
 @dataclass(frozen=True)

@@ -440,6 +440,11 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "--config", str(stripped), "optimize")
         assert code == 2
         assert "contract" in err
+        # coordinate names its missing price before a bad k.
+        for argv, missing in [(("coordinate",), "coordinate needs --ce"),
+                              (("coordinate", "--solve-exercise"), "--solve-exercise needs --c0")]:
+            assert run_cli(capsys, "--config", str(stripped), *argv, "--k", "0") == (
+                2, "", f"error: {missing} or a contract section in the config\n")
 
     @pytest.mark.parametrize("flags,message", [
         (("--n", "0"), "sample count must be >= 1"),
@@ -473,6 +478,10 @@ class TestErrorPaths:
          "q_spot must be finite and >= 0, got -1.0"),
         (("optimize", "--ce", "0", "--k", "nan"),
          "ce must be finite and > 0, got 0.0; k must be finite and > 0, got nan"),
+        (("coordinate", "--k", "0", "--ce", "-1"),
+         "ce must be finite and > 0, got -1.0; k must be finite and > 0, got 0.0"),
+        (("coordinate", "--solve-exercise", "--k", "inf", "--c0", "0"),
+         "c0 must be finite and > 0, got 0.0; k must be finite and > 0, got inf"),
         (("simulate", "--kind", "chain", "--k", "-1", "--n", "0", "--q1", "1", "--qq", "inf"),
          "k must be finite and > 0, got -1.0; sample count must be >= 1 and an integer, got 0; "
          "q_option must be finite and >= 0, got inf"),

@@ -38,7 +38,7 @@ class _FixedStream:
     def __init__(self, u: float):
         self.u = u
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
         return self.u if size is None else np.full(size, self.u)
 
 

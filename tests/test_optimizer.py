@@ -8,6 +8,7 @@ from conftest import FAMILIES, random_feasible_setup
 from freshopt import (
     Infeasible,
     InfeasibleContract,
+    InvalidValue,
     NoRoot,
     NonCoordinable,
     OptionContract,
@@ -255,6 +256,16 @@ class TestCoordinatingPremium:
         for k in (0.8, 1.0, 1.2, 1.4):
             decentralized = optimal_plan(d, m, o, k)
             assert chain_expected_profit(d, m, decentralized.q_total) <= best + 1e-9
+
+
+@pytest.mark.parametrize("solve,price", [(coordinating_premium, "ce"),
+                                         (coordinating_exercise_price, "c0")])
+def test_coordination_names_a_bad_price_and_k_together(baseline_demand, baseline_market,
+                                                       solve, price):
+    with pytest.raises(InvalidValue) as err:
+        solve(baseline_demand, baseline_market, -1.0, 0.0)
+    assert err.value.problems == [(price, "must be finite and > 0, got -1.0"),
+                                  ("k", "must be finite and > 0, got 0.0")]
 
 
 class TestCoordinatingExercisePrice:

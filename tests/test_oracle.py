@@ -111,6 +111,28 @@ class TestMcExpected:
             mc_expected("retailer", baseline_demand, baseline_market, baseline_contract,
                         1.0, REFERENCE_PLAN, 0, 1)
 
+    def test_names_kind_sample_count_and_k_together(self, baseline_demand, baseline_market,
+                                                    baseline_contract):
+        with pytest.raises(InvalidValue) as err:
+            mc_expected("x", baseline_demand, baseline_market, baseline_contract,
+                        0.0, REFERENCE_PLAN, 0, 1)
+        assert err.value.problems == [
+            ("kind", f"must be one of {MC_KINDS}, got 'x'"),
+            ("samples", "must be >= 1 and an integer, got 0"),
+            ("k", "must be finite and > 0, got 0.0")]
+        assert str(err.value) == (f"kind must be one of {MC_KINDS}, got 'x'; "
+                                  "sample count must be >= 1 and an integer, got 0; "
+                                  "k must be finite and > 0, got 0.0")
+
+    @pytest.mark.parametrize("kind", MC_KINDS)
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_k_for_every_kind(self, baseline_demand, baseline_market,
+                                          baseline_contract, kind, k):
+        with pytest.raises(InvalidValue) as err:
+            mc_expected(kind, baseline_demand, baseline_market, baseline_contract,
+                        k, REFERENCE_PLAN, 10, 1)
+        assert err.value.problems == [("k", f"must be finite and > 0, got {k}")]
+
     def test_rejects_sample_count_over_cap(self, baseline_demand, baseline_market,
                                            baseline_contract):
         with pytest.raises(InvalidValue) as err:
@@ -442,6 +464,17 @@ class TestGridSearch:
             for w in sorted({1, 2, 3, len(x) // 2, len(x) - 1, len(x)} & set(range(1, len(x) + 1))):
                 np.testing.assert_array_equal(_window_max(x, w),
                                               sliding_window_view(x, w).max(axis=1), f"w={w}")
+
+    def test_rejects_bad_k(self, baseline_demand, baseline_market, baseline_contract):
+        with pytest.raises(InvalidValue) as err:
+            grid_search_plan(baseline_demand, baseline_market, baseline_contract, 0.0,
+                             GridSpec((0.0, 100.0), (0.0, 100.0), 0.05))
+        assert err.value.problems == [("k", "must be finite and > 0, got 0.0")]
+
+    def test_default_box_rejects_bad_k(self, baseline_demand, baseline_market):
+        with pytest.raises(InvalidValue) as err:
+            default_grid_spec(baseline_demand, baseline_market, -1.0)
+        assert err.value.problems == [("k", "must be finite and > 0, got -1.0")]
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):

@@ -414,6 +414,11 @@ class TestScenarioValidation:
             assert err.value.problems == scenario.value.problems == [
                 ("mode", f"must be one of {MODES}, got 'nope'")]
 
+    def test_default_grid_rejects_an_unhashable_mode(self):
+        with pytest.raises(InvalidValue) as err:
+            default_k_grid(["fixed-premium"])
+        assert err.value.problems == [("mode", f"must be one of {MODES}, got ['fixed-premium']")]
+
     def test_mode_needs_its_fixed_value(self, baseline_demand, baseline_market):
         with pytest.raises(ValueError, match="fixed_ce"):
             SweepScenario(mode="fixed-exercise-price", demand=baseline_demand,
