@@ -6,7 +6,8 @@ profit breakdown), ``evaluate`` (profits at a user-given plan),
 ``simulate`` (Monte-Carlo check of an expected profit), and ``sweep``
 (CSV series over the overconfidence grid).
 
-Flag values override config values, which override defaults.  Numeric
+Flag values override config values, which override defaults: each value
+flag's argparse ``dest`` is the config field it overrides.  Numeric
 output is fixed at 6 decimal places and identical inputs produce
 byte-identical output.  Exit codes: 0 success, 1 model infeasibility
 (or a simulation check outside 3 standard errors), 2 configuration error,
@@ -69,8 +70,9 @@ def _emit(out, **values) -> None:
     out.write("".join(f"{key}={_format_cell(value)}\n" for key, value in values.items()))
 
 
-def _price(name: str, args, missing: str, *sections) -> float:
-    """The price ``name`` from its flag, else from the first config section giving it."""
+def _resolve(name: str, args, *sections, missing: str | None = None):
+    """Config field ``name`` from the flag whose dest it is, else from the first config
+    section that sets it; a usage error saying ``missing`` if none does."""
     for value in (getattr(args, name), *(getattr(s, name, None) for s in sections)):
         if value is not None:
             return value
@@ -79,16 +81,12 @@ def _price(name: str, args, missing: str, *sections) -> float:
 
 def _resolve_contract(config: ScenarioConfig, args) -> OptionContract:
     missing = "no option contract available: provide --c0/--ce or a contract section in the config"
-    return OptionContract(c0=_price("c0", args, missing, config.contract),
-                          ce=_price("ce", args, missing, config.contract))
-
-
-def _resolve_k(config: ScenarioConfig, args) -> float:
-    return args.k if args.k is not None else config.overconfidence
+    return OptionContract(c0=_resolve("c0", args, config.contract, missing=missing),
+                          ce=_resolve("ce", args, config.contract, missing=missing))
 
 
 def cmd_optimize(config: ScenarioConfig, args, out) -> int:
-    k = _resolve_k(config, args)
+    k = _resolve("overconfidence", args, config)
     contract, _ = _check_each((_resolve_contract, config, args), (_check_positive, "k", k))
     plan = optimal_plan(config.demand, config.market, contract, k)
     breakdown = retailer_expected_profit(config.demand, config.market, contract, k, plan)
@@ -98,7 +96,7 @@ def cmd_optimize(config: ScenarioConfig, args, out) -> int:
 
 
 def cmd_evaluate(config: ScenarioConfig, args, out) -> int:
-    k = _resolve_k(config, args)
+    k = _resolve("overconfidence", args, config)
     contract, _, plan = _check_each((_resolve_contract, config, args), (_check_positive, "k", k),
                                     (OrderPlan, args.q1, args.qq))
     believed = retailer_expected_profit(config.demand, config.market, contract, k, plan)
@@ -112,16 +110,16 @@ def cmd_evaluate(config: ScenarioConfig, args, out) -> int:
 
 
 def cmd_coordinate(config: ScenarioConfig, args, out) -> int:
-    k = _resolve_k(config, args)
+    k = _resolve("overconfidence", args, config)
     d, m = config.demand, config.market
     if args.solve_exercise:
-        c0 = _price("c0", args, "--solve-exercise needs --c0 or a contract section in the config",
-                    config.contract)
+        c0 = _resolve("c0", args, config.contract,
+                      missing="--solve-exercise needs --c0 or a contract section in the config")
         ce = coordinating_exercise_price(d, m, c0, k)
         _emit(out, ce=ce)
     else:
-        ce = _price("ce", args, "coordinate needs --ce or a contract section in the config",
-                    config.contract)
+        ce = _resolve("ce", args, config.contract,
+                      missing="coordinate needs --ce or a contract section in the config")
         c0 = coordinating_premium(d, m, ce, k)
         _emit(out, c0=c0)
     report = check_feasibility(m, OptionContract(c0=c0, ce=ce), k)
@@ -132,9 +130,8 @@ def cmd_coordinate(config: ScenarioConfig, args, out) -> int:
 
 
 def cmd_simulate(config: ScenarioConfig, args, out) -> int:
-    d, m, k = config.demand, config.market, _resolve_k(config, args)
-    n = args.n if args.n is not None else config.oracle.samples
-    seed = args.seed if args.seed is not None else config.oracle.seed
+    d, m, k = config.demand, config.market, _resolve("overconfidence", args, config)
+    n, seed = _resolve("samples", args, config.oracle), _resolve("seed", args, config.oracle)
     given = [(OrderPlan, args.q1, args.qq)] if None not in (args.q1, args.qq) else []
     contract, _, _, *plan = _check_each((_resolve_contract, config, args), (_check_positive, "k", k),
                                         (_check_draws, n, seed), *given)
@@ -161,29 +158,18 @@ def cmd_simulate(config: ScenarioConfig, args, out) -> int:
 
 
 def cmd_sweep(config: ScenarioConfig, args, out) -> int:
-    mode = args.mode if args.mode is not None else (config.sweep.mode if config.sweep else None)
-    if mode is None:
-        raise _UsageError("no sweep mode: provide --mode or a sweep section in the config")
-
+    mode = _resolve("mode", args, config.sweep,
+                    missing="no sweep mode: provide --mode or a sweep section in the config")
     p = FIXED_PRICE[mode]
     if p is None:
         fixed = {"contract": _resolve_contract(config, args)}
     else:
         missing = f"{mode} sweep needs --{p}, sweep.{p}, or a contract"
-        fixed = {f"fixed_{p}": _price(p, args, missing, config.sweep, config.contract)}
-
-    # A config-supplied grid belongs to the mode the config declared.
-    config_grid = (config.sweep.k_grid
-                   if config.sweep and config.sweep.mode == mode else None)
-    k_grid = config_grid if config_grid is not None else default_k_grid(mode)
-    scenario = SweepScenario(
-        mode=mode,
-        demand=config.demand,
-        market=config.market,
-        k_grid=tuple(k_grid),
-        **fixed,
-    )
-    rows = run_sweep(scenario)
+        fixed = {f"fixed_{p}": _resolve(p, args, config.sweep, config.contract, missing=missing)}
+    # A config-supplied grid belongs to the mode the config declared; else the mode's default.
+    k_grid = ((config.sweep.k_grid if config.sweep and config.sweep.mode == mode else None)
+              or default_k_grid(mode))
+    rows = run_sweep(SweepScenario(mode, config.demand, config.market, k_grid, **fixed))
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -215,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ce", type=float, default=None, help="exercise price override")
 
     def add_common(p, plan_flags=False):
-        p.add_argument("--k", type=float, default=None, help="overconfidence multiplier")
+        p.add_argument("--k", dest="overconfidence", metavar="K", type=float, default=None,
+                       help="overconfidence multiplier")
         add_prices(p)
         if plan_flags:
             p.add_argument("--q1", type=float, default=None, help="spot order quantity")
@@ -237,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte-Carlo check of an expected profit")
     add_common(p, plan_flags=True)
     p.add_argument("--kind", choices=MC_KINDS, required=True)
-    p.add_argument("--n", type=int, default=None, help="sample count")
+    p.add_argument("--n", dest="samples", metavar="N", type=int, default=None, help="sample count")
     p.add_argument("--seed", type=int, default=None, help="stream seed")
 
     p = sub.add_parser("sweep", help="overconfidence sweep as CSV")
@@ -256,14 +243,8 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             config = load_config(args.config if args.config is not None else default_config_path())
-            handler = {
-                "optimize": cmd_optimize,
-                "evaluate": cmd_evaluate,
-                "coordinate": cmd_coordinate,
-                "simulate": cmd_simulate,
-                "sweep": cmd_sweep,
-            }[args.command]
-            return handler(config, args, out)
+            # Looked up at call time, so a rebound module-level cmd_* is the one that runs.
+            return globals()[f"cmd_{args.command}"](config, args, out)
         except (ConfigError, _UsageError, InvalidValue) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

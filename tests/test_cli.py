@@ -14,6 +14,7 @@ import pytest
 import freshopt.cli
 from freshopt.cli import _build_parser, default_config_path, main
 from freshopt.config import MAX_CONFIG_BYTES
+from freshopt.sweep import default_k_grid
 
 OPTIMIZE_EXPECTED = """\
 Q=71.111111
@@ -69,6 +70,13 @@ def test_reused_parser_carries_nothing_between_calls(capsys, tmp_path):
     assert together[4][0] == 2 and together[4][2].startswith("usage: freshopt")
     assert "unrecognized arguments: --no-such-flag" in together[4][2]
     assert [code for code, *_ in together] == [0, 0, 0, 0, 2, 0, 0]
+
+
+def test_main_calls_the_handler_bound_at_call_time(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(freshopt.cli, "cmd_sweep", lambda config, args, out: seen.append(args.mode) or 0)
+    assert run_cli(capsys, "sweep", "--mode", "fixed-premium") == (0, "", "")
+    assert seen == ["fixed-premium"]
 
 
 def test_default_config_is_the_packaged_scenario():
@@ -292,6 +300,62 @@ class TestSweep:
         with pytest.raises(SystemExit) as err:
             main(["sweep", "--k", "1.2"])
         assert err.value.code == 2
+
+
+class TestFlagOverConfig:
+    """Each value flag overrides the config field it stands for; unset, the file's value holds."""
+
+    @staticmethod
+    def scenario(tmp_path, **sections):
+        raw = json.loads(default_config_path().read_text(encoding="utf-8"))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**raw, **sections}), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", [None, "optimize", "evaluate", "coordinate", "simulate",
+                                         "sweep"])
+    def test_help_names_the_flags_not_their_fields(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"] if command is None else [command, "--help"])
+        text = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert ("[--k K]" in text) == (command not in (None, "sweep"))
+        assert ("[--n N]" in text) == (command == "simulate")
+        assert "OVERCONFIDENCE" not in text and "SAMPLES" not in text
+
+    def test_k_overrides_overconfidence(self, capsys, tmp_path):
+        path = self.scenario(tmp_path, overconfidence=1.4)
+        assert run_cli(capsys, "--config", path, "optimize", "--k", "1") == (0, OPTIMIZE_EXPECTED, "")
+        from_file = run_cli(capsys, "--config", path, "optimize")
+        assert from_file == run_cli(capsys, "optimize", "--k", "1.4")
+        assert from_file[1] != OPTIMIZE_EXPECTED
+
+    @pytest.mark.parametrize("flags,n,seed", [
+        ((), "500", "11"),
+        (("--n", "700"), "700", "11"),
+        (("--seed", "3"), "500", "3"),
+        (("--n", "700", "--seed", "3"), "700", "3"),
+    ])
+    def test_n_and_seed_override_the_oracle_section(self, capsys, tmp_path, flags, n, seed):
+        path = self.scenario(tmp_path, oracle={"samples": 500, "seed": 11, "grid_step": 0.05})
+        code, out, _ = run_cli(capsys, "--config", path, "simulate", "--kind", "chain", *flags)
+        lines = dict(line.split("=", 1) for line in out.splitlines())
+        assert (code, lines["n"], lines["seed"]) == (0, n, seed)
+
+    @pytest.mark.parametrize("k_grid,argv,mode", [
+        ([0.9, 1.0, 1.1], (), None),
+        ([0.9, 1.0, 1.1], ("--mode", "fixed-exercise-price"), None),
+        ([0.9, 1.0, 1.1], ("--mode", "fixed-premium"), "fixed-premium"),
+        (None, (), "fixed-exercise-price"),
+    ], ids=["section-mode", "same-mode-flag", "other-mode-flag", "no-section-grid"])
+    def test_config_grid_belongs_to_its_mode(self, capsys, tmp_path, k_grid, argv, mode):
+        # mode names the default grid expected; None expects the section's own grid.
+        section = {"mode": "fixed-exercise-price", "ce": 35.0}
+        path = self.scenario(tmp_path, sweep=section if k_grid is None else {**section, "k_grid": k_grid})
+        code, out, _ = run_cli(capsys, "--config", path, "sweep", *argv)
+        expected = k_grid if mode is None else default_k_grid(mode)
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == [f"{k:.6f}" for k in expected]
 
 
 class TestErrorPaths:

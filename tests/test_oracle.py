@@ -476,6 +476,12 @@ class TestGridSearch:
             default_grid_spec(baseline_demand, baseline_market, -1.0)
         assert err.value.problems == [("k", "must be finite and > 0, got -1.0")]
 
+    def test_default_box_names_bad_k_and_bad_step_together(self, baseline_demand, baseline_market):
+        with pytest.raises(InvalidValue) as err:
+            default_grid_spec(baseline_demand, baseline_market, -1.0, step=0.0)
+        assert err.value.problems == [("k", "must be finite and > 0, got -1.0"),
+                                      ("step", "must be finite and > 0, got 0.0")]
+
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
             GridSpec((10.0, 5.0), (0.0, 5.0), 0.1)

@@ -1,9 +1,10 @@
 """Static checks on the package source with the stdlib ``ast``: no module imports a name
-it never uses, and no private module-level function or class goes unreferenced; and the
-package's star-import surface."""
+it never uses, and no private module-level function or class goes unreferenced; the
+package's star-import surface; and the rules of ``tools/line_count.py``."""
 from __future__ import annotations
 
 import ast
+import importlib.util
 import types
 from pathlib import Path
 
@@ -91,3 +92,33 @@ def test_all_holds_no_module_and_no_private_name():
     assert [name for name in freshopt.__all__
             if isinstance(getattr(freshopt, name), types.ModuleType)
             or (name.startswith("_") and name != "__version__")] == []
+
+
+def _line_count():
+    spec = importlib.util.spec_from_file_location("line_count", PACKAGE.parents[1] / "tools" / "line_count.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_line_count_skips_blank_comment_and_docstring_lines():
+    source = '''"""Module docstring,
+over two lines."""
+import math  # a comment after code is code
+
+# a comment-only line
+
+
+class Box:
+    """Class docstring."""
+
+    size = """a string that is no docstring
+    counts as code"""
+
+    def area(self):
+        """Function docstring."""
+        return (self.size
+                * 2)
+'''
+    # Code: the import, `class Box:`, both lines of `size`, `def area`, both lines of the return.
+    assert _line_count().count_lines(source) == (17, 7)
