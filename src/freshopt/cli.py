@@ -43,6 +43,8 @@ from .profit import (
 )
 from .sweep import (
     FIXED_PRICE,
+    MODE_FIXED_EXERCISE,
+    MODE_FIXED_PREMIUM,
     MODES,
     SweepScenario,
     TooFewRows,
@@ -85,6 +87,16 @@ def _resolve_contract(config: ScenarioConfig, args) -> OptionContract:
                           ce=_resolve("ce", args, config.contract, missing=missing))
 
 
+def _fixed_price(mode: str, args, where: str) -> str | None:
+    """The price that ``mode`` holds fixed (``sweep.FIXED_PRICE``; None holds the whole
+    contract), after a usage error if the flag of a price the mode does not read is given."""
+    fixed = FIXED_PRICE[mode]
+    for price in ("c0", "ce"):
+        if fixed not in (None, price) and getattr(args, price) is not None:
+            raise _UsageError(f"--{price} is not read {where}")
+    return fixed
+
+
 def cmd_optimize(config: ScenarioConfig, args, out) -> int:
     k = _resolve("overconfidence", args, config)
     contract, _ = _check_each((_resolve_contract, config, args), (_check_positive, "k", k))
@@ -112,12 +124,15 @@ def cmd_evaluate(config: ScenarioConfig, args, out) -> int:
 def cmd_coordinate(config: ScenarioConfig, args, out) -> int:
     k = _resolve("overconfidence", args, config)
     d, m = config.demand, config.market
+    # Solving ce holds c0 fixed, as a fixed-premium sweep does; solving c0 holds ce fixed.
     if args.solve_exercise:
+        _fixed_price(MODE_FIXED_PREMIUM, args, "by coordinate --solve-exercise, which solves it")
         c0 = _resolve("c0", args, config.contract,
                       missing="--solve-exercise needs --c0 or a contract section in the config")
         ce = coordinating_exercise_price(d, m, c0, k)
         _emit(out, ce=ce)
     else:
+        _fixed_price(MODE_FIXED_EXERCISE, args, "by coordinate, which solves it")
         ce = _resolve("ce", args, config.contract,
                       missing="coordinate needs --ce or a contract section in the config")
         c0 = coordinating_premium(d, m, ce, k)
@@ -160,7 +175,7 @@ def cmd_simulate(config: ScenarioConfig, args, out) -> int:
 def cmd_sweep(config: ScenarioConfig, args, out) -> int:
     mode = _resolve("mode", args, config.sweep,
                     missing="no sweep mode: provide --mode or a sweep section in the config")
-    p = FIXED_PRICE[mode]
+    p = _fixed_price(mode, args, f"in {mode} mode")
     if p is None:
         fixed = {"contract": _resolve_contract(config, args)}
     else:

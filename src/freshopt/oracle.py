@@ -10,9 +10,10 @@ Sampling is chunked: every chunk owns a child stream spawned from
 (seed, chunk index) and chunks are reduced in fixed order, so a serial
 run and any worker-parallel run of the same (seed, n) agree bit for bit.
 A chunk is drawn whole into one buffer that the whole call reuses
-(``sample(..., out=)``), then its profits are evaluated in place, block by
-cache-sized block; a call allocates one buffer of at most ``_CHUNK``
-doubles (1 MB) plus per-block temporaries of ``_BLOCK`` doubles.  A
+(``sample(..., out=)``), then its profits are written over the draws, block by
+cache-sized block (``realized_*(..., out=block)``); a call allocates one buffer
+of at most ``_CHUNK`` doubles (1 MB) plus at most two temporaries of ``_BLOCK``
+doubles (128 KB each) per block, and copies no profit back.  A
 truncated-normal chunk maps its first half through ``ndtri`` on one helper
 thread while the calling thread maps the second (``demand._ndtri_in_place``);
 that thread calls nothing else, so every public function runs on the
@@ -44,7 +45,12 @@ MC_KINDS = ("retailer", "supplier", "chain")
 DEFAULT_GRID_STEP = 0.05
 
 _CHUNK = 1 << 17
-_BLOCK = 1 << 13  # a block's temporaries (64 KB) stay under glibc's 128 KB mmap threshold
+# A block and its two 128 KB temporaries stay in a 2 MB L2.  Time of 1M retailer draws
+# against copying each 8,192-draw block's profits back (medians of 25 interleaved calls, two
+# runs, 2-core x86-64 VM; uniform, exponential, truncated normal): in place at 8,192
+# 0.87-0.89, 0.87-0.91, 0.96-1.04; 16,384 0.81-0.83, 0.82-0.88, 0.94; 32,768 0.81-0.84,
+# 0.82-0.87, 0.93-0.98.
+_BLOCK = 1 << 14
 # Bounds a run's time: 10**9 draws take 10-40 s (2-core x86-64 VM, all families).
 _MAX_SAMPLES = 10 ** 9
 
@@ -120,11 +126,11 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
 
     if kind == "retailer":
         scale = m.theta * k
-        evaluate = lambda x: realized_retailer_profit(x, scale, m, o, plan)
+        evaluate = lambda x: realized_retailer_profit(x, scale, m, o, plan, out=x)
     elif kind == "supplier":
-        evaluate = lambda x: realized_supplier_profit(x, m, o, plan)
+        evaluate = lambda x: realized_supplier_profit(x, m, o, plan, out=x)
     else:
-        evaluate = lambda x: realized_chain_profit(x, m, plan.q_total)
+        evaluate = lambda x: realized_chain_profit(x, m, plan.q_total, out=x)
 
     buffer = np.empty(min(n, _CHUNK))
 
@@ -138,7 +144,7 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
             rng = np.random.Generator(np.random.PCG64(chunk_stream(seed, index)))
             profits = d.sample(rng, size=take, out=buffer[:take])
             for lo in range(0, take, _BLOCK):
-                profits[lo:lo + _BLOCK] = evaluate(profits[lo:lo + _BLOCK])
+                evaluate(profits[lo:lo + _BLOCK])
             # Deviations from the first profit: a constant profit averages to itself exactly.
             first = float(profits[0])
             np.subtract(profits, first, out=profits)

@@ -289,8 +289,22 @@ def chain_expected_profit(d: DemandDistribution, m: MarketParams, q_total):
     return profit
 
 
+def _scaled(scale: float, x, out):
+    """scale * x in ``out`` for an array x, else in a new float array of x's shape, or of
+    one entry for a float x, so that every later pass can be written in place."""
+    x = np.asarray(x, dtype=float)
+    if out is None or x.ndim == 0:
+        out = np.empty(x.shape or 1)
+    return np.multiply(scale, x, out=out)
+
+
+def _returned(profits, x):
+    """The profits of an array x, or the float of a float x."""
+    return profits if np.ndim(x) else float(profits[0])
+
+
 def realized_retailer_profit(x, demand_scale: float, m: MarketParams, o: OptionContract,
-                             plan: OrderPlan):
+                             plan: OrderPlan, out=None):
     """Retailer profit for one demand outcome x, at the given belief scale.
 
     Options are exercised only for demand the spot stock cannot cover, and
@@ -301,44 +315,65 @@ def realized_retailer_profit(x, demand_scale: float, m: MarketParams, o: OptionC
     p - ce up to the whole stock and -g past it.  It is the smaller of the
     first line and the other two joined at the stock, which is their minimum
     where the slope falls there (ce <= p + g) and their maximum where it rises.
+
+    For an array x, ``out`` (a float64 array of x's shape, or x itself) receives
+    the profits and is returned; the lines are evaluated in it and in two
+    temporaries, with the bits of a call without ``out``.  A float x gives a float.
     """
-    demand = demand_scale * np.asarray(x, dtype=float)
     eff = 1.0 - m.beta
     stock = plan.q_total * eff
     spot_stock = plan.q_spot * eff
     option_stock = plan.q_option * eff
     fixed = -o.c0 * option_stock - m.w0 * spot_stock
-    spot = m.p * demand + fixed
-    exercising = (m.p - o.ce) * demand + (fixed + o.ce * spot_stock)
-    short = -m.g * demand + (fixed + m.p * stock - o.ce * option_stock + m.g * stock)
+    demand = _scaled(demand_scale, x, out)
+    exercising = (m.p - o.ce) * demand
+    exercising += fixed + o.ce * spot_stock
+    short = -m.g * demand
+    short += fixed + m.p * stock - o.ce * option_stock + m.g * stock
     join = np.minimum if o.ce <= m.p + m.g else np.maximum
-    out = np.minimum(spot, join(exercising, short))
-    return float(out) if out.ndim == 0 else out
+    join(exercising, short, out=exercising)
+    demand *= m.p  # the spot line, over the demand
+    demand += fixed
+    np.minimum(demand, exercising, out=demand)
+    return _returned(demand, x)
 
 
-def realized_supplier_profit(x, m: MarketParams, o: OptionContract, plan: OrderPlan):
+def realized_supplier_profit(x, m: MarketParams, o: OptionContract, plan: OrderPlan, out=None):
     """Supplier profit for one demand outcome x, exercised on true demand.  Vectorized over x.
 
     Its fixed part (wholesale and premium income less production cost) plus ce
     per unit of true demand D past the spot stock, up to the option stock: one
     line in D, clipped to [fixed, fixed + ce * option stock].
+
+    For an array x, ``out`` (a float64 array of x's shape, or x itself) receives
+    the profits and is returned; the line is evaluated in it, with no temporary,
+    with the bits of a call without ``out``.  A float x gives a float.
     """
     eff = 1.0 - m.beta
     spot_stock = plan.q_spot * eff
     option_stock = plan.q_option * eff
     fixed = m.w0 * spot_stock + o.c0 * option_stock - m.c * plan.q_total
-    line = (o.ce * m.theta) * np.asarray(x, dtype=float) + (fixed - o.ce * spot_stock)
-    out = np.clip(line, fixed, fixed + o.ce * option_stock)
-    return float(out) if out.ndim == 0 else out
+    line = _scaled(o.ce * m.theta, x, out)
+    line += fixed - o.ce * spot_stock
+    np.clip(line, fixed, fixed + o.ce * option_stock, out=line)
+    return _returned(line, x)
 
 
-def realized_chain_profit(x, m: MarketParams, q_total: float):
+def realized_chain_profit(x, m: MarketParams, q_total: float, out=None):
     """Integrated-chain profit for one demand outcome x.  Vectorized over x.
 
     In demand D: p D up to the stock, then -g per unit short; concave, as p > -g.
+
+    For an array x, ``out`` (a float64 array of x's shape, or x itself) receives
+    the profits and is returned; the lines are evaluated in it and in one
+    temporary, with the bits of a call without ``out``.  A float x gives a float.
     """
-    demand = m.theta * np.asarray(x, dtype=float)
     stock = q_total * (1.0 - m.beta)
     cost = m.c * q_total
-    out = np.minimum(m.p * demand - cost, -m.g * demand + ((m.p + m.g) * stock - cost))
-    return float(out) if out.ndim == 0 else out
+    demand = _scaled(m.theta, x, out)
+    short = -m.g * demand
+    short += (m.p + m.g) * stock - cost
+    demand *= m.p  # the sales line, over the demand
+    demand -= cost
+    np.minimum(demand, short, out=demand)
+    return _returned(demand, x)

@@ -553,6 +553,20 @@ class TestErrorPaths:
     def test_commands_name_every_bad_flag(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv,read,message", [
+        (("coordinate",), ("--ce", "35"), "--c0 is not read by coordinate, which solves it"),
+        (("coordinate", "--solve-exercise"), ("--c0", "5"),
+         "--ce is not read by coordinate --solve-exercise, which solves it"),
+        (("sweep", "--mode", "fixed-exercise-price"), ("--ce", "35"),
+         "--c0 is not read in fixed-exercise-price mode"),
+        (("sweep", "--mode", "fixed-premium"), ("--c0", "5"), "--ce is not read in fixed-premium mode"),
+    ])
+    def test_a_price_flag_the_mode_does_not_read_exits_two(self, capsys, argv, read, message):
+        unread = "--c0" if read[0] == "--ce" else "--ce"
+        assert run_cli(capsys, *argv, unread, "999") == (2, "", f"error: {message}\n")
+        assert run_cli(capsys, *argv, *read, unread, "999") == (2, "", f"error: {message}\n")
+        assert run_cli(capsys, *argv, *read)[0] == 0
+
     def test_half_a_plan_is_named_after_the_bad_flags(self, capsys):
         argv = ("simulate", "--kind", "chain", "--q1", "1")
         assert run_cli(capsys, *argv) == (2, "", "error: provide both --q1 and --qq, or neither\n")

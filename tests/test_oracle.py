@@ -198,7 +198,7 @@ class TestMcExpected:
         }
         chunk = 1 << 17
         for kind in MC_KINDS:
-            for n in (1, 8193, chunk, chunk + 1, 3 * chunk + 17):
+            for n in (1, 8193, 16385, 32767, 32769, chunk, chunk + 1, chunk + 32769, 3 * chunk + 17):
                 count, mean, m2 = 0, 0.0, 0.0
                 for i, child in enumerate(np.random.SeedSequence(11).spawn(-(-n // chunk))):
                     take = min(chunk, n - i * chunk)

@@ -403,6 +403,60 @@ class TestRealizedProfits:
         assert np.array_equal(vector, np.array(scalars))
 
 
+def _whole_array_lines(x, scale, m, o, plan):
+    """Realized (retailer, supplier, chain) profits, each line a whole-array expression
+    of its own: the operations that the in-place evaluation repeats, in the same order."""
+    eff = 1.0 - m.beta
+    stock, spot_stock, option_stock = plan.q_total * eff, plan.q_spot * eff, plan.q_option * eff
+    demand = scale * x
+    fixed = -o.c0 * option_stock - m.w0 * spot_stock
+    spot = m.p * demand + fixed
+    exercising = (m.p - o.ce) * demand + (fixed + o.ce * spot_stock)
+    short = -m.g * demand + (fixed + m.p * stock - o.ce * option_stock + m.g * stock)
+    join = np.minimum if o.ce <= m.p + m.g else np.maximum
+    retailer = np.minimum(spot, join(exercising, short))
+    fixed = m.w0 * spot_stock + o.c0 * option_stock - m.c * plan.q_total
+    line = (o.ce * m.theta) * x + (fixed - o.ce * spot_stock)
+    supplier = np.clip(line, fixed, fixed + o.ce * option_stock)
+    demand, cost = m.theta * x, m.c * plan.q_total
+    chain = np.minimum(m.p * demand - cost, -m.g * demand + ((m.p + m.g) * stock - cost))
+    return retailer, supplier, chain
+
+
+class TestRealizedOut:
+    @staticmethod
+    def _calls(scale, m, o, plan):
+        return (lambda x, **out: realized_retailer_profit(x, scale, m, o, plan, **out),
+                lambda x, **out: realized_supplier_profit(x, m, o, plan, **out),
+                lambda x, **out: realized_chain_profit(x, m, plan.q_total, **out))
+
+    @pytest.mark.parametrize("join", ["min", "max"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_out_keeps_the_bits_of_whole_array_lines(self, family, join):
+        rng = np.random.default_rng(97)
+        _, m, o, k = random_feasible_setup(rng, family)
+        if join == "max":  # ce > p + g: past the stock the retailer's profit rises again
+            o = OptionContract(c0=o.c0, ce=1.25 * (m.p + m.g))
+        plan = OrderPlan(q_spot=float(rng.uniform(10.0, 40.0)), q_option=float(rng.uniform(5.0, 30.0)))
+        scale = m.theta * k
+        eff = 1.0 - m.beta
+        kinks = [q * eff / s for q in (plan.q_spot, plan.q_total) for s in (scale, m.theta)]
+        x = np.concatenate([[0.0], kinks, rng.uniform(0.0, 2.0 * max(kinks), 500),
+                            rng.uniform(0.5, 2.0, 20) * 1e300])
+        rng.shuffle(x)
+        for call, expected in zip(self._calls(scale, m, o, plan), _whole_array_lines(x, scale, m, o, plan)):
+            fresh = call(x.copy())
+            separate = np.full_like(x, np.nan)
+            aliased = x.copy()
+            assert call(x, out=separate) is separate
+            assert call(aliased, out=aliased) is aliased
+            for got in (fresh, separate, aliased):
+                assert got.tobytes() == expected.tobytes()
+            for i in range(x.size):
+                value = call(float(x[i]))
+                assert type(value) is float and value.hex() == float(expected[i]).hex()
+
+
 class TestTypes:
     def test_order_plan_total_is_exact_sum(self):
         plan = OrderPlan(q_spot=0.1, q_option=0.2)
