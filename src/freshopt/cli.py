@@ -82,6 +82,9 @@ def _resolve(name: str, args, *sections, missing: str | None = None):
 
 
 def _resolve_contract(config: ScenarioConfig, args) -> OptionContract:
+    """The config's contract, checked when it loaded, unless a price flag overrides a price."""
+    if config.contract is not None and args.c0 is None and args.ce is None:
+        return config.contract
     missing = "no option contract available: provide --c0/--ce or a contract section in the config"
     return OptionContract(c0=_resolve("c0", args, config.contract, missing=missing),
                           ce=_resolve("ce", args, config.contract, missing=missing))

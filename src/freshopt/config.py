@@ -5,15 +5,18 @@ field paths before anything is constructed, and all sections' problems are
 reported together; a section's range checks run once all its values are
 numbers (a market with "p": "x" and "beta": 2.0 reports market.p alone).
 The keys of the market, contract, oracle, sweep and demand-parameter
-sections are the fields of the type each builds.
+sections are the fields of the type each builds; each type's field layout
+is read once per process, and every file without an oracle section shares
+one frozen default.  The CLI reuses the loaded contract unless a price flag
+overrides one of its prices.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import os
 import stat
+from collections.abc import Container
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +26,8 @@ from .demand import (
     InvalidValue,
     _check_each,
     _check_positive,
-    _field_names,
+    _field_layout,
+    _Layout,
 )
 from .oracle import DEFAULT_GRID_STEP, _check_draws
 from .profit import MarketParams, OptionContract
@@ -39,7 +43,7 @@ MAX_CONFIG_BYTES = 1 << 20
 _FIRST_READ = 1 << 16
 
 _DEMAND_KEYS = {"family", "params"}
-_KGRID_KEYS = {"start", "stop", "step"}
+_KGRID = _Layout(("start", "step", "stop"))
 
 
 class ConfigError(Exception):
@@ -75,6 +79,9 @@ class OracleSettings:
         _check_each((_check_draws, self.samples, self.seed), (_check_positive, "grid_step", self.grid_step))
 
 
+_DEFAULT_ORACLE = OracleSettings()  # the settings of every file without an oracle section
+
+
 @dataclass(frozen=True)
 class SweepSettings:
     """A config's sweep section: mode, the fixed price it reads, and an optional k grid."""
@@ -95,6 +102,9 @@ class ScenarioConfig:
     overconfidence: float
     oracle: OracleSettings
     sweep: SweepSettings | None
+
+
+_TOP_KEYS = frozenset({"schema", "comment", *_field_layout(ScenarioConfig).names})
 
 
 def load_config(path) -> ScenarioConfig:
@@ -141,7 +151,7 @@ def parse_config(raw) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigValidationError(["top level: expected a JSON object"])
 
-    _reject_unknown(raw, {"schema", "comment", *_field_names(ScenarioConfig)}, "", problems)
+    _reject_unknown(raw, _TOP_KEYS, "", problems)
     schema = raw.get("schema")
     if schema != SCHEMA_VERSION:
         problems.append(f"schema: expected {SCHEMA_VERSION}, got {schema!r}")
@@ -155,8 +165,7 @@ def parse_config(raw) -> ScenarioConfig:
     overconfidence = _number(raw.get("overconfidence", 1.0), "overconfidence", problems)
     if overconfidence is not None:
         _checked(problems, "", lambda: _check_positive("overconfidence", overconfidence))
-    oracle = (_read(OracleSettings, raw["oracle"], "oracle", problems) if "oracle" in raw
-              else OracleSettings())
+    oracle = _read(OracleSettings, raw["oracle"], "oracle", problems) if "oracle" in raw else _DEFAULT_ORACLE
     sweep = _parse_sweep(raw.get("sweep"), contract, problems) if "sweep" in raw else None
 
     if problems:
@@ -171,7 +180,7 @@ def parse_config(raw) -> ScenarioConfig:
     )
 
 
-def _reject_unknown(mapping: dict, allowed: set[str], prefix: str, problems: list[str]) -> None:
+def _reject_unknown(mapping: dict, allowed: Container[str], prefix: str, problems: list[str]) -> None:
     for key in mapping:
         if key not in allowed:
             problems.append(f"{prefix}{key}: unknown key")
@@ -186,14 +195,17 @@ def _checked(problems: list[str], prefix: str, build):
         return None
 
 
-def _number(value, path: str, problems: list[str]) -> float | None:
+def _number(value, path: str, problems: list[str], name: str = "") -> float | None:
+    """value as a float; None after recording at path + name why it is not a number."""
+    if type(value) is float:  # most JSON numbers
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{path}: expected a number, got {value!r}")
+        problems.append(f"{path}{name}: expected a number, got {value!r}")
         return None
     try:
         return float(value)
     except OverflowError:  # JSON integers are unbounded
-        problems.append(f"{path}: must be finite, got an integer beyond the float range")
+        problems.append(f"{path}{name}: must be finite, got an integer beyond the float range")
         return None
 
 
@@ -213,26 +225,21 @@ def _read(cls, raw, path: str, problems: list[str], required: bool = False):
     raw = _section(raw, path, problems, required)
     if raw is None:
         return None
-    fields = [f for f in dataclasses.fields(cls) if f.name in raw or f.default is dataclasses.MISSING]
-    values = _numbers(raw, {f.name for f in fields}, f"{path}.", problems,
-                      {f.name for f in fields if f.type == "int"})
+    values = _numbers(raw, _field_layout(cls), f"{path}.", problems)
     return None if values is None else _checked(problems, f"{path}.", lambda: cls(**values))
 
 
-def _numbers(raw: dict, names: set[str], prefix: str, problems: list[str],
-             as_given: set[str] = frozenset()) -> dict | None:
-    """Each of names, as a number or, for those in as_given, as it is; None after recording
-    what is unknown, missing or not a number."""
-    _reject_unknown(raw, names, prefix, problems)
+def _numbers(raw: dict, layout: _Layout, prefix: str, problems: list[str]) -> dict | None:
+    """Each field of layout that raw holds, as a number or, for an int field, as it is; None
+    after recording what is unknown, missing without a default, or not a number."""
+    _reject_unknown(raw, layout.names, prefix, problems)
     before = len(problems)
     values = {}
-    for name in sorted(names):
-        if name not in raw:
+    for name in layout.names:
+        if name in raw:
+            values[name] = raw[name] if name in layout.ints else _number(raw[name], prefix, problems, name)
+        elif name not in layout.defaulted:
             problems.append(f"{prefix}{name}: required")
-        elif name in as_given:
-            values[name] = raw[name]
-        else:
-            values[name] = _number(raw[name], f"{prefix}{name}", problems)
     return values if len(problems) == before else None
 
 
@@ -254,9 +261,9 @@ def _parse_sweep(raw, contract: OptionContract | None, problems: list[str]) -> S
     raw = _section(raw, "sweep", problems)
     if raw is None:
         return None
-    _reject_unknown(raw, _field_names(SweepSettings), "sweep.", problems)
+    _reject_unknown(raw, _field_layout(SweepSettings).names, "sweep.", problems)
     mode = _checked(problems, "sweep.", lambda: _check_mode(raw.get("mode")))
-    prices = {name: _number(raw[name], f"sweep.{name}", problems) for name in ("c0", "ce") if name in raw}
+    prices = {name: _number(raw[name], "sweep.", problems, name) for name in ("c0", "ce") if name in raw}
     k_grid = _parse_k_grid(raw["k_grid"], problems) if "k_grid" in raw else None
     if mode is None or None in prices.values() or (k_grid is None and "k_grid" in raw):
         return None
@@ -275,7 +282,7 @@ def _parse_k_grid(raw, problems: list[str]) -> tuple[float, ...] | None:
     if isinstance(raw, list):
         grid = tuple(_number(item, f"sweep.k_grid[{i}]", problems) for i, item in enumerate(raw))
     elif isinstance(raw, dict):
-        bounds = _numbers(raw, _KGRID_KEYS, "sweep.k_grid.", problems)
+        bounds = _numbers(raw, _KGRID, "sweep.k_grid.", problems)
         grid = None if bounds is None else _checked(problems, "sweep.k_grid.", lambda: _k_range(**bounds))
     else:
         problems.append("sweep.k_grid: expected a list of numbers or {start, stop, step}")

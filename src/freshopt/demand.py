@@ -25,7 +25,7 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 
 def _lazy_module(name: str):
@@ -446,10 +446,22 @@ _FAMILIES: dict[str, type[DemandDistribution]] = {
 }
 
 
+class _Layout(NamedTuple):
+    """Field names in sorted order, those that have a default, and those annotated int."""
+
+    names: tuple[str, ...]
+    defaulted: frozenset[str] = frozenset()
+    ints: frozenset[str] = frozenset()
+
+
 @cache
-def _field_names(cls: type) -> frozenset[str]:
-    """The field names of a dataclass: a demand family's parameters, a config section's keys."""
-    return frozenset(f.name for f in dataclasses.fields(cls))
+def _field_layout(cls: type) -> _Layout:
+    """The fields of a dataclass, read once per type: a demand family's parameters, a config
+    section's keys."""
+    fields = sorted(dataclasses.fields(cls), key=lambda f: f.name)
+    return _Layout(tuple(f.name for f in fields),
+                   frozenset(f.name for f in fields if f.default is not dataclasses.MISSING),
+                   frozenset(f.name for f in fields if f.type in (int, "int")))
 
 
 def make_distribution(family: str, **params: float) -> DemandDistribution:
@@ -459,10 +471,7 @@ def make_distribution(family: str, **params: float) -> DemandDistribution:
     except KeyError:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown demand family {family!r}; expected one of: {known}") from None
-    expected = _field_names(cls)
-    given = set(params)
+    expected, given = list(_field_layout(cls).names), sorted(params)
     if given != expected:
-        raise ValueError(
-            f"demand family {family!r} takes parameters {sorted(expected)}, got {sorted(given)}"
-        )
+        raise ValueError(f"demand family {family!r} takes parameters {expected}, got {given}")
     return cls(**params)

@@ -330,6 +330,15 @@ class TestFlagOverConfig:
         assert from_file == run_cli(capsys, "optimize", "--k", "1.4")
         assert from_file[1] != OPTIMIZE_EXPECTED
 
+    @pytest.mark.parametrize("flag,price,value", [("--c0", "c0", "6"), ("--ce", "ce", "36")])
+    def test_one_price_flag_overrides_one_price_of_the_contract(self, capsys, flag, price, value):
+        given = {"c0": "5", "ce": "35", price: value}  # the packaged contract is c0=5, ce=35
+        overridden = run_cli(capsys, "optimize", flag, value)
+        assert overridden == run_cli(capsys, "optimize", "--c0", given["c0"], "--ce", given["ce"])
+        assert overridden[0] == 0 and overridden[1] != OPTIMIZE_EXPECTED
+        assert run_cli(capsys, "optimize", flag, "-1") == (
+            2, "", f"error: {price} must be finite and > 0, got -1.0\n")
+
     @pytest.mark.parametrize("flags,n,seed", [
         ((), "500", "11"),
         (("--n", "700"), "700", "11"),

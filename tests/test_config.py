@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import json
 import math
+import operator
 
 import pytest
 
@@ -225,6 +227,7 @@ class TestDefaultsAndOptional:
         assert config.sweep is None
         assert config.overconfidence == 1.0
         assert config.oracle.samples == 1_000_000
+        assert config.oracle == OracleSettings()
 
     def test_k_grid_as_list(self):
         raw = _baseline_raw()
@@ -246,14 +249,23 @@ class TestDefaultsAndOptional:
         assert any("sweep.c0" in p for p in err.value.problems)
 
 
-def _baseline_with(path: tuple, value) -> dict:
-    raw = _baseline_raw()
+_MISSING = object()
+
+
+def _edited(raw: dict, path: tuple, value=_MISSING) -> dict:
+    """A copy of raw with the field at path set to value, or left out without one."""
+    raw = json.loads(json.dumps(raw))
     *parents, key = path
-    section = raw
-    for name in parents:
-        section = section[name]
-    section[key] = value
+    section = functools.reduce(operator.getitem, parents, raw)
+    if value is _MISSING:
+        del section[key]
+    else:
+        section[key] = value
     return raw
+
+
+def _baseline_with(path: tuple, value) -> dict:
+    return _edited(_baseline_raw(), path, value)
 
 
 # Values that once passed validation or escaped it as another exception.
@@ -497,3 +509,67 @@ class TestSchemaFollowsModelTypes:
         with pytest.raises(ConfigValidationError) as err:
             parse_config(_baseline_with(("oracle", "draws"), 10))
         assert err.value.problems == ["oracle.draws: unknown key"]
+
+
+
+_VALID_PARAMS = {"exponential": {"rate": 0.02}, "truncated-normal": {"mu": 50.0, "sigma": 20.0},
+                 "uniform": {"lo": 0.0, "hi": 100.0}}
+
+
+def _numeric_fields():
+    """(raw config, key path of one float field in it, what leaving the field out reports, or
+    None where it has a default) for every float field a config holds."""
+    for section, cls in _sections_and_types():
+        for field in dataclasses.fields(cls):
+            if section[0] == "demand":
+                raw = _baseline_with(("demand",), {"family": section[1],
+                                                   "params": _VALID_PARAMS[section[1]]})
+                yield raw, ("demand", "params", field.name), "required"
+            else:
+                yield _baseline_raw(), (section[0], field.name), "required"
+    yield _baseline_raw(), ("overconfidence",), None
+    yield (_baseline_with(("sweep",), {"mode": "fixed-premium", "c0": 5.0}), ("sweep", "c0"),
+           "is required in fixed-premium mode")
+    yield _baseline_raw(), ("sweep", "ce"), "is required in fixed-exercise-price mode"
+    for name in ("start", "stop", "step"):
+        yield _baseline_raw(), ("sweep", "k_grid", name), "required"
+    yield _baseline_raw(), ("oracle", "grid_step"), None
+
+
+_NUMERIC_FIELDS = list(_numeric_fields())
+
+
+def _outcome(raw: dict):
+    """The repr of the config raw loads as, which shows each number's type, or its problems."""
+    try:
+        return repr(parse_config(raw))
+    except ConfigValidationError as exc:
+        return exc.problems
+
+
+class TestNumberTypes:
+    """Every float field takes a JSON int as the equal float and names any other type."""
+
+    @pytest.mark.parametrize("raw,path,missing", _NUMERIC_FIELDS,
+                             ids=[".".join(case[1]) for case in _NUMERIC_FIELDS])
+    def test_number_types(self, raw, path, missing):
+        field = ".".join(path)
+        whole = math.ceil(functools.reduce(operator.getitem, path, raw))  # loads in all but beta
+        assert _outcome(_edited(raw, path, whole)) == _outcome(_edited(raw, path, float(whole)))
+        for value, rule in [(True, "expected a number, got True"), ("1", "expected a number, got '1'"),
+                            (10**400, "must be finite, got an integer beyond the float range")]:
+            assert f"{field}: {rule}" in _outcome(_edited(raw, path, value))
+        left_out = _outcome(_edited(raw, path))
+        if missing is None:
+            assert isinstance(left_out, str), left_out  # loads: the field's default holds
+        else:
+            assert f"{field}: {missing}" in left_out
+
+    @pytest.mark.parametrize("name,floor", [("samples", 1), ("seed", 0)])
+    def test_oracle_int_fields_go_to_the_type_as_given(self, name, floor):
+        assert repr(getattr(parse_config(_baseline_with(("oracle", name), 7)).oracle, name)) == "7"
+        for value in (True, "1", 7.0):
+            assert _outcome(_baseline_with(("oracle", name), value)) == [
+                f"oracle.{name}: must be >= {floor} and an integer, got {value!r}"]
+        config = parse_config(_edited(_baseline_raw(), ("oracle", name)))
+        assert getattr(config.oracle, name) == getattr(OracleSettings(), name)
