@@ -9,9 +9,10 @@ profit breakdown), ``evaluate`` (profits at a user-given plan),
 Flag values override config values, which override defaults: each value
 flag's argparse ``dest`` is the config field it overrides.  Numeric
 output is fixed at 6 decimal places and identical inputs produce
-byte-identical output.  Exit codes: 0 success, 1 model infeasibility
-(or a simulation check outside 3 standard errors), 2 configuration error,
-a value outside its domain, or an ``--out`` path that cannot be written.
+byte-identical output.  Exit codes: 0 success; 1 an ``Infeasible``, valid
+input with no answer (or a simulation check outside 3 standard errors);
+2 a configuration or usage error, an ``InvalidValue`` (a value outside its
+domain), or an ``--out`` path that cannot be written.
 """
 from __future__ import annotations
 
@@ -22,11 +23,9 @@ import warnings
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, load_config
-from .demand import InvalidValue, OutOfRange, _check_each, _check_positive
+from .demand import InvalidValue, _check_each, _check_positive
 from .optimizer import (
     Infeasible,
-    NonCoordinable,
-    NoRoot,
     check_feasibility,
     coordinating_exercise_price,
     coordinating_premium,
@@ -34,7 +33,6 @@ from .optimizer import (
 )
 from .oracle import MC_KINDS, _check_draws, mc_expected
 from .profit import (
-    InfeasibleContract,
     OptionContract,
     OrderPlan,
     chain_expected_profit,
@@ -54,8 +52,6 @@ from .sweep import (
     run_sweep,
     write_csv,
 )
-
-_MODEL_ERRORS = (Infeasible, InfeasibleContract, NonCoordinable, NoRoot, OutOfRange)
 
 
 class _UsageError(Exception):
@@ -266,7 +262,7 @@ def main(argv=None) -> int:
         except (ConfigError, _UsageError, InvalidValue) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except _MODEL_ERRORS as exc:
+        except Infeasible as exc:
             print(f"infeasible: {exc}", file=sys.stderr)
             return 1
         except ValueError as exc:

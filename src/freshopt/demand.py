@@ -44,12 +44,10 @@ def _lazy_module(name: str):
 np = _lazy_module("numpy")
 
 
-class OutOfRange(ValueError):
-    """Quantile level outside the open interval (0, 1)."""
-
-
 class InvalidValue(ValueError):
-    """Values that break a domain rule, each stated once by the type or helper owning it.
+    """Rejected input: values that break a domain rule, each stated once by the type or
+    helper owning it.  One of the package's two outcomes besides an answer; the other is
+    ``profit.Infeasible``, valid input with no answer.  The CLI exits 2 on it.
 
     ``problems`` lists ``(field, rule)`` pairs, e.g. ``("beta", "must satisfy
     0 < beta < 1, got 1.0")``, which the message reads as "beta must ...".
@@ -59,6 +57,11 @@ class InvalidValue(ValueError):
         self.problems = list(problems)
         super().__init__("; ".join(f"{_NOUNS.get(field, field)} {rule}"
                                    for field, rule in self.problems))
+
+
+class OutOfRange(InvalidValue):
+    """Quantile level outside the open interval (0, 1): an InvalidValue naming
+    ``quantile level``."""
 
 
 # Fields whose identifier reads poorly as the subject of a message.
@@ -137,7 +140,7 @@ def _clip(x, lo: float, hi: float):
 def _check_level(q: float) -> float:
     """q, if it lies strictly inside (0, 1); OutOfRange otherwise."""
     if not 0.0 < q < 1.0:
-        raise OutOfRange(f"quantile level must be in (0, 1), got {q}")
+        raise OutOfRange([("quantile level", f"must be in (0, 1), got {q}")])
     return q
 
 
@@ -211,7 +214,8 @@ class DemandDistribution(ABC):
 
     @abstractmethod
     def _upper_quantile(self, t: float) -> float:
-        """F^-1(1 - t) for t in (0, 1), from t itself: a t below 2**-53 keeps its digits."""
+        """F^-1(1 - t) for t in [0, 1), from t itself: a t below 2**-53 keeps its digits.
+        t = 0 gives the top of the support, inf where it is unbounded."""
 
     @abstractmethod
     def _cdf_integral(self, a):
@@ -244,7 +248,8 @@ class DemandDistribution(ABC):
         return _on_array(lambda arr: self._cdf(_floor_at_zero(arr)), x)
 
     def cdf_integral(self, a):
-        """int_0^a F(x) dx for a >= 0; accepts scalars or numpy arrays.
+        """int_0^a F(x) dx for a >= 0; accepts scalars or numpy arrays.  A negative ``a``
+        (or entry) raises InvalidValue naming ``a``.
 
         Nondecreasing and convex in ``a``, zero at ``a = 0``, and never
         larger than ``a`` itself.  A nan ``a`` gives nan.  A float takes
@@ -252,8 +257,7 @@ class DemandDistribution(ABC):
         """
         scalar = type(a) is float
         arr = a if scalar else np.asarray(a, dtype=float)
-        if _any(arr < 0.0):
-            raise ValueError("cdf_integral requires a >= 0")
+        _require("a", not _any(arr < 0.0), "must be >= 0, got {}", a)
         return self._cdf_integral(arr) if scalar else _on_array(self._cdf_integral, arr)
 
     def sample(self, stream, size=None, out=None):
@@ -333,7 +337,7 @@ class Exponential(DemandDistribution):
         return -math.log1p(-q) / self.rate
 
     def _upper_quantile(self, t: float) -> float:
-        return -math.log(t) / self.rate
+        return -math.log(t) / self.rate if t > 0.0 else math.inf
 
     def _cdf(self, x):
         return -_entrywise(math.expm1, -self.rate * x)
@@ -465,13 +469,9 @@ def _field_layout(cls: type) -> _Layout:
 
 
 def make_distribution(family: str, **params: float) -> DemandDistribution:
-    """Build a demand distribution from a family name and its parameters."""
-    try:
-        cls = _FAMILIES[family]
-    except KeyError:
-        known = ", ".join(sorted(_FAMILIES))
-        raise ValueError(f"unknown demand family {family!r}; expected one of: {known}") from None
-    expected, given = list(_field_layout(cls).names), sorted(params)
-    if given != expected:
-        raise ValueError(f"demand family {family!r} takes parameters {expected}, got {given}")
-    return cls(**params)
+    """Build a demand distribution from a family name and its parameters; InvalidValue
+    names ``family`` if it is unknown, else ``params`` if they are not the family's."""
+    _require("family", family in _FAMILIES, "must be one of {}, got {!r}", sorted(_FAMILIES), family)
+    expected, given = list(_field_layout(_FAMILIES[family]).names), sorted(params)
+    _require("params", given == expected, "of family {!r} must be {}, got {}", family, expected, given)
+    return _FAMILIES[family](**params)

@@ -40,12 +40,14 @@ _FRACTILE_CLAMP = 1e-12
 _COORDINATION_TOL = 1e-9
 
 
-class NonCoordinable(ValueError):
-    """No valid option premium can coordinate the channel here."""
+class NonCoordinable(Infeasible):
+    """No valid option premium can coordinate the channel here: an Infeasible, so the
+    CLI exits 1 and a sweep flags the row."""
 
 
-class NoRoot(ValueError):
-    """No admissible exercise price, in (0, p+g-c0), coordinates the channel."""
+class NoRoot(Infeasible):
+    """No admissible exercise price, in (0, p+g-c0), coordinates the channel: an
+    Infeasible, so the CLI exits 1 and a sweep flags the row."""
 
 
 @dataclass(frozen=True)
@@ -295,9 +297,13 @@ def _coordinating_exercise_prices(d: DemandDistribution, m: MarketParams, c0: fl
     no_price = f"no coordinating exercise price in (0, {pg - c0:.6g}) at k="
     too_low = mass_below >= 1.0 - c0 / pg
     if _any(too_low):
-        k_floor = x_central / d._upper_quantile(c0 / pg)
-        rows.screen(too_low, lambda at: NoRoot(
-            f"{no_price}{at(rows.k)}: coordination at this premium requires k > {k_floor:.6g}"))
+        # k > x_c / F^-1(1 - c0/(p+g)) admits a price; that floor is named only if finite and
+        # > 0, not where the quantile is 0 or, for a c0/(p+g) rounding to 0, inf.
+        upper = d._upper_quantile(c0 / pg)
+        k_floor = x_central / upper if upper > 0.0 else math.inf
+        hint = (f": coordination at this premium requires k > {k_floor:.6g}"
+                if 0.0 < k_floor < math.inf else "")
+        rows.screen(too_low, lambda at: NoRoot(f"{no_price}{at(rows.k)}{hint}"))
     # Possible only when demand has a positive lower support bound.
     rows.screen(mass_below <= 0.0, lambda at: NoRoot(
         f"{no_price}{at(rows.k)}: even the maximal admissible price leaves the decentralized "

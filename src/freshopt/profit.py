@@ -42,16 +42,23 @@ from .demand import (
 )
 
 
-class InfeasibleContract(ValueError):
-    """Option contract terms that break the model's price ordering."""
-
-
 class Infeasible(ValueError):
-    """Requested optimum, or a finite plan or profit, does not exist for these parameters."""
+    """Valid input with no answer: the requested optimum, coordinating price, or finite
+    plan or profit does not exist for these parameters.  One of the package's two
+    outcomes besides an answer; the other is ``demand.InvalidValue``, rejected input.
+    The CLI exits 1 on it, and a sweep flags the row.  Its subclasses say which answer
+    is missing: ``InfeasibleContract`` here, ``NonCoordinable`` and ``NoRoot`` in
+    ``optimizer``.
+    """
 
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report  # the optimizer's FeasibilityReport, when its screen failed
+
+
+class InfeasibleContract(Infeasible):
+    """Option contract terms that break the model's price ordering: valid prices that
+    leave no plan to price."""
 
 
 def _overflow(what: str) -> Infeasible:
@@ -228,6 +235,16 @@ def _ledger(d: DemandDistribution, m: MarketParams, c0, ce, scale, q_spot, q_opt
     return retailer, supplier, chain
 
 
+def _believed_scale(m: MarketParams, o: OptionContract, k: float) -> float:
+    """theta*k, the retailer's demand scale, once the contract passes its screens and k is
+    finite and > 0; Infeasible where theta and k are valid but their product underflows to 0."""
+    require_feasible_contract(m, o)
+    _check_positive("k", k)
+    if not m.theta * k > 0.0:
+        raise Infeasible(f"believed demand scale theta*k underflows to 0 at theta={m.theta}, k={k}")
+    return m.theta * k
+
+
 def retailer_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionContract,
                              k: float, plan: OrderPlan) -> ProfitBreakdown:
     """Retailer expected profit under its believed demand scale theta*k.
@@ -236,9 +253,7 @@ def retailer_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
     payments, wholesale cost, and expected stockout penalty (the penalty
     covers the believed demand the stock cannot serve).
     """
-    require_feasible_contract(m, o)
-    _check_positive("k", k)
-    terms, _, _ = _ledger(d, m, o.c0, o.ce, m.theta * k, plan.q_spot, plan.q_option)
+    terms, _, _ = _ledger(d, m, o.c0, o.ce, _believed_scale(m, o, k), plan.q_spot, plan.q_option)
     terms = {name: float(v) for name, v in terms.items()}
     total = float(sum(terms.values()))
     _require_finite("retailer expected profit", total)
@@ -248,10 +263,8 @@ def retailer_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
 def retailer_profit_gradient(d: DemandDistribution, m: MarketParams, o: OptionContract,
                              k: float, plan: OrderPlan) -> tuple[float, float]:
     """Partials of the retailer's expected profit w.r.t. (q_spot, q_option)."""
-    require_feasible_contract(m, o)
-    _check_positive("k", k)
+    scale = _believed_scale(m, o, k)
     eff = 1.0 - m.beta
-    scale = m.theta * k
     cdf_total = d.cdf(plan.q_total * eff / scale)
     cdf_spot = d.cdf(plan.q_spot * eff / scale)
     pg = m.p + m.g

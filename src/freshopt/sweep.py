@@ -33,8 +33,6 @@ from typing import NamedTuple
 from .demand import DemandDistribution, _check_each, _check_positive, _require, np
 from .optimizer import (
     Infeasible,
-    NonCoordinable,
-    NoRoot,
     _coordinating_exercise_prices,
     _coordinating_premiums,
     _plans,
@@ -176,7 +174,7 @@ def run_sweep(scenario: SweepScenario) -> list[SweepRow]:
                 ce, q_total = _coordinating_exercise_prices(d, m, c0, rows)
             else:
                 c0, ce = s.contract.c0, s.contract.ce
-        except (Infeasible, NonCoordinable, NoRoot) as exc:  # the same at every k
+        except Infeasible as exc:  # the same at every k
             rows.screen(True, lambda at: exc)
         solved = rows.ok.copy()
         if solved.any():

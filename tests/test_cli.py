@@ -1,6 +1,7 @@
 """CLI tests: every command against the shipped scenario, exit codes, output."""
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -627,6 +628,14 @@ OUT_OF_DOMAIN = [
                          ids=[" ".join(argv) + "".join(f" {'.'.join(p)}={v!r:.50}" for p, v in o.items())
                               for o, argv in OUT_OF_DOMAIN])
 def test_out_of_domain_value_exits_two(capsys, tmp_path, overrides, argv):
+    code, out, err = run_cli(capsys, "--config", _edited_scenario(tmp_path, overrides), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def _edited_scenario(tmp_path, overrides) -> str:
+    """The path of a copy of the shipped scenario with each (path, value) override set."""
     raw = json.loads(default_config_path().read_text(encoding="utf-8"))
     for (*parents, key), value in overrides.items():
         section = raw
@@ -635,7 +644,44 @@ def test_out_of_domain_value_exits_two(capsys, tmp_path, overrides, argv):
         section[key] = value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    code, out, err = run_cli(capsys, "--config", str(path), *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
+    return str(path)
+
+
+EXPONENTIAL = {("demand",): {"family": "exponential", "params": {"rate": 0.02}}}
+NEGATIVE_MEAN = {("demand",): {"family": "truncated-normal", "params": {"mu": -10.0, "sigma": 20.0}}}
+TINY_THETA = {("market", "theta"): 1e-300}
+THETA_K = "believed demand scale theta*k underflows to 0 at theta=1e-300, k=1e-300"
+
+# Valid values with no answer that once escaped as a traceback or an untyped error.
+NO_ANSWER = [
+    (EXPONENTIAL, ("coordinate", "--solve-exercise", "--c0", "5e-324", "--k", "1e-3"),
+     "no coordinating exercise price in (0, 60) at k=0.001"),
+    (NEGATIVE_MEAN, ("coordinate", "--solve-exercise", "--c0", "59.999999999999986"),
+     "no coordinating exercise price in (0, 1.42109e-14) at k=1.0"),
+    (TINY_THETA, ("optimize", "--k", "1e-300"), THETA_K),
+    (TINY_THETA, ("evaluate", "--k", "1e-300", "--q1", "1", "--qq", "1"), THETA_K),
+    (TINY_THETA, ("simulate", "--kind", "retailer", "--k", "1e-300", "--n", "64"), THETA_K),
+]
+
+
+@pytest.mark.parametrize("overrides,argv,message", NO_ANSWER,
+                         ids=[" ".join(argv) for _, argv, _ in NO_ANSWER])
+def test_valid_value_with_no_answer_exits_one(capsys, tmp_path, overrides, argv, message):
+    assert run_cli(capsys, "--config", _edited_scenario(tmp_path, overrides), *argv) == (
+        1, "", f"infeasible: {message}\n")
+
+
+@pytest.mark.parametrize("overrides,c0,grid,note", [
+    (EXPONENTIAL, 5e-324, {"k_grid": [0.001, 0.002]}, "no coordinating exercise price in (0, 60) at k="),
+    (NEGATIVE_MEAN, 59.999999999999986, {}, "no coordinating exercise price in (0, 1.42109e-14) at k="),
+], ids=["exponential", "truncated-normal"])
+def test_fixed_premium_sweep_with_no_k_floor_flags_its_rows(capsys, tmp_path, overrides, c0,
+                                                            grid, note):
+    sweep = {("sweep",): {"mode": "fixed-premium", "c0": c0, **grid}}
+    code, out, err = run_cli(capsys, "--config", _edited_scenario(tmp_path, {**overrides, **sweep}),
+                             "sweep")
+    assert code == 0
+    body = list(csv.reader(out.splitlines()[1:]))
+    assert [row[10:] for row in body] == [
+        ["false", f"NoRoot: {note}{k}"] for k in grid.get("k_grid", default_k_grid("fixed-premium"))]
+    assert err.startswith("monotonicity: skipped")

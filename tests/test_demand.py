@@ -189,6 +189,18 @@ class TestQuantile:
         with pytest.raises(OutOfRange, match=f"got {q}$"):
             Uniform(0.0, 100.0).quantile(np.array([[0.5, q], [math.nan, 2.0]]))
 
+    def test_out_of_range_is_an_invalid_value(self):
+        with pytest.raises(InvalidValue) as err:
+            Uniform(0.0, 100.0).quantile(1.5)
+        assert type(err.value) is OutOfRange
+        assert err.value.problems == [("quantile level", "must be in (0, 1), got 1.5")]
+        assert str(err.value) == "quantile level must be in (0, 1), got 1.5"
+
+    @pytest.mark.parametrize("d,top", [(Uniform(10.0, 110.0), 110.0), (Exponential(rate=0.02), math.inf),
+                                       (TruncatedNormal(-10.0, 20.0), math.inf)])
+    def test_upper_quantile_at_zero_is_the_top_of_the_support(self, d, top):
+        assert d._upper_quantile(0.0) == top
+
     @pytest.mark.parametrize("d", ALL_DISTRIBUTIONS + [TruncatedNormal(-30.0, 1.0)],
                              ids=lambda d: f"{d.family}-{d.params()}")
     def test_array_entries_equal_float_calls(self, d):
@@ -298,7 +310,7 @@ class TestCdfIntegral:
             assert math.isnan(d.cdf_integral(math.nan))
             assert d.cdf_integral(-0.0) == 0.0
             for a in (-5e-324, -1.0, -math.inf):
-                with pytest.raises(ValueError, match="requires a >= 0"):
+                with pytest.raises(ValueError, match="^a must be >= 0, got "):
                     d.cdf_integral(a)
 
     @staticmethod
@@ -484,9 +496,9 @@ class TestValidation:
         assert d.params() == {"lo": 0.0, "hi": 100.0}
 
     def test_factory_rejects_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown demand family"):
+        with pytest.raises(ValueError, match="^family must be one of "):
             make_distribution("lognormal", mu=1.0, sigma=1.0)
 
     def test_factory_rejects_wrong_params(self):
-        with pytest.raises(ValueError, match="takes parameters"):
+        with pytest.raises(ValueError, match="^params of family 'uniform' must be "):
             make_distribution("uniform", lo=0.0, hi=100.0, rate=1.0)

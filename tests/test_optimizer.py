@@ -6,12 +6,14 @@ import pytest
 
 from conftest import FAMILIES, random_feasible_setup
 from freshopt import (
+    Exponential,
     Infeasible,
     InfeasibleContract,
     InvalidValue,
     NoRoot,
     NonCoordinable,
     OptionContract,
+    OutOfRange,
     TruncatedNormal,
     Uniform,
     chain_expected_profit,
@@ -26,6 +28,14 @@ from freshopt.optimizer import _centralized_quantile
 from freshopt.profit import require_feasible_contract
 
 Q_CENTRAL = 5200.0 / 81.0  # 64.197530864...
+
+
+def test_every_error_is_a_rejected_input_or_a_missing_answer():
+    for missing_answer in (InfeasibleContract, NonCoordinable, NoRoot):
+        assert issubclass(missing_answer, Infeasible) and not issubclass(missing_answer, InvalidValue)
+    assert issubclass(OutOfRange, InvalidValue) and not issubclass(OutOfRange, Infeasible)
+    # Both stay ValueErrors, so a caller catching ValueError still catches either.
+    assert issubclass(Infeasible, ValueError) and issubclass(InvalidValue, ValueError)
 
 
 class TestCheckFeasibility:
@@ -313,6 +323,19 @@ class TestCoordinatingExercisePrice:
         # c0/(1 - F) vanishes next to p+g = 60, so the closed form rounds to 60 itself.
         with pytest.raises(NoRoot, match="rounds to 60.0"):
             coordinating_exercise_price(baseline_demand, baseline_market, 1e-300, 1.0)
+
+    @pytest.mark.parametrize("d,c0,k,message", [
+        # c0/(p+g) underflows to 0, so the upper quantile is inf and the floor 0.
+        (Exponential(0.02), 5e-324, 1e-3, "no coordinating exercise price in (0, 60) at k=0.001"),
+        # 1 - c0/(p+g) is below F(0), so the upper quantile is 0 and the floor inf.
+        (TruncatedNormal(-10.0, 20.0), 59.999999999999986, 1.0,
+         "no coordinating exercise price in (0, 1.42109e-14) at k=1.0"),
+    ], ids=["floor-zero", "floor-inf"])
+    def test_no_root_names_no_k_floor_that_is_not_finite_and_positive(self, baseline_market, d,
+                                                                      c0, k, message):
+        with pytest.raises(NoRoot) as err:
+            coordinating_exercise_price(d, baseline_market, c0, k)
+        assert str(err.value) == message
 
     def test_residual_below_tolerance(self, baseline_demand, baseline_market):
         d, m = baseline_demand, baseline_market

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import FAMILIES, random_feasible_setup
 from freshopt import (
+    Infeasible,
     InfeasibleContract,
     InvalidValue,
     MarketParams,
@@ -88,6 +89,17 @@ class TestRetailerExpectedProfit:
         with pytest.raises(ValueError):
             retailer_expected_profit(
                 baseline_demand, baseline_market, baseline_contract, 0.0, OPTIMAL_PLAN)
+
+
+    def test_believed_scale_underflowing_to_zero_is_infeasible(self, baseline_demand,
+                                                                 baseline_contract):
+        # theta and k are each valid, but theta*k rounds to 0: no believed demand is left.
+        m = MarketParams(p=50.0, g=10.0, w0=25.0, c=15.0, beta=0.1, theta=1e-300)
+        message = "believed demand scale theta*k underflows to 0 at theta=1e-300, k=1e-300"
+        for call in (retailer_expected_profit, retailer_profit_gradient):
+            with pytest.raises(Infeasible) as err:
+                call(baseline_demand, m, baseline_contract, 1e-300, OPTIMAL_PLAN)
+            assert str(err.value) == message
 
 
 class TestRetailerGradient:

@@ -6,26 +6,43 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from test_sweep import DEMANDS, WIDE_GRID, _mode_scenario  # noqa: E402
 
 from freshopt import (  # noqa: E402
     MODES,
     ConfigValidationError,
+    Infeasible,
+    InvalidValue,
+    MarketParams,
+    OptionContract,
+    OrderPlan,
     SweepRow,
+    SweepScenario,
     TooFewRows,
+    chain_expected_profit,
+    check_feasibility,
+    coordinating_exercise_price,
+    coordinating_premium,
     default_k_grid,
+    make_distribution,
+    mc_expected,
     monotonicity_report,
+    optimal_plan,
     parse_config,
+    retailer_expected_profit,
     run_sweep,
+    supplier_expected_profit,
 )
 from freshopt.cli import default_config_path, main  # noqa: E402
+from freshopt.oracle import MC_KINDS  # noqa: E402
 from freshopt.sweep import (  # noqa: E402
     _NUMERIC_COLUMNS,
     ColumnTrend,
@@ -96,6 +113,55 @@ def test_cli_exits_zero_one_or_two(command, flags):
     # A result is finite: an overflow ends in a typed error instead.
     if code == 0:
         assert "nan" not in stdout.getvalue() and "inf" not in stdout.getvalue(), argv
+
+
+# The shipped scenario's values, a plan near its optimum, and the three families' parameters.
+FAMILY_PARAMS = {name: value for d in DEMANDS.values() for name, value in d.params().items()}
+BASE = {"p": 50.0, "g": 10.0, "w0": 25.0, "c": 15.0, "beta": 0.1, "theta": 0.8,
+        "c0": 5.0, "ce": 35.0, "k": 1.0, "q_spot": 40.0, "q_option": 20.0, **FAMILY_PARAMS}
+EXTREMES = st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-9, 0.5,
+                            1.0 - 2.0**-53, 59.999999999999986, 1e9, 1e300, 1e308,
+                            1.7976931348623157e308])
+
+
+@settings(CHECKS, max_examples=200)
+@given(st.sampled_from(sorted(DEMANDS)), st.sampled_from(MODES), st.sampled_from(MC_KINDS),
+       st.dictionaries(st.sampled_from(sorted(BASE)), EXTREMES, min_size=1, max_size=3))
+# A premium that rounds to 0 against p+g, or whose upper quantile is 0; theta*k rounding to 0.
+@example("exponential", "fixed-premium", "retailer", {"c0": 5e-324, "k": 1e-3})
+@example("truncated-normal", "fixed-premium", "retailer",
+         {"mu": -10.0, "sigma": 20.0, "c0": 59.999999999999986})
+@example("uniform", "fixed-contract", "retailer", {"theta": 1e-300, "k": 1e-300})
+def test_library_returns_or_raises_a_typed_error(family, mode, kind, changes):
+    """Every public solver, on extreme finite inputs, returns or raises InvalidValue (a
+    rejected input) or Infeasible (no answer): never another exception."""
+    v = {**BASE, **changes}
+    try:
+        d = make_distribution(family, **{name: v[name] for name in DEMANDS[family].params()})
+        m = MarketParams(**{name: v[name] for name in ("p", "g", "w0", "c", "beta", "theta")})
+        o, k, plan = OptionContract(v["c0"], v["ce"]), v["k"], OrderPlan(v["q_spot"], v["q_option"])
+    except InvalidValue:
+        return
+    fixed = {"fixed-exercise-price": {"fixed_ce": o.ce}, "fixed-premium": {"fixed_c0": o.c0},
+             "fixed-contract": {"contract": o}}[mode]
+    calls = [
+        lambda: run_sweep(SweepScenario(mode, d, m, (k,), **fixed)),
+        lambda: check_feasibility(m, o, k),
+        lambda: coordinating_premium(d, m, o.ce, k),
+        lambda: coordinating_exercise_price(d, m, o.c0, k),
+        lambda: chain_expected_profit(d, m, plan.q_total),
+        lambda: supplier_expected_profit(d, m, o, plan),
+        lambda: retailer_expected_profit(d, m, o, k, plan),
+        lambda: mc_expected(kind, d, m, o, k, plan, 64, 7),
+        lambda: retailer_expected_profit(d, m, o, k, optimal_plan(d, m, o, k)),
+    ]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")  # clamps and overflow are announced, not failures
+        for call in calls:
+            try:
+                call()
+            except (InvalidValue, Infeasible):
+                pass
 
 
 def _reference_report(rows):

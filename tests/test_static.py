@@ -1,6 +1,7 @@
 """Static checks on the package source with the stdlib ``ast``: no module imports a name
-it never uses, and no private module-level function or class goes unreferenced; the
-package's star-import surface; and the rules of ``tools/line_count.py``."""
+it never uses, no private module-level function or class goes unreferenced, and no
+module catches an error by a subclass of its family; the package's star-import surface;
+and the rules of ``tools/line_count.py``."""
 from __future__ import annotations
 
 import ast
@@ -61,6 +62,25 @@ def test_every_public_dataclass_has_a_docstring():
             and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
             and ast.get_docstring(node) is None]
     assert bare == []
+
+
+def _caught_names(node: ast.AST) -> set[str]:
+    """The names an except clause catches, or that an assigned tuple lists."""
+    if isinstance(node, ast.ExceptHandler) and node.type is not None:
+        target = node.type
+    elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+        target = node.value
+    else:
+        return set()
+    return {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+
+
+def test_errors_are_caught_by_family():
+    # InvalidValue or Infeasible says the outcome, so no module lists a subclass to catch it.
+    members = {"InfeasibleContract", "NonCoordinable", "NoRoot", "OutOfRange"}
+    caught = [f"{name}: line {node.lineno}" for name, tree in TREES.items()
+              for node in ast.walk(tree) if members & _caught_names(node)]
+    assert caught == []
 
 
 PUBLIC_NAMES = {

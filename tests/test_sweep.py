@@ -525,7 +525,7 @@ def _scalar_note(d, m, mode, k):
             c0, ce = coordinating_premium(d, m, 35.0, k), 35.0
         else:
             c0, ce = 5.0, coordinating_exercise_price(d, m, 5.0, k)
-    except (Infeasible, NonCoordinable, NoRoot) as exc:
+    except Infeasible as exc:
         return f"{type(exc).__name__}: {exc}"
     try:
         optimal_plan(d, m, OptionContract(c0=c0, ce=ce), k)
@@ -550,6 +550,16 @@ def test_unsolvable_coordination_note_names_the_fractile(baseline_demand, baseli
     assert row.note == _scalar_note(baseline_demand, baseline_market, "fixed-exercise-price", 1e17)
     assert row.note == ("Infeasible: coordination identity failed: total fractile 0.0 "
                         "of the solved contract is outside (0, 1)")
+
+
+@pytest.mark.parametrize("d,c0,k", [(Exponential(0.02), 5e-324, 1e-3),
+                                    (TruncatedNormal(-10.0, 20.0), 59.999999999999986, 1.0)],
+                         ids=["floor-zero", "floor-inf"])
+def test_premium_with_no_k_floor_flags_its_rows(baseline_market, d, c0, k):
+    row, = run_sweep(SweepScenario("fixed-premium", d, baseline_market, (k,), fixed_c0=c0))
+    with pytest.raises(NoRoot) as err:
+        coordinating_exercise_price(d, baseline_market, c0, k)
+    assert not row.feasible and row.note == f"NoRoot: {err.value}"
 
 
 @pytest.mark.parametrize("family", sorted(DEMANDS))
