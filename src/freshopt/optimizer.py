@@ -25,7 +25,6 @@ from .profit import (
     _Prices,
     _screen_message,
     _screens,
-    require_feasible_contract,
     spot_fractile,
     supplier_expected_profit,
     total_fractile,
@@ -104,7 +103,11 @@ def optimal_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
 
     At the result the profit gradient vanishes; concavity of the objective
     makes it the unique maximum.  k = 1 gives the rational benchmark.
+    A k that is not finite and > 0 raises InvalidValue, before any screen;
+    terms that fail a screen raise Infeasible with check_feasibility's report.
+    A theta*k that underflows to 0 is no error here: the plan is (0, 0).
     """
+    _check_positive("k", k)
     report = check_feasibility(m, o, k)
     if not report.ok:
         raise Infeasible(f"no optimal plan: {report.describe()}", report)
@@ -324,9 +327,9 @@ def supplier_profit_gap(d: DemandDistribution, m: MarketParams, o: OptionContrac
     whether the retailer's belief bias costs the supplier money; with the
     shipped example parameters the sign is governed by the production cost
     (a high c makes extra biased-up orders a net loss for the supplier).
+    Its inputs are validated by optimal_plan at k: a bad k is an InvalidValue,
+    terms that fail a screen an Infeasible naming every screen they fail.
     """
-    require_feasible_contract(m, o)
-    _check_positive("k", k)
     biased = optimal_plan(d, m, o, k)
     rational = optimal_plan(d, m, o, 1.0)
     return supplier_expected_profit(d, m, o, rational) - supplier_expected_profit(d, m, o, biased)

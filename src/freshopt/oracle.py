@@ -32,6 +32,7 @@ from .profit import (
     MarketParams,
     OptionContract,
     OrderPlan,
+    _believed_scale,
     _ledger,
     _require_finite,
     realized_chain_profit,
@@ -117,7 +118,9 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
     kind selects the party: retailer profits are realized under the
     believed demand scale theta*k, supplier and chain under true theta.
     One InvalidValue names, in this order, an unknown kind, a bad draw count or
-    seed, and a k that is not finite and > 0, whatever the kind.
+    seed, and a k that is not finite and > 0, whatever the kind.  The retailer's
+    scale is profit._believed_scale's, so where theta*k underflows to 0 the
+    estimate raises its Infeasible, as the closed form it checks does.
     """
     _check_each((_require, "kind", kind in MC_KINDS, "must be one of {}, got {!r}", MC_KINDS, kind),
                 (_check_draws, n, seed), (_check_positive, "k", k))
@@ -125,7 +128,7 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
         require_feasible_contract(m, o)
 
     if kind == "retailer":
-        scale = m.theta * k
+        scale = _believed_scale(m, k)
         evaluate = lambda x: realized_retailer_profit(x, scale, m, o, plan, out=x)
     elif kind == "supplier":
         evaluate = lambda x: realized_supplier_profit(x, m, o, plan, out=x)
@@ -201,14 +204,16 @@ def grid_search_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
     Prices the raw surface (no contract screening, so degenerate contracts
     can be probed too) as ``T(q_total) + S(q_spot)`` with ``T = profit(0, .)``
     and ``S(q) = profit(q, 0) - profit(0, q)``.  Ties break toward smaller
-    q_spot, then smaller q_option.  A k that is not finite and > 0 raises InvalidValue.
+    q_spot, then smaller q_option.  The scale theta*k is profit._believed_scale's: a k
+    that is not finite and > 0 raises InvalidValue, and a theta*k that underflows to 0
+    raises Infeasible.
     """
-    _check_positive("k", k)
+    scale = _believed_scale(m, k)
     q1s = _lattice(spec.q1_range, spec.step)
     qqs = _lattice(spec.qq_range, spec.step)
     nq = len(qqs)
     totals = (q1s[0] + qqs[0]) + spec.step * np.arange(len(q1s) + nq - 1)
-    eff, scale = 1.0 - m.beta, m.theta * k
+    eff = 1.0 - m.beta
     total_part = sum(_ledger(d, m, o.c0, o.ce, scale, 0.0, totals)[0].values())
     # Stock held spot or as options sells alike: S is the options' c0 + ce per unit, less
     # ce per unit not exercised (scale * int_0^{q eff/scale} F), against w0 per spot unit.

@@ -11,6 +11,15 @@ Ordered units shrink by the transport-loss fraction ``beta`` before they
 can serve demand: a plan (Q1, Qq) puts ``Q1*(1-beta)`` firm units and
 ``Qq*(1-beta)`` option units on the shelf.
 
+Each of these two rules has one owner.  ``_believed_scale`` gives theta*k
+to every scalar believed-view price (the retailer's expected profit and
+gradient, the Monte-Carlo and grid oracles): it rejects a k that is not
+finite and > 0 and raises Infeasible where theta*k underflows to 0, with the
+wording of ``_zero_scale``, which a sweep's flagged row also carries.
+``_shelf`` gives the three stocks to the ledger and to the realized retailer
+and supplier profits; the gradient, the grid's spot part and the chain keep
+their own factor ``1-beta``.
+
 Every expected profit (retailer, supplier, chain; scalars or arrays) is
 priced by one private ledger, ``_ledger``, from a single evaluation of
 E[sales], E[shortage] and E[exercised], and every precondition of a
@@ -204,6 +213,14 @@ def require_feasible_contract(m: MarketParams, o: OptionContract) -> None:
         raise InfeasibleContract("; ".join(violations))
 
 
+def _shelf(m: MarketParams, q_spot, q_option):
+    """(stock, spot stock, option stock): what a plan puts on the shelf once a fraction beta
+    of each ordered unit is lost, ``(q_spot + q_option) * (1-beta)``, ``q_spot * (1-beta)``
+    and ``q_option * (1-beta)``; the quantities may be floats or arrays."""
+    eff = 1.0 - m.beta
+    return (q_spot + q_option) * eff, q_spot * eff, q_option * eff
+
+
 def _ledger(d: DemandDistribution, m: MarketParams, c0, ce, scale, q_spot, q_option):
     """(retailer's five terms, supplier profit, chain profit) expected under demand ``scale * x``.
 
@@ -211,11 +228,8 @@ def _ledger(d: DemandDistribution, m: MarketParams, c0, ce, scale, q_spot, q_opt
     ``max(D - stock, 0)`` and exercised ``clip(D - spot stock, 0, option stock)``
     in demand D; any argument but d and m may be an array.
     """
-    eff = 1.0 - m.beta
     q_total = q_spot + q_option
-    stock = q_total * eff
-    spot_stock = q_spot * eff
-    option_stock = q_option * eff
+    stock, spot_stock, option_stock = _shelf(m, q_spot, q_option)
     partial = d.cdf_integral(stock / scale)
     # With no options the spot stock is the whole stock; with no spot stock its partial is 0.
     spot_partial = (partial if not _any(q_option)
@@ -235,14 +249,19 @@ def _ledger(d: DemandDistribution, m: MarketParams, c0, ce, scale, q_spot, q_opt
     return retailer, supplier, chain
 
 
-def _believed_scale(m: MarketParams, o: OptionContract, k: float) -> float:
-    """theta*k, the retailer's demand scale, once the contract passes its screens and k is
-    finite and > 0; Infeasible where theta and k are valid but their product underflows to 0."""
-    require_feasible_contract(m, o)
+def _believed_scale(m: MarketParams, k: float) -> float:
+    """theta*k, the retailer's demand scale: the one rule every scalar believed-view price
+    reads.  InvalidValue unless k is finite and > 0; Infeasible where theta and k are valid
+    but their product underflows to 0.  The contract is its callers' to screen."""
     _check_positive("k", k)
     if not m.theta * k > 0.0:
-        raise Infeasible(f"believed demand scale theta*k underflows to 0 at theta={m.theta}, k={k}")
+        raise _zero_scale(m, k)
     return m.theta * k
+
+
+def _zero_scale(m: MarketParams, k: float) -> Infeasible:
+    """The error of a valid k at which the believed scale theta*k underflows to 0."""
+    return Infeasible(f"believed demand scale theta*k underflows to 0 at theta={m.theta}, k={k}")
 
 
 def retailer_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionContract,
@@ -253,7 +272,8 @@ def retailer_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
     payments, wholesale cost, and expected stockout penalty (the penalty
     covers the believed demand the stock cannot serve).
     """
-    terms, _, _ = _ledger(d, m, o.c0, o.ce, _believed_scale(m, o, k), plan.q_spot, plan.q_option)
+    require_feasible_contract(m, o)
+    terms, _, _ = _ledger(d, m, o.c0, o.ce, _believed_scale(m, k), plan.q_spot, plan.q_option)
     terms = {name: float(v) for name, v in terms.items()}
     total = float(sum(terms.values()))
     _require_finite("retailer expected profit", total)
@@ -263,8 +283,9 @@ def retailer_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
 def retailer_profit_gradient(d: DemandDistribution, m: MarketParams, o: OptionContract,
                              k: float, plan: OrderPlan) -> tuple[float, float]:
     """Partials of the retailer's expected profit w.r.t. (q_spot, q_option)."""
-    scale = _believed_scale(m, o, k)
-    eff = 1.0 - m.beta
+    require_feasible_contract(m, o)
+    scale = _believed_scale(m, k)
+    eff = 1.0 - m.beta  # the derivative's own factor: d(stock)/dQ
     cdf_total = d.cdf(plan.q_total * eff / scale)
     cdf_spot = d.cdf(plan.q_spot * eff / scale)
     pg = m.p + m.g
@@ -333,10 +354,7 @@ def realized_retailer_profit(x, demand_scale: float, m: MarketParams, o: OptionC
     the profits and is returned; the lines are evaluated in it and in two
     temporaries, with the bits of a call without ``out``.  A float x gives a float.
     """
-    eff = 1.0 - m.beta
-    stock = plan.q_total * eff
-    spot_stock = plan.q_spot * eff
-    option_stock = plan.q_option * eff
+    stock, spot_stock, option_stock = _shelf(m, plan.q_spot, plan.q_option)
     fixed = -o.c0 * option_stock - m.w0 * spot_stock
     demand = _scaled(demand_scale, x, out)
     exercising = (m.p - o.ce) * demand
@@ -362,9 +380,7 @@ def realized_supplier_profit(x, m: MarketParams, o: OptionContract, plan: OrderP
     the profits and is returned; the line is evaluated in it, with no temporary,
     with the bits of a call without ``out``.  A float x gives a float.
     """
-    eff = 1.0 - m.beta
-    spot_stock = plan.q_spot * eff
-    option_stock = plan.q_option * eff
+    _, spot_stock, option_stock = _shelf(m, plan.q_spot, plan.q_option)
     fixed = m.w0 * spot_stock + o.c0 * option_stock - m.c * plan.q_total
     line = _scaled(o.ce * m.theta, x, out)
     line += fixed - o.ce * spot_stock

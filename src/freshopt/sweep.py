@@ -13,9 +13,12 @@ as a mask over the grid (a flagged row's note is the error text, or the
 violation names, that the public functions give at its k), the plans
 from at most two array quantile calls, and the profits from one array
 ledger call over both views (scale theta*k, then theta) and one array call
-of chain_expected_profit.  Rows are tuples made from the columns.  Each
-row prints as csv.writer prints its cells; a run of solved rows, or a
-flagged row, prints the same text from one % template.  monotonicity_report
+of chain_expected_profit.  A row whose profits are not finite is flagged
+by the one screen over those cells: with profit._zero_scale's text where
+its believed scale theta*k underflows to 0 (the retailer's scalar error
+at that k), as an overflow elsewhere.  Rows are tuples made from the
+columns.  Each row prints as csv.writer prints its cells; a run of solved
+rows, or a flagged row, prints the same text from one % template.  monotonicity_report
 compares the nine numeric columns as they print, reading a printed sign
 from rint(x * 1e6), and prints only ends within a few ulps of a rounding tie.
 """
@@ -46,6 +49,7 @@ from .profit import (
     _overflow,
     _Prices,
     _screens,
+    _zero_scale,
     chain_expected_profit,
 )
 
@@ -220,7 +224,9 @@ def _solve_plans(d: DemandDistribution, m: MarketParams, prices: _Prices, rows: 
     retailer, supplier, whole_chain = _ledger(d, m, c0, ce, scale, spot, option)
     believed, true_view = sum(retailer.values())
     cells[:, rows.ok] = [spot + option, spot, option, believed, true_view, supplier[1], whole_chain[1]]
-    rows.screen(~np.isfinite(cells[3:]).all(axis=0), lambda at: _overflow("expected profit"))
+    # A zero believed scale prices to nan: the row's error is the retailer's at that k.
+    rows.screen(~np.isfinite(cells[3:]).all(axis=0), lambda at: _zero_scale(m, at(rows.k))
+                if m.theta * at(rows.k) == 0.0 else _overflow("expected profit"))
     # Through the public function by name, so a patched chain_expected_profit reaches every cell.
     cells[6, rows.ok] = chain_expected_profit(d, m, cells[0, rows.ok])
 

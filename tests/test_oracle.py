@@ -1,21 +1,25 @@
 """Oracle tests: seeded Monte-Carlo estimates and brute-force grid search."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import inspect
 import math
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from conftest import FAMILIES, random_feasible_setup
+from test_sweep import DEMANDS
 from freshopt import (
     Exponential,
     GridSpec,
+    Infeasible,
     InvalidValue,
     MarketParams,
     OptionContract,
@@ -487,3 +491,19 @@ class TestGridSearch:
             GridSpec((10.0, 5.0), (0.0, 5.0), 0.1)
         with pytest.raises(ValueError):
             GridSpec((0.0, 5.0), (0.0, 5.0), 0.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_oracles_raise_where_the_believed_scale_underflows(baseline_market, baseline_contract,
+                                                          family):
+    # theta*k = 1e-600 rounds to 0: the closed forms have no retailer profit, nor do the oracles.
+    d, m = DEMANDS[family], dataclasses.replace(baseline_market, theta=1e-300)
+    expected = "believed demand scale theta*k underflows to 0 at theta=1e-300, k=1e-300"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Infeasible) as err:
+            mc_expected("retailer", d, m, baseline_contract, 1e-300, OrderPlan(40.0, 20.0), 64, 7)
+        assert str(err.value) == expected
+        with pytest.raises(Infeasible) as err:
+            grid_search_plan(d, m, baseline_contract, 1e-300, GridSpec((0.0, 2.0), (0.0, 2.0), 1.0))
+        assert str(err.value) == expected

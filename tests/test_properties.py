@@ -19,6 +19,7 @@ from test_sweep import DEMANDS, WIDE_GRID, _mode_scenario  # noqa: E402
 from freshopt import (  # noqa: E402
     MODES,
     ConfigValidationError,
+    GridSpec,
     Infeasible,
     InvalidValue,
     MarketParams,
@@ -31,15 +32,19 @@ from freshopt import (  # noqa: E402
     check_feasibility,
     coordinating_exercise_price,
     coordinating_premium,
+    default_grid_spec,
     default_k_grid,
+    grid_search_plan,
     make_distribution,
     mc_expected,
     monotonicity_report,
     optimal_plan,
     parse_config,
     retailer_expected_profit,
+    retailer_profit_gradient,
     run_sweep,
     supplier_expected_profit,
+    supplier_profit_gap,
 )
 from freshopt.cli import default_config_path, main  # noqa: E402
 from freshopt.oracle import MC_KINDS  # noqa: E402
@@ -124,6 +129,33 @@ EXTREMES = st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-
                             1.7976931348623157e308])
 
 
+# A 3 x 3 lattice: enough to run every step of grid_search_plan.
+SMALL_GRID = GridSpec((0.0, 2.0), (0.0, 2.0), 1.0)
+PLAN = OrderPlan(40.0, 20.0)
+# Every public function that takes k, called with the shipped setting and that k.
+TAKES_K = {
+    "optimal_plan": lambda d, m, o, k: optimal_plan(d, m, o, k),
+    "supplier_profit_gap": lambda d, m, o, k: supplier_profit_gap(d, m, o, k),
+    "retailer_expected_profit": lambda d, m, o, k: retailer_expected_profit(d, m, o, k, PLAN),
+    "retailer_profit_gradient": lambda d, m, o, k: retailer_profit_gradient(d, m, o, k, PLAN),
+    "coordinating_premium": lambda d, m, o, k: coordinating_premium(d, m, o.ce, k),
+    "coordinating_exercise_price": lambda d, m, o, k: coordinating_exercise_price(d, m, o.c0, k),
+    "mc_expected": lambda d, m, o, k: mc_expected("retailer", d, m, o, k, PLAN, 64, 7),
+    "grid_search_plan": lambda d, m, o, k: grid_search_plan(d, m, o, k, SMALL_GRID),
+    "default_grid_spec": lambda d, m, o, k: default_grid_spec(d, m, k, o=o),
+}
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", TAKES_K)
+def test_every_function_taking_k_rejects_a_bad_k(baseline_demand, baseline_market,
+                                                 baseline_contract, name, k):
+    """A k that is not finite and > 0 is a rejected input wherever it is given."""
+    with pytest.raises(InvalidValue) as err:
+        TAKES_K[name](baseline_demand, baseline_market, baseline_contract, k)
+    assert err.value.problems == [("k", f"must be finite and > 0, got {k}")]
+
+
 @settings(CHECKS, max_examples=200)
 @given(st.sampled_from(sorted(DEMANDS)), st.sampled_from(MODES), st.sampled_from(MC_KINDS),
        st.dictionaries(st.sampled_from(sorted(BASE)), EXTREMES, min_size=1, max_size=3))
@@ -154,6 +186,9 @@ def test_library_returns_or_raises_a_typed_error(family, mode, kind, changes):
         lambda: retailer_expected_profit(d, m, o, k, plan),
         lambda: mc_expected(kind, d, m, o, k, plan, 64, 7),
         lambda: retailer_expected_profit(d, m, o, k, optimal_plan(d, m, o, k)),
+        lambda: retailer_profit_gradient(d, m, o, k, plan),
+        lambda: supplier_profit_gap(d, m, o, k),
+        lambda: grid_search_plan(d, m, o, k, SMALL_GRID),
     ]
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")  # clamps and overflow are announced, not failures

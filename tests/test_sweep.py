@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import random
@@ -523,23 +524,34 @@ def _scalar_note(d, m, mode, k):
     try:
         if mode == "fixed-exercise-price":
             c0, ce = coordinating_premium(d, m, 35.0, k), 35.0
-        else:
+        elif mode == "fixed-premium":
             c0, ce = 5.0, coordinating_exercise_price(d, m, 5.0, k)
+        else:
+            c0, ce = 5.0, 35.0
     except Infeasible as exc:
         return f"{type(exc).__name__}: {exc}"
+    contract = OptionContract(c0=c0, ce=ce)
     try:
-        optimal_plan(d, m, OptionContract(c0=c0, ce=ce), k)
+        plan = optimal_plan(d, m, contract, k)
     except Infeasible as exc:
         return ";".join(exc.report.names())
+    try:
+        retailer_expected_profit(d, m, contract, k, plan)
+    except Infeasible as exc:
+        return f"{type(exc).__name__}: {exc}"
     return ""
 
 
-@pytest.mark.parametrize("mode", ("fixed-exercise-price", "fixed-premium"))
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("family", sorted(DEMANDS))
 def test_flagged_notes_are_the_scalar_functions_text(baseline_market, family, mode):
-    d, m = DEMANDS[family], baseline_market
-    rows = run_sweep(_mode_scenario(mode, d, m, WIDE_GRID))
-    assert sum(not r.feasible for r in rows) >= 2
+    d, m, grid, flagged = DEMANDS[family], baseline_market, WIDE_GRID, 2
+    if mode == "fixed-contract":
+        # One contract passes every screen at every k: only a believed scale theta*k that
+        # underflows to 0 (at k = 1e-300) leaves a row unpriced.
+        m, grid, flagged = dataclasses.replace(m, theta=1e-300), (1e-300, 1e-10, 1.0), 1
+    rows = run_sweep(_mode_scenario(mode, d, m, grid))
+    assert sum(not r.feasible for r in rows) >= flagged
     for row in rows:
         assert row.note == _scalar_note(d, m, mode, row.k), row.k
 
