@@ -23,6 +23,7 @@ from .profit import (
     _not,
     _overflow,
     _Prices,
+    _require_finite,
     _screen_message,
     _screens,
     spot_fractile,
@@ -130,11 +131,12 @@ def _plans(d: DemandDistribution, m: MarketParams, tf, sf, rows, q_total=None):
     return q_spot, _floor_at_zero(q_total - q_spot)
 
 
-def _centralized_quantile(d: DemandDistribution, m: MarketParams, stacklevel: int = 3) -> float:
-    """Demand quantile behind the centralized optimum (before scaling).
+def _centralized_quantile(d: DemandDistribution, m: MarketParams, stacklevel: int = 3):
+    """(x_c, Q**): the demand quantile behind the centralized optimum, and that
+    optimum, the total theta/(1-beta) * x_c: the one Q** every solver reads.
 
     A clamped fractile warns at the ``stacklevel``-th caller: the public
-    function's caller.
+    function's caller.  A Q** that overflows raises Infeasible.
     """
     capacity_value = (m.p + m.g) * (1.0 - m.beta)
     if not (capacity_value > m.c):
@@ -147,15 +149,17 @@ def _centralized_quantile(d: DemandDistribution, m: MarketParams, stacklevel: in
         warnings.warn(
             f"centralized fractile {fractile} clamped to {clamped} before quantile evaluation",
             RuntimeWarning, stacklevel=stacklevel)
-    return d.quantile(clamped)
+    x_central = d.quantile(clamped)
+    return x_central, _require_finite("centralized total", (m.theta / (1.0 - m.beta)) * x_central)
 
 
 def optimal_centralized(d: DemandDistribution, m: MarketParams) -> float:
     """Total quantity maximizing the integrated chain's expected profit.
 
     Independent of the retailer's belief bias and of the option contract.
+    A total that overflows a double raises Infeasible.
     """
-    return (m.theta / (1.0 - m.beta)) * _centralized_quantile(d, m)
+    return _centralized_quantile(d, m)[1]
 
 
 class _Row:
@@ -229,7 +233,7 @@ def _coordinating_premiums(d: DemandDistribution, m: MarketParams, ce: float, ro
         raise NonCoordinable(
             f"fractile-range-total: ce={ce} >= p+g={m.p + m.g} leaves no option margin")
 
-    x_central = _centralized_quantile(d, m, stacklevel=4)
+    x_central, q_central = _centralized_quantile(d, m, stacklevel=4)
     mass_below = d.cdf(x_central / rows.k)
     # Bounded-support families: the shrunk quantile fell past the top of
     # the demand support, so no positive premium can coordinate.
@@ -249,18 +253,17 @@ def _coordinating_premiums(d: DemandDistribution, m: MarketParams, ce: float, ro
     rows.screen(failures["assumption-4"], lambda at: NonCoordinable(
         f"assumption-4: coordinating premium c0={at(c0):.6g} gives w0={m.w0} >= "
         f"c0+ce={at(c0) + ce:.6g}"))
-    return c0, _coordinated_total(d, m, failures, tf, rows, x_central)
+    return c0, _coordinated_total(d, m, failures, tf, rows, q_central)
 
 
 def _coordinated_total(d: DemandDistribution, m: MarketParams, failures, tf, rows,
-                       x_central: float):
+                       q_central: float):
     """Q*(k) at the solved contract, whose ``_screens`` gave failures and tf,
-    screened against Q** to _COORDINATION_TOL.
+    screened against Q** (q_central) to _COORDINATION_TOL.
 
     At extreme k the solved price can be right yet leave a total fractile
     that rounds to 0 or too coarsely to reproduce Q**; that is Infeasible.
     """
-    q_central = (m.theta / (1.0 - m.beta)) * x_central
     failed = "coordination identity failed: "
     rows.screen(failures["fractile-range-total"], lambda at: Infeasible(
         f"{failed}total fractile {at(tf)!r} of the solved contract is outside (0, 1)"))
@@ -295,7 +298,7 @@ def _coordinating_exercise_prices(d: DemandDistribution, m: MarketParams, c0: fl
     if not (c0 < pg):
         raise NoRoot(f"premium c0={c0} >= p+g={pg}: no exercise price can be admissible")
 
-    x_central = _centralized_quantile(d, m, stacklevel=4)
+    x_central, q_central = _centralized_quantile(d, m, stacklevel=4)
     mass_below = d.cdf(x_central / rows.k)
     no_price = f"no coordinating exercise price in (0, {pg - c0:.6g}) at k="
     too_low = mass_below >= 1.0 - c0 / pg
@@ -315,7 +318,7 @@ def _coordinating_exercise_prices(d: DemandDistribution, m: MarketParams, c0: fl
     rows.screen(_not((0.0 < ce) & (ce < pg - c0)), lambda at: NoRoot(
         f"{no_price}{at(rows.k)}: the closed form rounds to {at(ce)!r}"))
     failures, tf, _ = _screens(m, _Prices(c0, ce))
-    return ce, _coordinated_total(d, m, failures, tf, rows, x_central)
+    return ce, _coordinated_total(d, m, failures, tf, rows, q_central)
 
 
 def supplier_profit_gap(d: DemandDistribution, m: MarketParams, o: OptionContract,

@@ -75,10 +75,11 @@ def _overflow(what: str) -> Infeasible:
     return Infeasible(f"{what} overflows double precision")
 
 
-def _require_finite(what: str, value) -> None:
-    """Raise Infeasible unless value (a float or an array) is finite."""
+def _require_finite(what: str, value):
+    """value (a float or an array) if it is finite; Infeasible, an overflow of ``what``, if not."""
     if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
         raise _overflow(what)
+    return value
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,15 @@ class _Prices(NamedTuple):
 
 
 def total_fractile(m: MarketParams, o: OptionContract) -> float:
-    """Critical fractile for the believed total stock."""
-    return (m.p + m.g - o.ce - o.c0) / (m.p + m.g - o.ce)
+    """Critical fractile for the believed total stock, (p+g-ce-c0)/(p+g-ce).
+
+    Its pole ce == p+g gives -inf, for scalar prices as for a column's entries
+    (where numpy divides -c0 by 0): a fractile outside (0, 1), never an error.
+    """
+    try:
+        return (m.p + m.g - o.ce - o.c0) / (m.p + m.g - o.ce)
+    except ZeroDivisionError:  # scalar prices at the pole
+        return -math.inf
 
 
 def spot_fractile(m: MarketParams, o: OptionContract) -> float:
@@ -175,15 +183,12 @@ def _screens(m: MarketParams, o: OptionContract | _Prices):
     The first two are the contract's own: w0 < c0 + ce (otherwise every unit would
     be ordered through options) and a total critical fractile inside (0, 1), that
     is c0 + ce < p + g (otherwise options are worthless).  Where p+g-ce <= 0 the
-    fractile is undefined; since c0 > 0 the ratio then comes out at 1 or more, or
-    nan, so the range test flags it.  A plan also needs the spot fractile inside
-    (0, 1) and no total fractile below it, or its option quantity would be negative.
+    fractile is undefined; since c0 > 0 the ratio then comes out at 1 or more, or,
+    at the pole ce == p+g, at total_fractile's -inf, so the range test flags it.  A
+    plan also needs the spot fractile inside (0, 1) and no total fractile below it,
+    or its option quantity would be negative.
     """
-    try:
-        tf = total_fractile(m, o)
-    except ZeroDivisionError:  # float prices with ce == p+g; columns divide to -inf there
-        tf = math.nan
-    sf = spot_fractile(m, o)
+    tf, sf = total_fractile(m, o), spot_fractile(m, o)
     total_ok = (0.0 < tf) & (tf < 1.0)
     spot_ok = (0.0 < sf) & (sf < 1.0)
     return {"assumption-4": _not(m.w0 < o.c0 + o.ce),
@@ -275,8 +280,7 @@ def retailer_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
     require_feasible_contract(m, o)
     terms, _, _ = _ledger(d, m, o.c0, o.ce, _believed_scale(m, k), plan.q_spot, plan.q_option)
     terms = {name: float(v) for name, v in terms.items()}
-    total = float(sum(terms.values()))
-    _require_finite("retailer expected profit", total)
+    total = _require_finite("retailer expected profit", float(sum(terms.values())))
     return ProfitBreakdown(total=total, terms=terms)
 
 
@@ -304,8 +308,7 @@ def supplier_expected_profit(d: DemandDistribution, m: MarketParams, o: OptionCo
     """
     require_feasible_contract(m, o)
     _, supplier, _ = _ledger(d, m, o.c0, o.ce, m.theta, plan.q_spot, plan.q_option)
-    _require_finite("supplier expected profit", supplier)
-    return float(supplier)
+    return float(_require_finite("supplier expected profit", supplier))
 
 
 def chain_expected_profit(d: DemandDistribution, m: MarketParams, q_total):
@@ -319,8 +322,7 @@ def chain_expected_profit(d: DemandDistribution, m: MarketParams, q_total):
         if bad.size:  # the first bad entry names the error
             _check_nonnegative("q_total", bad[0].item())
         profit = _on_array(lambda q: _ledger(d, m, 0.0, 0.0, m.theta, q, 0.0)[2], totals)
-    _require_finite("chain expected profit", profit)
-    return profit
+    return _require_finite("chain expected profit", profit)
 
 
 def _scaled(scale: float, x, out):

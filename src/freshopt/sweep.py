@@ -16,11 +16,16 @@ ledger call over both views (scale theta*k, then theta) and one array call
 of chain_expected_profit.  A row whose profits are not finite is flagged
 by the one screen over those cells: with profit._zero_scale's text where
 its believed scale theta*k underflows to 0 (the retailer's scalar error
-at that k), as an overflow elsewhere.  Rows are tuples made from the
-columns.  Each row prints as csv.writer prints its cells; a run of solved
-rows, or a flagged row, prints the same text from one % template.  monotonicity_report
-compares the nine numeric columns as they print, reading a printed sign
-from rint(x * 1e6), and prints only ends within a few ulps of a rounding tie.
+at that k), and elsewhere as the overflow of its first profit that is not
+finite, in the order the CLI's evaluate prices them (believed retailer,
+true retailer, supplier, chain), worded as the public function pricing it
+words it: "retailer expected profit", "supplier expected profit" or
+"chain expected profit overflows double precision".  Rows are tuples made
+from the columns.  Each row prints as csv.writer prints its cells; a run of
+solved rows, or a flagged row, prints the same text from one % template.
+monotonicity_report compares the nine numeric columns as they print,
+reading a printed sign from rint(x * 1e6), and prints only ends within a
+few ulps of a rounding tie.
 """
 from __future__ import annotations
 
@@ -162,6 +167,8 @@ class SweepRow(NamedTuple):
 
 CSV_COLUMNS = SweepRow._fields
 _NUMERIC_COLUMNS = CSV_COLUMNS[1:10]
+# What overflows in each profit column, as the public function pricing it says.
+_PROFITS = ("retailer expected profit",) * 2 + ("supplier expected profit", "chain expected profit")
 
 
 def run_sweep(scenario: SweepScenario) -> list[SweepRow]:
@@ -224,9 +231,11 @@ def _solve_plans(d: DemandDistribution, m: MarketParams, prices: _Prices, rows: 
     retailer, supplier, whole_chain = _ledger(d, m, c0, ce, scale, spot, option)
     believed, true_view = sum(retailer.values())
     cells[:, rows.ok] = [spot + option, spot, option, believed, true_view, supplier[1], whole_chain[1]]
-    # A zero believed scale prices to nan: the row's error is the retailer's at that k.
+    # A zero believed scale prices to nan: the row's error is the retailer's at that k.  Else
+    # the first profit, in the order evaluate prices them, that overflows names the error.
     rows.screen(~np.isfinite(cells[3:]).all(axis=0), lambda at: _zero_scale(m, at(rows.k))
-                if m.theta * at(rows.k) == 0.0 else _overflow("expected profit"))
+                if m.theta * at(rows.k) == 0.0 else _overflow(next(
+                    name for name, x in zip(_PROFITS, map(at, cells[3:])) if not math.isfinite(x))))
     # Through the public function by name, so a patched chain_expected_profit reaches every cell.
     cells[6, rows.ok] = chain_expected_profit(d, m, cells[0, rows.ok])
 

@@ -179,6 +179,19 @@ class TestOptimalCentralized:
         with pytest.raises(Infeasible):
             optimal_centralized(baseline_demand, market)
 
+    @pytest.mark.parametrize("solve", [
+        lambda d, m: optimal_centralized(d, m),
+        lambda d, m: coordinating_premium(d, m, 35.0, 1.0),
+        lambda d, m: coordinating_exercise_price(d, m, 5.0, 1.0),
+    ], ids=["centralized", "premium", "exercise-price"])
+    def test_overflowing_total_is_one_infeasible(self, baseline_market, solve):
+        # A rate of 5e-324 puts the centralized quantile, and so Q**, past the largest double:
+        # every solver that reads Q** gives its overflow, not inf or a k-range it cannot meet.
+        with pytest.raises(Infeasible) as err:
+            solve(Exponential(5e-324), baseline_market)
+        assert type(err.value) is Infeasible
+        assert str(err.value) == "centralized total overflows double precision"
+
     def test_independent_of_bias_and_contract(self, baseline_demand, baseline_market):
         # The routine takes neither k nor a contract; repeated evaluation is
         # byte-identical.
@@ -296,7 +309,7 @@ class TestCoordinatingExercisePrice:
     def test_no_root_hint_from_upper_quantile_past_one_half(self, baseline_market):
         # c0/(p+g) = 2/3 > 1/2 with mu > 0: the upper quantile goes through the lower one.
         d, c0, pg = TruncatedNormal(50.0, 20.0), 40.0, 60.0
-        x_central = _centralized_quantile(d, baseline_market)
+        x_central, _ = _centralized_quantile(d, baseline_market)
         with pytest.raises(NoRoot) as err:
             coordinating_exercise_price(d, baseline_market, c0, 0.5)
         assert str(err.value).endswith(

@@ -486,6 +486,22 @@ class TestGridSearch:
         assert err.value.problems == [("k", "must be finite and > 0, got -1.0"),
                                       ("step", "must be finite and > 0, got 0.0")]
 
+    def test_default_box_that_overflows_is_infeasible(self, baseline_market):
+        # At k = 1e308 the box edge overflows, as the optimal plan does: no answer, not a
+        # rejected q1_range the caller never gave.
+        d = Uniform(0.0, 100.0)
+        with pytest.raises(Infeasible) as err:
+            default_grid_spec(d, baseline_market, 1e308)
+        assert str(err.value) == "grid search box overflows double precision"
+        with pytest.raises(Infeasible, match="optimal plan overflows double precision"):
+            optimal_plan(d, baseline_market, OptionContract(5.0, 35.0), 1e308)
+
+    def test_default_box_at_the_total_fractile_pole(self, baseline_demand, baseline_market):
+        # ce == p+g: the total fractile is -inf, so the box is the one without a contract.
+        pole = OptionContract(5.0, 60.0)
+        assert (default_grid_spec(baseline_demand, baseline_market, 1.0, o=pole)
+                == default_grid_spec(baseline_demand, baseline_market, 1.0))
+
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
             GridSpec((10.0, 5.0), (0.0, 5.0), 0.1)

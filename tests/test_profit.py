@@ -28,7 +28,9 @@ from freshopt import (
     retailer_profit_gradient,
     supplier_expected_profit,
     supplier_profit_gap,
+    total_fractile,
 )
+from freshopt.profit import _Prices
 
 OPTIMAL_PLAN = OrderPlan(q_spot=240.0 / 6.3, q_option=2080.0 / 63.0)  # total 640/9
 
@@ -295,6 +297,16 @@ class TestChainExpectedProfit:
                 parts = (retailer_expected_profit(d, m, o, 1.0, plan).total
                          + supplier_expected_profit(d, m, o, plan))
                 assert chain_expected_profit(d, m, plan.q_total) == pytest.approx(parts, rel=1e-12)
+
+
+class TestTotalFractile:
+    def test_pole_is_minus_infinity_for_floats_and_columns(self, baseline_market):
+        # ce == p+g: the ratio -c0/0, as float prices and as a column's entry, is -inf.
+        assert total_fractile(baseline_market, OptionContract(5.0, 60.0)) == -math.inf
+        with np.errstate(divide="ignore"):
+            column = total_fractile(baseline_market, _Prices(5.0, np.array([35.0, 60.0])))
+        assert column.tolist() == [total_fractile(baseline_market, OptionContract(5.0, 35.0)),
+                                   -math.inf]
 
 
 class TestRealizedProfits:

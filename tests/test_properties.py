@@ -2,10 +2,13 @@
 error, and the monotonicity report classifies columns as their printed cells compare."""
 from __future__ import annotations
 
+import ast
 import contextlib
+import inspect
 import io
 import json
 import math
+import textwrap
 import warnings
 
 import numpy as np
@@ -16,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from test_sweep import DEMANDS, WIDE_GRID, _mode_scenario  # noqa: E402
 
+import freshopt  # noqa: E402
 from freshopt import (  # noqa: E402
     MODES,
     ConfigValidationError,
@@ -38,13 +42,19 @@ from freshopt import (  # noqa: E402
     make_distribution,
     mc_expected,
     monotonicity_report,
+    optimal_centralized,
     optimal_plan,
     parse_config,
+    realized_chain_profit,
+    realized_retailer_profit,
+    realized_supplier_profit,
     retailer_expected_profit,
     retailer_profit_gradient,
     run_sweep,
+    spot_fractile,
     supplier_expected_profit,
     supplier_profit_gap,
+    total_fractile,
 )
 from freshopt.cli import default_config_path, main  # noqa: E402
 from freshopt.oracle import MC_KINDS  # noqa: E402
@@ -164,6 +174,8 @@ def test_every_function_taking_k_rejects_a_bad_k(baseline_demand, baseline_marke
 @example("truncated-normal", "fixed-premium", "retailer",
          {"mu": -10.0, "sigma": 20.0, "c0": 59.999999999999986})
 @example("uniform", "fixed-contract", "retailer", {"theta": 1e-300, "k": 1e-300})
+# The total fractile's pole: ce == p+g.
+@example("uniform", "fixed-contract", "retailer", {"ce": 60.0})
 def test_library_returns_or_raises_a_typed_error(family, mode, kind, changes):
     """Every public solver, on extreme finite inputs, returns or raises InvalidValue (a
     rejected input) or Infeasible (no answer): never another exception."""
@@ -178,7 +190,11 @@ def test_library_returns_or_raises_a_typed_error(family, mode, kind, changes):
              "fixed-contract": {"contract": o}}[mode]
     calls = [
         lambda: run_sweep(SweepScenario(mode, d, m, (k,), **fixed)),
+        lambda: default_k_grid(mode),
         lambda: check_feasibility(m, o, k),
+        lambda: total_fractile(m, o),
+        lambda: spot_fractile(m, o),
+        lambda: optimal_centralized(d, m),
         lambda: coordinating_premium(d, m, o.ce, k),
         lambda: coordinating_exercise_price(d, m, o.c0, k),
         lambda: chain_expected_profit(d, m, plan.q_total),
@@ -189,6 +205,10 @@ def test_library_returns_or_raises_a_typed_error(family, mode, kind, changes):
         lambda: retailer_profit_gradient(d, m, o, k, plan),
         lambda: supplier_profit_gap(d, m, o, k),
         lambda: grid_search_plan(d, m, o, k, SMALL_GRID),
+        lambda: default_grid_spec(d, m, k, o=o),
+        lambda: realized_retailer_profit(plan.q_spot, m.theta * k, m, o, plan),
+        lambda: realized_supplier_profit(plan.q_spot, m, o, plan),
+        lambda: realized_chain_profit(plan.q_spot, m, plan.q_total),
     ]
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")  # clamps and overflow are announced, not failures
@@ -197,6 +217,24 @@ def test_library_returns_or_raises_a_typed_error(family, mode, kind, changes):
                 call()
             except (InvalidValue, Infeasible):
                 pass
+
+
+# Public functions the typed-outcome test does not call: the CSV and report helpers read
+# sweep rows, not model inputs, and the scenario readers report a ConfigError, on inputs
+# that test_config_parses_or_reports draws.
+NOT_CALLED = {"rows_to_csv", "write_csv", "monotonicity_report", "load_config", "parse_config"}
+
+
+def test_typed_outcome_test_calls_every_public_function():
+    """Each public function in freshopt.__all__ is called by name in the typed-outcome test,
+    or named in NOT_CALLED; types and constants are not functions."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(test_library_returns_or_raises_a_typed_error)))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    functions = {name for name in freshopt.__all__
+                 if callable(getattr(freshopt, name)) and not isinstance(getattr(freshopt, name), type)}
+    assert sorted(functions - NOT_CALLED - called) == []
+    assert NOT_CALLED <= functions
 
 
 def _reference_report(rows):

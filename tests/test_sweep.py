@@ -535,8 +535,11 @@ def _scalar_note(d, m, mode, k):
         plan = optimal_plan(d, m, contract, k)
     except Infeasible as exc:
         return ";".join(exc.report.names())
-    try:
+    try:  # the four profits, in the order the CLI's evaluate prices them
         retailer_expected_profit(d, m, contract, k, plan)
+        retailer_expected_profit(d, m, contract, 1.0, plan)
+        supplier_expected_profit(d, m, contract, plan)
+        chain_expected_profit(d, m, plan.q_total)
     except Infeasible as exc:
         return f"{type(exc).__name__}: {exc}"
     return ""
@@ -545,15 +548,20 @@ def _scalar_note(d, m, mode, k):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("family", sorted(DEMANDS))
 def test_flagged_notes_are_the_scalar_functions_text(baseline_market, family, mode):
-    d, m, grid, flagged = DEMANDS[family], baseline_market, WIDE_GRID, 2
+    d, m = DEMANDS[family], baseline_market
+    cases = [(m, WIDE_GRID, 2)]
     if mode == "fixed-contract":
         # One contract passes every screen at every k: only a believed scale theta*k that
-        # underflows to 0 (at k = 1e-300) leaves a row unpriced.
-        m, grid, flagged = dataclasses.replace(m, theta=1e-300), (1e-300, 1e-10, 1.0), 1
-    rows = run_sweep(_mode_scenario(mode, d, m, grid))
-    assert sum(not r.feasible for r in rows) >= flagged
-    for row in rows:
-        assert row.note == _scalar_note(d, m, mode, row.k), row.k
+        # underflows to 0 (at k = 1e-300), or a finite plan whose profits overflow, leaves a
+        # row unpriced: at k = 1e306 the retailer's; with beta = 0.9 at k = 5e304, only the
+        # supplier's.
+        cases = [(dataclasses.replace(m, theta=1e-300), (1e-300, 1e-10, 1.0), 1), (m, (1.0, 1e306), 1),
+                 (dataclasses.replace(m, beta=0.9), (1.0, 5e304), 1)]
+    for market, grid, flagged in cases:
+        rows = run_sweep(_mode_scenario(mode, d, market, grid))
+        assert sum(not r.feasible for r in rows) >= flagged
+        for row in rows:
+            assert row.note == _scalar_note(d, market, mode, row.k), row.k
 
 
 def test_unsolvable_coordination_note_names_the_fractile(baseline_demand, baseline_market):
@@ -580,7 +588,7 @@ def test_overflowing_rows_are_flagged(baseline_market, family):
     grid = (1.0, 1.1, 1e306, 1e308)
     rows = run_sweep(_mode_scenario("fixed-contract", DEMANDS[family], baseline_market, grid))
     assert [r.feasible for r in rows] == [True, True, False, False]
-    assert rows[2].note == "Infeasible: expected profit overflows double precision"
+    assert rows[2].note == "Infeasible: retailer expected profit overflows double precision"
     assert rows[3].note == "Infeasible: optimal plan overflows double precision"
     for row in rows[2:]:
         assert all(getattr(row, c) is None for c in PLAN_AND_PROFIT)
