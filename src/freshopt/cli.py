@@ -46,8 +46,8 @@ from .sweep import (
     MODES,
     SweepScenario,
     TooFewRows,
+    _default_k_grid,
     _format_cell,
-    default_k_grid,
     monotonicity_report,
     run_sweep,
     write_csv,
@@ -182,7 +182,7 @@ def cmd_sweep(config: ScenarioConfig, args, out) -> int:
         fixed = {f"fixed_{p}": _resolve(p, args, config.sweep, config.contract, missing=missing)}
     # A config-supplied grid belongs to the mode the config declared; else the mode's default.
     k_grid = ((config.sweep.k_grid if config.sweep and config.sweep.mode == mode else None)
-              or default_k_grid(mode))
+              or _default_k_grid(mode))
     rows = run_sweep(SweepScenario(mode, config.demand, config.market, k_grid, **fixed))
     if args.out is not None:
         try:

@@ -31,7 +31,7 @@ from .demand import (
 )
 from .oracle import DEFAULT_GRID_STEP, _check_draws
 from .profit import MarketParams, OptionContract
-from .sweep import MODE_FIXED_CONTRACT, SweepScenario, _check_mode, _k_range, default_k_grid
+from .sweep import MODE_FIXED_CONTRACT, SweepScenario, _check_mode, _default_k_grid, _k_range
 
 SCHEMA_VERSION = 1
 
@@ -268,7 +268,7 @@ def _parse_sweep(raw, contract: OptionContract | None, problems: list[str]) -> S
     if mode is None or None in prices.values() or (k_grid is None and "k_grid" in raw):
         return None
     try:  # the sweep's own fields: demand and market are checked as their sections
-        SweepScenario(mode, None, None, default_k_grid(mode) if k_grid is None else k_grid,
+        SweepScenario(mode, None, None, _default_k_grid(mode) if k_grid is None else k_grid,
                       contract=contract if mode == MODE_FIXED_CONTRACT else None,
                       **{f"fixed_{name}": value for name, value in prices.items()})
     except InvalidValue as exc:

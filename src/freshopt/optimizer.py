@@ -104,13 +104,13 @@ def optimal_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
 
     At the result the profit gradient vanishes; concavity of the objective
     makes it the unique maximum.  k = 1 gives the rational benchmark.
-    A k that is not finite and > 0 raises InvalidValue, before any screen;
+    A k that is not finite and > 0 raises InvalidValue, whatever the terms;
     terms that fail a screen raise Infeasible with check_feasibility's report.
     A theta*k that underflows to 0 is no error here: the plan is (0, 0).
     """
-    _check_positive("k", k)
-    report = check_feasibility(m, o, k)
+    report = check_feasibility(m, o, k)  # checks k once where the report is clean
     if not report.ok:
+        _check_positive("k", k)  # a k-domain report is the InvalidValue for k alone
         raise Infeasible(f"no optimal plan: {report.describe()}", report)
     q_spot, q_option = _plans(d, m, total_fractile(m, o), spot_fractile(m, o), _Row(k))
     return OrderPlan(q_spot=float(q_spot), q_option=float(q_option))

@@ -227,12 +227,12 @@ def grid_search_plan(d: DemandDistribution, m: MarketParams, o: OptionContract,
 
 def default_grid_spec(d: DemandDistribution, m: MarketParams, k: float,
                       step: float = DEFAULT_GRID_STEP, o: OptionContract | None = None) -> GridSpec:
-    """Search box up to the believed stock at the larger of 0.9999 and o's total fractile:
-    it contains the optimum for valid fractiles (without o, for those up to 0.9999).
-    A box whose edge overflows a double raises Infeasible, as optimal_plan does for a
-    plan that overflows."""
+    """Search box up to the believed stock at the larger of 0.9999 and o's total fractile
+    where that fractile lies inside (0, 1), else at 0.9999: it contains the optimum for
+    valid fractiles (without o, for those up to 0.9999).  A box whose edge overflows a
+    double raises Infeasible, as optimal_plan does for a plan that overflows."""
     # An empty box checks the step beside k, before any stock is solved.
     _check_each((_check_positive, "k", k), (GridSpec, (0.0, 0.0), (0.0, 0.0), step))
-    level = 0.9999 if o is None else max(0.9999, total_fractile(m, o))
+    level = tf if o is not None and 0.9999 < (tf := total_fractile(m, o)) < 1.0 else 0.9999
     reach = _require_finite("grid search box", _believed_stock(d, m, _Row(k), level))
     return GridSpec(q1_range=(0.0, reach), qq_range=(0.0, reach), step=step)

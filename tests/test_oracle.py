@@ -502,6 +502,19 @@ class TestGridSearch:
         assert (default_grid_spec(baseline_demand, baseline_market, 1.0, o=pole)
                 == default_grid_spec(baseline_demand, baseline_market, 1.0))
 
+    @pytest.mark.parametrize("family, plan", [("uniform", (51.85, 0.0)),
+                                              ("exponential", (38.9, 0.0)),
+                                              ("truncated-normal", (48.3, 0.0))])
+    def test_default_box_past_the_total_fractile_pole(self, baseline_market, family, plan):
+        # ce > p+g: the total fractile is (60-61-5)/(60-61) = 6, no quantile level, so the box is
+        # the one without a contract; on it the options are worthless and the grid buys none.
+        d, m, past = DEMANDS[family], baseline_market, OptionContract(5.0, 61.0)
+        assert total_fractile(m, past) == 6.0
+        spec = default_grid_spec(d, m, 1.0, o=past)
+        assert spec == default_grid_spec(d, m, 1.0)
+        found = grid_search_plan(d, m, past, 1.0, spec)
+        assert (found.q_spot, found.q_option) == pytest.approx(plan, abs=1e-9)
+
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
             GridSpec((10.0, 5.0), (0.0, 5.0), 0.1)

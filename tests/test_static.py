@@ -1,17 +1,22 @@
 """Static checks on the package source with the stdlib ``ast``: no module imports a name
 it never uses, no private module-level function or class goes unreferenced, and no
 module catches an error by a subclass of its family; the package's star-import surface;
-and the rules of ``tools/line_count.py``."""
+the rules of ``tools/line_count.py`` and ``tools/check_count.py``; and a ceiling on the
+input checks each CLI command makes."""
 from __future__ import annotations
 
 import ast
 import importlib.util
 import types
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import freshopt
+from freshopt import demand, profit, sweep
+from freshopt.profit import MarketParams, OptionContract, _Prices
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "freshopt"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -114,11 +119,15 @@ def test_all_holds_no_module_and_no_private_name():
             or (name.startswith("_") and name != "__version__")] == []
 
 
-def _line_count():
-    spec = importlib.util.spec_from_file_location("line_count", PACKAGE.parents[1] / "tools" / "line_count.py")
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, PACKAGE.parents[1] / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _line_count():
+    return _tool("line_count")
 
 
 def test_line_count_skips_blank_comment_and_docstring_lines():
@@ -142,3 +151,51 @@ class Box:
 '''
     # Code: the import, `class Box:`, both lines of `size`, `def area`, both lines of the return.
     assert _line_count().count_lines(source) == (17, 7)
+
+
+def test_check_count_keys_each_call_by_validator_field_and_values():
+    tool = _tool("check_count")
+    m = MarketParams(p=50.0, g=10.0, w0=25.0, c=15.0, beta=0.1, theta=0.8)
+    originals = [getattr(module, name) for module in (demand, profit, sweep)
+                 for name in tool.VALIDATORS if hasattr(module, name)]
+    with tool.counting(Counter()) as seen:
+        OptionContract(5.0, 35.0)
+        OptionContract(5.0, 36.0)  # c0 again, a new ce
+        sweep._check_k_grid((1.0, 2.0))  # two rules of one field: two keys
+        profit._screens(m, _Prices(np.array([5.0, 6.0]), 35.0))
+        profit.require_feasible_contract(m, OptionContract(5.0, 35.0))  # screens through profit
+    market = "(50.0, 10.0, 25.0, 15.0, 0.1, 0.8)"
+    assert seen == Counter({
+        ("_check_positive", "c0", "5.0"): 3,
+        ("_check_positive", "ce", "35.0"): 2,
+        ("_check_positive", "ce", "36.0"): 1,
+        ("_require", "k_grid", "'must not be empty'"): 1,
+        ("_require", "k_grid", "'must be strictly increasing'"): 1,
+        ("_check_positive", "k_grid[0]", "1.0"): 1,
+        ("_check_positive", "k_grid[1]", "2.0"): 1,
+        ("_screens", "contract", f"({market}, ((5.0, 6.0), 35.0))"): 1,
+        ("_screens", "contract", f"({market}, (5.0, 35.0))"): 1,
+    })
+    # Every wrapped name is bound to its original again.
+    assert [getattr(module, name) for module in (demand, profit, sweep)
+            for name in tool.VALIDATORS if hasattr(module, name)] == originals
+    assert tool.check_key("_require", ("mode", False, "must be one of {}, got {!r}", ("a",), "b")) \
+        == ("_require", "mode", "('must be one of {}, got {!r}', ('a',), 'b')")
+    assert tool.check_key("_require_finite", ("chain expected profit", np.array([1.5, np.inf]))) \
+        == ("_require_finite", "chain expected profit", "(1.5, inf)")
+
+
+# Checks per command on the shipped scenario, as tools/check_count.py counts them.  A new
+# repeated check raises a total: lower a total when a check goes, raise one only on purpose.
+CHECK_CEILINGS = {
+    "optimize": 39, "evaluate": 49, "coordinate": 37, "coordinate --solve-exercise": 37,
+    "simulate retailer": 51, "simulate supplier": 49, "simulate chain": 47,
+    "sweep fixed-exercise-price": 45, "sweep fixed-premium": 49, "sweep fixed-contract": 46,
+}
+
+
+def test_no_command_makes_more_checks_than_recorded():
+    tool = _tool("check_count")
+    assert tool.COMMANDS.keys() == CHECK_CEILINGS.keys()
+    totals = {label: sum(tool.count_checks(argv).values()) for label, argv in tool.COMMANDS.items()}
+    assert {label: total for label, total in totals.items() if total > CHECK_CEILINGS[label]} == {}
