@@ -9,35 +9,44 @@ maximum per spot row: it checks the optimizer, Monte-Carlo the profits.
 Sampling is chunked: every chunk owns a child stream spawned from
 (seed, chunk index) and chunks are reduced in fixed order, so a serial
 run and any worker-parallel run of the same (seed, n) agree bit for bit.
-A chunk is drawn whole into one buffer that the whole call reuses
-(``sample(..., out=)``), then its profits are written over the draws, block by
-cache-sized block (``realized_*(..., out=block)``); a call allocates one buffer
-of at most ``_CHUNK`` doubles (1 MB) plus at most two temporaries of ``_BLOCK``
-doubles (128 KB each) per block, and copies no profit back.  A
-truncated-normal chunk maps its first half through ``ndtri`` on one helper
-thread while the calling thread maps the second (``demand._ndtri_in_place``);
-that thread calls nothing else, so every public function runs on the
+A chunk is drawn whole into a buffer (``sample(..., out=)``), then its
+profits are written over the draws, block by cache-sized block, by the
+private kernels behind ``realized_*``, and the chunk is reduced to its mean
+and its sum of squared deviations; a call allocates at most two buffers of
+``_CHUNK`` doubles (1 MB each) plus at most two temporaries of ``_BLOCK``
+doubles (128 KB each) per block, and copies no profit back.  A run of two
+or more chunks, in a process that may use more than one CPU, prices and
+reduces each chunk on one helper thread while the calling thread draws the
+next chunk into the other buffer; the caller merges the chunk moments in
+chunk order, so the estimate has the bits of the inline run.  A
+truncated-normal chunk maps its first half through ``ndtri`` on one more
+helper thread while the calling thread maps the second
+(``demand._ndtri_in_place``).  Helpers call only private kernels and
+``ndtri``, so every public function, ``sample`` included, runs on the
 caller's thread, and the draws are the bits of one serial map.
 A chunk's mean is its first profit plus the mean of the differences from
 it, so a profit that never varies comes out exact, with standard error 0.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
+from queue import SimpleQueue
 
-from .demand import DemandDistribution, _check_each, _check_positive, _require, np
+from .demand import DemandDistribution, _check_each, _check_positive, _require, _several_cpus, np
 from .optimizer import _believed_stock, _Row
 from .profit import (
     MarketParams,
     OptionContract,
     OrderPlan,
     _believed_scale,
+    _chain_profits,
     _ledger,
     _require_finite,
-    realized_chain_profit,
-    realized_retailer_profit,
-    realized_supplier_profit,
+    _retailer_profits,
+    _supplier_profits,
     require_feasible_contract,
     total_fractile,
 )
@@ -111,6 +120,42 @@ def chunk_stream(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
+def _pipelined(chunks: int, draw, reduce) -> list:
+    """[reduce(draw(i)) for i in range(chunks)], with each reduce on one helper thread while
+    this thread draws the next chunk; draw(i) must leave chunk i - 1 alone.  The helper runs
+    in a copy of this thread's context, where np.errstate lives.  Whatever either thread
+    raises is raised here, and the helper is stopped and joined before this returns."""
+    jobs, done, parts = SimpleQueue(), SimpleQueue(), []
+    run = contextvars.copy_context().run
+
+    def _serve():
+        while (chunk := jobs.get()) is not None:  # a chunk is an array: test by identity
+            try:
+                done.put((run(reduce, chunk), None))
+            except BaseException as error:  # raised again on the caller
+                done.put((None, error))
+
+    def collect():
+        part, error = done.get()
+        if error is not None:
+            raise error
+        parts.append(part)
+
+    helper = threading.Thread(target=_serve)
+    helper.start()
+    try:
+        for index in range(chunks):
+            chunk = draw(index)
+            if index:
+                collect()  # frees chunk i - 1's buffer for chunk i + 1
+            jobs.put(chunk)
+        collect()
+    finally:
+        jobs.put(None)
+        helper.join()
+    return parts
+
+
 def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionContract,
                 k: float, plan: OrderPlan, n: int, seed: int) -> McEstimate:
     """Monte-Carlo estimate of an expected profit.
@@ -121,6 +166,11 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
     seed, and a k that is not finite and > 0, whatever the kind.  The retailer's
     scale is profit._believed_scale's, so where theta*k underflows to 0 the
     estimate raises its Infeasible, as the closed form it checks does.
+
+    A run of two or more chunks on more than one CPU prices and reduces each chunk
+    on one helper thread while this thread draws the next; the estimate has the
+    bits of the inline run.  The helper keeps the caller's np.errstate, and
+    whatever either thread raises is raised here once the helper has ended.
     """
     _check_each((_require, "kind", kind in MC_KINDS, "must be one of {}, got {!r}", MC_KINDS, kind),
                 (_check_draws, n, seed), (_check_positive, "k", k))
@@ -129,35 +179,44 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
 
     if kind == "retailer":
         scale = _believed_scale(m, k)
-        evaluate = lambda x: realized_retailer_profit(x, scale, m, o, plan, out=x)
+        evaluate = lambda x: _retailer_profits(x, scale, m, o, plan, x)
     elif kind == "supplier":
-        evaluate = lambda x: realized_supplier_profit(x, m, o, plan, out=x)
+        evaluate = lambda x: _supplier_profits(x, m, o, plan, x)
     else:
-        evaluate = lambda x: realized_chain_profit(x, m, plan.q_total, out=x)
+        evaluate = lambda x: _chain_profits(x, m, plan.q_total, x)
 
-    buffer = np.empty(min(n, _CHUNK))
+    def chunk_moments(profits: np.ndarray, shrink: float) -> tuple[int, float, float]:
+        """(draws, mean, shrink**2 * sum of squared deviations) of one chunk, whose draws
+        the profits and then the deviations overwrite."""
+        for lo in range(0, len(profits), _BLOCK):
+            evaluate(profits[lo:lo + _BLOCK])
+        # Deviations from the first profit: a constant profit averages to itself exactly.
+        first = float(profits[0])
+        np.subtract(profits, first, out=profits)
+        offset = float(profits.mean())
+        np.subtract(profits, offset, out=profits)
+        if shrink != 1.0:
+            np.multiply(profits, shrink, out=profits)
+        with np.errstate(over="ignore"):  # an overflow here is retried, shrunk
+            return len(profits), first + offset, float(np.sum(np.square(profits, out=profits)))
+
+    chunks = -(-n // _CHUNK)
+    pipelined = chunks > 1 and _several_cpus()
+    buffers = [np.empty(min(n, _CHUNK)) for _ in range(1 + pipelined)]
+
+    def draw(index: int) -> np.ndarray:
+        """Chunk ``index``'s draws, written over chunk ``index - len(buffers)``'s."""
+        take = min(_CHUNK, n - index * _CHUNK)
+        rng = np.random.Generator(np.random.PCG64(chunk_stream(seed, index)))
+        return d.sample(rng, size=take, out=buffers[index % len(buffers)][:take])
 
     def moments(shrink: float) -> tuple[float, float]:
         """(mean, shrink**2 * sum of squared deviations) over the n draws."""
-        count = 0
-        mean = 0.0
-        m2 = 0.0
-        for index, start in enumerate(range(0, n, _CHUNK)):
-            take = min(_CHUNK, n - start)
-            rng = np.random.Generator(np.random.PCG64(chunk_stream(seed, index)))
-            profits = d.sample(rng, size=take, out=buffer[:take])
-            for lo in range(0, take, _BLOCK):
-                evaluate(profits[lo:lo + _BLOCK])
-            # Deviations from the first profit: a constant profit averages to itself exactly.
-            first = float(profits[0])
-            np.subtract(profits, first, out=profits)
-            offset = float(profits.mean())
-            chunk_mean = first + offset
-            np.subtract(profits, offset, out=profits)
-            if shrink != 1.0:
-                np.multiply(profits, shrink, out=profits)
-            with np.errstate(over="ignore"):  # an overflow here is retried, shrunk
-                chunk_m2 = float(np.sum(np.square(profits, out=profits)))
+        reduce = lambda profits: chunk_moments(profits, shrink)
+        parts = (_pipelined(chunks, draw, reduce) if pipelined
+                 else [reduce(draw(index)) for index in range(chunks)])
+        count, mean, m2 = 0, 0.0, 0.0
+        for take, chunk_mean, chunk_m2 in parts:
             delta = chunk_mean - mean
             total = count + take
             mean += delta * take / total

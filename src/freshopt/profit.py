@@ -356,6 +356,12 @@ def realized_retailer_profit(x, demand_scale: float, m: MarketParams, o: OptionC
     the profits and is returned; the lines are evaluated in it and in two
     temporaries, with the bits of a call without ``out``.  A float x gives a float.
     """
+    return _returned(_retailer_profits(x, demand_scale, m, o, plan, out), x)
+
+
+def _retailer_profits(x, demand_scale: float, m: MarketParams, o: OptionContract,
+                      plan: OrderPlan, out):
+    """realized_retailer_profit's array of profits; the kernel the Monte-Carlo helper runs."""
     stock, spot_stock, option_stock = _shelf(m, plan.q_spot, plan.q_option)
     fixed = -o.c0 * option_stock - m.w0 * spot_stock
     demand = _scaled(demand_scale, x, out)
@@ -367,8 +373,7 @@ def realized_retailer_profit(x, demand_scale: float, m: MarketParams, o: OptionC
     join(exercising, short, out=exercising)
     demand *= m.p  # the spot line, over the demand
     demand += fixed
-    np.minimum(demand, exercising, out=demand)
-    return _returned(demand, x)
+    return np.minimum(demand, exercising, out=demand)
 
 
 def realized_supplier_profit(x, m: MarketParams, o: OptionContract, plan: OrderPlan, out=None):
@@ -382,12 +387,16 @@ def realized_supplier_profit(x, m: MarketParams, o: OptionContract, plan: OrderP
     the profits and is returned; the line is evaluated in it, with no temporary,
     with the bits of a call without ``out``.  A float x gives a float.
     """
+    return _returned(_supplier_profits(x, m, o, plan, out), x)
+
+
+def _supplier_profits(x, m: MarketParams, o: OptionContract, plan: OrderPlan, out):
+    """realized_supplier_profit's array of profits; the kernel the Monte-Carlo helper runs."""
     _, spot_stock, option_stock = _shelf(m, plan.q_spot, plan.q_option)
     fixed = m.w0 * spot_stock + o.c0 * option_stock - m.c * plan.q_total
     line = _scaled(o.ce * m.theta, x, out)
     line += fixed - o.ce * spot_stock
-    np.clip(line, fixed, fixed + o.ce * option_stock, out=line)
-    return _returned(line, x)
+    return np.clip(line, fixed, fixed + o.ce * option_stock, out=line)
 
 
 def realized_chain_profit(x, m: MarketParams, q_total: float, out=None):
@@ -399,6 +408,11 @@ def realized_chain_profit(x, m: MarketParams, q_total: float, out=None):
     the profits and is returned; the lines are evaluated in it and in one
     temporary, with the bits of a call without ``out``.  A float x gives a float.
     """
+    return _returned(_chain_profits(x, m, q_total, out), x)
+
+
+def _chain_profits(x, m: MarketParams, q_total: float, out):
+    """realized_chain_profit's array of profits; the kernel the Monte-Carlo helper runs."""
     stock = q_total * (1.0 - m.beta)
     cost = m.c * q_total
     demand = _scaled(m.theta, x, out)
@@ -406,5 +420,4 @@ def realized_chain_profit(x, m: MarketParams, q_total: float, out=None):
     short += (m.p + m.g) * stock - cost
     demand *= m.p  # the sales line, over the demand
     demand -= cost
-    np.minimum(demand, short, out=demand)
-    return _returned(demand, x)
+    return np.minimum(demand, short, out=demand)

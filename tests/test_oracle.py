@@ -279,8 +279,9 @@ def _record_threads(monkeypatch) -> tuple[set[int], list[tuple[threading.Thread,
 
 
 class TestThreads:
-    """A truncated-normal chunk maps half its levels through ndtri on one helper thread;
-    every public function, and every other family, stays on the calling thread."""
+    """A run of two or more chunks on two CPUs reduces each chunk on one helper thread while
+    the caller draws the next, and a truncated-normal chunk maps half its levels through
+    ndtri on another; every public function stays on the calling thread."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_public_calls_run_on_calling_thread(self, family, monkeypatch):
@@ -292,9 +293,11 @@ class TestThreads:
         for kind in MC_KINDS:
             mc_expected(kind, d, m, o, k, plan, 2 * _CHUNK + 3, 11)  # chunks 2**17, 2**17, 3
         assert idents == {threading.get_ident()}
-        # One helper per chunk of at least _SPLIT_MIN truncated-normal draws, running ndtri.
-        assert len(started) == (6 if family == "truncated-normal" else 0)
-        assert all(target is ndtri for _, target in started)
+        # One reducing helper per call, and one ndtri helper per chunk of at least
+        # _SPLIT_MIN truncated-normal draws.
+        assert len(started) == 3 + (6 if family == "truncated-normal" else 0)
+        assert sum(target is ndtri for _, target in started) == len(started) - 3
+        assert all(target is ndtri or target.__name__.startswith("_") for _, target in started)
         assert not any(thread.is_alive() for thread, _ in started)
         assert threading.active_count() == threads
 
@@ -311,6 +314,97 @@ class TestThreads:
         mc_expected("chain", d, baseline_market, baseline_contract, 1.0, REFERENCE_PLAN,
                     2 * _CHUNK, 5)
         assert len(started) == 1
+
+
+def _hex(estimate) -> tuple[str, str]:
+    return estimate.mean.hex(), estimate.stderr.hex()
+
+
+class TestPipeline:
+    """The helper thread changes no bit and outlives no call, whatever the call raises."""
+
+    OVERFLOW = ("retailer", Uniform(0.0, 100.0),
+                MarketParams(p=50.0, g=10.0, w0=25.0, c=15.0, beta=0.1, theta=0.8),
+                OptionContract(5.0, 35.0), 1e306, OrderPlan(1.0, 1.0), 300_000, 1)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_helper_gives_the_bits_of_the_inline_run(self, family, monkeypatch):
+        d, m, o, k = random_feasible_setup(np.random.default_rng(31), family)
+        plan = optimal_plan(d, m, o, k)
+        sizes = (1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3, 10 ** 6)
+        calls = [(kind, n) for kind in MC_KINDS for n in sizes]
+        _report_cpus(monkeypatch, 2)
+        _, started = _record_threads(monkeypatch)
+        pipelined = [_hex(mc_expected(kind, d, m, o, k, plan, n, 11)) for kind, n in calls]
+        assert sum(target is not ndtri for _, target in started) == 3 * 3  # n > _CHUNK
+        _report_cpus(monkeypatch, 1)
+        assert [_hex(mc_expected(kind, d, m, o, k, plan, n, 11)) for kind, n in calls] == pipelined
+
+    def test_helper_keeps_the_bits_under_fast_thread_switching(self, baseline_market,
+                                                               baseline_contract, monkeypatch):
+        # Switching threads every microsecond interleaves the caller's draw of chunk i + 1
+        # with the helper's reduction of chunk i as finely as the interpreter allows; a
+        # buffer handed over too early would change the bits.
+        args = ("retailer", Exponential(0.02), baseline_market, baseline_contract, 1.2,
+                REFERENCE_PLAN, 5 * _CHUNK + 7, 17)
+        _report_cpus(monkeypatch, 1)
+        inline = _hex(mc_expected(*args))
+        _report_cpus(monkeypatch, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert [_hex(mc_expected(*args)) for _ in range(3)] == [inline] * 3
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_helper_gives_the_bits_of_the_inline_overflow_retry(self, monkeypatch):
+        # At k = 1e150 the plan and the profits near 1e152 are finite but the squared
+        # deviations overflow, so each retailer run is drawn twice, the second time shrunk.
+        d, m, o = Uniform(0.0, 100.0), *self.OVERFLOW[2:4]
+        plan = optimal_plan(d, m, o, 1e150)
+        runs = {}
+        for cpus in (2, 1):
+            _report_cpus(monkeypatch, cpus)
+            runs[cpus] = [_hex(mc_expected(kind, d, m, o, 1e150, plan, 3 * _CHUNK, 3))
+                          for kind in MC_KINDS]
+        assert runs[2] == runs[1]
+        assert runs[2][0][1] != (0.0).hex()
+
+    @pytest.mark.parametrize("over,error", [("warn", RuntimeWarning), ("raise", FloatingPointError)])
+    def test_helper_failure_raises_on_the_caller(self, over, error, monkeypatch):
+        # The profits overflow on the helper; the caller's warning filter and np.errstate,
+        # a context variable the helper's copied context carries, must hold there too.
+        threads = threading.active_count()
+        _report_cpus(monkeypatch, 2)
+        _, started = _record_threads(monkeypatch)
+        with warnings.catch_warnings(), np.errstate(over=over), pytest.raises(error):
+            warnings.simplefilter("error" if error is RuntimeWarning else "ignore")
+            mc_expected(*self.OVERFLOW)
+        assert len(started) == 1
+        assert not started[0][0].is_alive()
+        assert threading.active_count() == threads
+
+    def test_failing_draw_raises_on_the_caller(self, baseline_market, baseline_contract,
+                                               monkeypatch):
+        calls = []
+
+        class SecondDrawFails(Uniform):
+            def _inverse_transform(self, u):
+                calls.append(u.size)
+                if len(calls) == 2:
+                    raise ZeroDivisionError("second draw")
+                return super()._inverse_transform(u)
+
+        threads = threading.active_count()
+        _report_cpus(monkeypatch, 2)
+        _, started = _record_threads(monkeypatch)
+        with pytest.raises(ZeroDivisionError, match="second draw"):
+            mc_expected("chain", SecondDrawFails(0.0, 100.0), baseline_market, baseline_contract,
+                        1.0, REFERENCE_PLAN, 3 * _CHUNK, 1)
+        assert calls == [_CHUNK, _CHUNK]
+        assert len(started) == 1
+        assert not started[0][0].is_alive()
+        assert threading.active_count() == threads
 
 
 class TestGridSearch:
