@@ -16,6 +16,7 @@ operation, not at import: the package's other modules take ``np`` from here.
 """
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import importlib.util
 import math
@@ -23,8 +24,10 @@ import os
 import sys
 import threading
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
+from queue import SimpleQueue
 from typing import ClassVar, NamedTuple
 
 
@@ -163,9 +166,13 @@ def _ndtri(p: float) -> float:
     return -math.inf if p <= 0.0 else math.inf
 
 
-# The break-even of splitting ndtri over two threads: on a 2-core x86-64 VM a thread's
-# start and join took 150-170 us, and the split's median lost at 16,384 levels (412 us
-# against 304 serial) and won at 32,768 (661 against 861) and above.
+# The break-even of splitting ndtri over two threads, on a 2-core x86-64 VM.  Starting a
+# helper for the split (150-170 us to start and join), the median lost at 16,384 levels
+# (412 us against 304 serial) and won at 32,768 (661 against 861) and above.  On an idle
+# helper already running, as a lent one may be, it lost at 8,192 (108-116 us against
+# 101-105) and won at 16,384 (182-191 against 198-205) and 32,768 (326-359 against
+# 396-420).  A direct call still starts its helper, and a lent one only sees the last
+# chunk of a run below 2**17 levels, so the threshold stays at the first break-even.
 _SPLIT_MIN = 1 << 15
 
 
@@ -176,23 +183,66 @@ def _several_cpus() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
+_LENT = contextvars.ContextVar("_LENT", default=None)  # the _Helper lent to this thread
+
+
+class _Helper:
+    """One thread that runs submitted jobs in order, each in a copy of the context of the
+    thread that entered the helper (np.errstate lives there), copied before the helper is
+    lent.  Inside ``with _Helper() as helper:`` the helper is lent to this thread's
+    ``_ndtri_in_place``; leaving the block stops and joins the thread, however it ends."""
+
+    def __enter__(self):
+        self._jobs, self._run = SimpleQueue(), contextvars.copy_context().run
+        self._thread = threading.Thread(target=self._serve)
+        self._thread.start()
+        self._lent = _LENT.set(self)
+        return self
+
+    def __exit__(self, *exc_info):
+        self._jobs.put(None)
+        self._thread.join()
+        _LENT.reset(self._lent)
+
+    def _serve(self):
+        for done, fn, args in iter(self._jobs.get, None):
+            try:
+                done.put((self._run(fn, *args), None))
+            except BaseException as error:  # raised again on the caller
+                done.put((None, error))
+
+    def submit(self, fn, *args):
+        """Queue fn(*args); return a function that waits for its result, or raises what
+        it raised."""
+        done = SimpleQueue()
+        self._jobs.put((done, fn, args))
+
+        def result():
+            value, error = done.get()
+            if error is not None:
+                raise error
+            return value
+        return result
+
+
 def _ndtri_in_place(u: np.ndarray) -> None:
-    """scipy.special.ndtri(u, out=u).  A u of at least _SPLIT_MIN levels maps its first
-    half (along the first axis) on one helper thread, which calls nothing but ndtri (it
-    releases the GIL), while the caller maps the second half; ndtri acts entry by entry,
-    so the bits are those of one call.  The caller has loaded numpy and scipy.special
-    before the helper starts, as numpy's lazy loader takes no lock."""
+    """scipy.special.ndtri(u, out=u).  A u of at least _SPLIT_MIN levels, on more than one
+    CPU, maps its first half (along the first axis) on the lent helper, or else on a helper
+    of its own, which calls nothing but ndtri (it releases the GIL), while the caller maps
+    the second half; ndtri acts entry by entry, so the bits are those of one call.  The
+    caller has loaded numpy and scipy.special before the helper maps, as numpy's lazy
+    loader takes no lock."""
     from scipy.special import ndtri  # vectorized: several times faster than any stdlib route
     if u.size < _SPLIT_MIN or not _several_cpus():
         ndtri(u, out=u)
         return
     head, tail = u[:len(u) // 2], u[len(u) // 2:]
-    helper = threading.Thread(target=ndtri, args=(head,), kwargs={"out": head})
-    helper.start()
-    try:
-        ndtri(tail, out=tail)
-    finally:
-        helper.join()
+    with nullcontext(lent) if (lent := _LENT.get()) else _Helper() as helper:
+        head_done = helper.submit(ndtri, head, head)  # ndtri(head, out=head)
+        try:
+            ndtri(tail, out=tail)
+        finally:
+            head_done()
 
 
 class DemandDistribution(ABC):
@@ -269,8 +319,10 @@ class DemandDistribution(ABC):
         contiguous float64 array of shape ``size``, receives the draws and is returned;
         without it the stream supplies a new array.
         A truncated-normal draw of 32,768 values or more, in a process that may
-        run on two CPUs, maps half its levels through ``ndtri`` on one helper
-        thread; the draws are the bits of one serial map.
+        run on two CPUs, maps half its levels through ``ndtri`` on a helper thread:
+        the one ``oracle.mc_expected`` lends to its calls of ``sample``, or else one
+        started and joined for this call.  The draws are the bits of one serial map,
+        and this method itself runs on the caller's thread.
         """
         x = self._inverse_transform(np.asarray(stream.random(size, out=out), dtype=float))
         return float(x) if size is None else x

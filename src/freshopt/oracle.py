@@ -12,30 +12,35 @@ run and any worker-parallel run of the same (seed, n) agree bit for bit.
 A chunk is drawn whole into a buffer (``sample(..., out=)``), then its
 profits are written over the draws, block by cache-sized block, by the
 private kernels behind ``realized_*``, and the chunk is reduced to its mean
-and its sum of squared deviations; a call allocates at most two buffers of
-``_CHUNK`` doubles (1 MB each) plus at most two temporaries of ``_BLOCK``
-doubles (128 KB each) per block, and copies no profit back.  A run of two
-or more chunks, in a process that may use more than one CPU, prices and
-reduces each chunk on one helper thread while the calling thread draws the
-next chunk into the other buffer; the caller merges the chunk moments in
-chunk order, so the estimate has the bits of the inline run.  A
-truncated-normal chunk maps its first half through ``ndtri`` on one more
-helper thread while the calling thread maps the second
-(``demand._ndtri_in_place``).  Helpers call only private kernels and
-``ndtri``, so every public function, ``sample`` included, runs on the
-caller's thread, and the draws are the bits of one serial map.
+and its sum of squared deviations.  The process keeps one spare pair of
+``_CHUNK``-double buffers (2 MB in all) that a call draws into, so a call
+that repeats allocates no buffer; a call that finds the pair held (by a
+nested or a concurrent call) makes a pair of its own.  A block adds at most
+two temporaries of ``_BLOCK`` doubles (128 KB each), and no profit is copied
+back.  A run of two or more chunks, in a process that may use more than one
+CPU, starts one helper thread for the whole call, overflow retry included:
+the helper prices and reduces each chunk while the calling thread draws the
+next chunk into the other buffer, and the caller merges the chunk moments in
+chunk order, so the estimate has the bits of the inline run.  The call lends
+its helper to the ``sample`` calls it makes, so a truncated-normal chunk maps
+its first half through ``ndtri`` on that helper while the calling thread maps
+the second (``demand._ndtri_in_place``).  The helper calls only private
+kernels and ``ndtri``, so every public function, ``sample`` included, runs on
+the caller's thread, and the draws are the bits of one serial map.
 A chunk's mean is its first profit plus the mean of the differences from
 it, so a profit that never varies comes out exact, with standard error 0.
 """
 from __future__ import annotations
 
-import contextvars
 import math
+import numbers
+import operator
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass
-from queue import SimpleQueue
+from functools import cache
 
-from .demand import DemandDistribution, _check_each, _check_positive, _require, _several_cpus, np
+from .demand import DemandDistribution, _check_each, _check_positive, _Helper, _require, _several_cpus, np
 from .optimizer import _believed_stock, _Row
 from .profit import (
     MarketParams,
@@ -100,19 +105,20 @@ def _check_range(field: str, bounds: tuple[float, float]) -> None:
 
 
 def _is_int(value) -> bool:
-    """Whether value is a Python int other than a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether value is an integer (a Python int, a numpy integer) other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_draws(samples: int, seed: int) -> None:
-    """Raise InvalidValue unless samples is an integer in [1, _MAX_SAMPLES] and seed an
-    integer >= 0; a bool is no integer here."""
+def _check_draws(samples: int, seed: int) -> tuple[int, int]:
+    """(samples, seed) as Python ints; InvalidValue unless samples is an integer in
+    [1, _MAX_SAMPLES] and seed an integer >= 0.  A bool, numpy's too, is no integer here."""
     is_count = _is_int(samples) and samples >= 1
     _check_each((_require, "samples", is_count, "must be >= 1 and an integer, got {!r}", samples),
                 (_require, "samples", not is_count or samples <= _MAX_SAMPLES, "must be <= {}, got {}",
                  _MAX_SAMPLES, samples),
                 (_require, "seed", _is_int(seed) and seed >= 0, "must be >= 0 and an integer, got {!r}",
                  seed))
+    return operator.index(samples), operator.index(seed)
 
 
 def chunk_stream(seed: int, index: int) -> np.random.SeedSequence:
@@ -120,39 +126,21 @@ def chunk_stream(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
-def _pipelined(chunks: int, draw, reduce) -> list:
-    """[reduce(draw(i)) for i in range(chunks)], with each reduce on one helper thread while
-    this thread draws the next chunk; draw(i) must leave chunk i - 1 alone.  The helper runs
-    in a copy of this thread's context, where np.errstate lives.  Whatever either thread
-    raises is raised here, and the helper is stopped and joined before this returns."""
-    jobs, done, parts = SimpleQueue(), SimpleQueue(), []
-    run = contextvars.copy_context().run
+# The process's one spare pair of _CHUNK buffers, made on first use, and the lock that the
+# call drawing into it holds.
+_kept_pair = cache(lambda: (np.empty(_CHUNK), np.empty(_CHUNK)))
+_KEPT = threading.Lock()
 
-    def _serve():
-        while (chunk := jobs.get()) is not None:  # a chunk is an array: test by identity
-            try:
-                done.put((run(reduce, chunk), None))
-            except BaseException as error:  # raised again on the caller
-                done.put((None, error))
 
-    def collect():
-        part, error = done.get()
-        if error is not None:
-            raise error
-        parts.append(part)
-
-    helper = threading.Thread(target=_serve)
-    helper.start()
-    try:
-        for index in range(chunks):
-            chunk = draw(index)
-            if index:
-                collect()  # frees chunk i - 1's buffer for chunk i + 1
-            jobs.put(chunk)
-        collect()
-    finally:
-        jobs.put(None)
-        helper.join()
+def _pipelined(helper: _Helper, chunks: int, draw, reduce) -> list:
+    """[reduce(draw(i)) for i in range(chunks)], with each reduce on helper while this
+    thread draws the next chunk; draw(i) must leave chunk i - 1 alone."""
+    parts = [helper.submit(reduce, draw(0))]  # the last part waits until it is collected
+    for index in range(1, chunks):
+        chunk = draw(index)
+        parts[-1] = parts[-1]()  # frees chunk i - 1's buffer for chunk i + 1
+        parts.append(helper.submit(reduce, chunk))
+    parts[-1] = parts[-1]()
     return parts
 
 
@@ -167,13 +155,19 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
     scale is profit._believed_scale's, so where theta*k underflows to 0 the
     estimate raises its Infeasible, as the closed form it checks does.
 
-    A run of two or more chunks on more than one CPU prices and reduces each chunk
-    on one helper thread while this thread draws the next; the estimate has the
-    bits of the inline run.  The helper keeps the caller's np.errstate, and
-    whatever either thread raises is raised here once the helper has ended.
+    n and seed may be any integers but bools (numpy's too); the estimate holds them
+    as Python ints.  This thread draws every chunk through the public ``sample``.  A
+    run of two or more chunks on more than one CPU starts one helper thread, which
+    prices and reduces each chunk while this thread draws the next, in both passes of
+    an overflow retry; the call lends it to ``sample``, which maps half of each
+    truncated-normal chunk through ``ndtri`` on it.  The estimate has the bits of the
+    inline run.  The helper keeps the caller's np.errstate, and whatever either
+    thread raises is raised here once the helper has ended.  The draws go into the
+    process's one spare pair of 1 MB buffers, or into a pair of the call's own while
+    another call holds it; the pair is given back once the helper has been joined.
     """
-    _check_each((_require, "kind", kind in MC_KINDS, "must be one of {}, got {!r}", MC_KINDS, kind),
-                (_check_draws, n, seed), (_check_positive, "k", k))
+    _, (n, seed), _ = _check_each((_require, "kind", kind in MC_KINDS, "must be one of {}, got {!r}",
+                                   MC_KINDS, kind), (_check_draws, n, seed), (_check_positive, "k", k))
     if kind in ("retailer", "supplier"):
         require_feasible_contract(m, o)
 
@@ -201,19 +195,18 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
             return len(profits), first + offset, float(np.sum(np.square(profits, out=profits)))
 
     chunks = -(-n // _CHUNK)
-    pipelined = chunks > 1 and _several_cpus()
-    buffers = [np.empty(min(n, _CHUNK)) for _ in range(1 + pipelined)]
 
     def draw(index: int) -> np.ndarray:
-        """Chunk ``index``'s draws, written over chunk ``index - len(buffers)``'s."""
+        """Chunk ``index``'s draws, written over chunk ``index - 2``'s, or without a helper
+        over the last chunk's, whose reduction has ended (one buffer stays in cache)."""
         take = min(_CHUNK, n - index * _CHUNK)
         rng = np.random.Generator(np.random.PCG64(chunk_stream(seed, index)))
-        return d.sample(rng, size=take, out=buffers[index % len(buffers)][:take])
+        return d.sample(rng, size=take, out=buffers[index % 2 if helper else 0][:take])
 
     def moments(shrink: float) -> tuple[float, float]:
         """(mean, shrink**2 * sum of squared deviations) over the n draws."""
         reduce = lambda profits: chunk_moments(profits, shrink)
-        parts = (_pipelined(chunks, draw, reduce) if pipelined
+        parts = (_pipelined(helper, chunks, draw, reduce) if helper
                  else [reduce(draw(index)) for index in range(chunks)])
         count, mean, m2 = 0, 0.0, 0.0
         for take, chunk_mean, chunk_m2 in parts:
@@ -224,13 +217,18 @@ def mc_expected(kind: str, d: DemandDistribution, m: MarketParams, o: OptionCont
             count = total
         return mean, m2
 
-    shrink = 1.0
-    mean, m2 = moments(shrink)
-    if m2 == math.inf:
-        # Finite profits whose squared deviations overflow: draw again and sum the squares
-        # shrunk by an exact power of two, so nothing else rounds differently.
-        shrink = _DEVIATION_SHRINK
+    with ExitStack() as stack:  # the helper is joined before the kept pair is given back
+        if kept := _KEPT.acquire(blocking=False):  # a nested or concurrent call makes its own pair
+            stack.callback(_KEPT.release)
+        buffers = _kept_pair() if kept else [np.empty(min(n, _CHUNK)) for _ in range(2)]
+        helper = stack.enter_context(_Helper()) if chunks > 1 and _several_cpus() else None
+        shrink = 1.0
         mean, m2 = moments(shrink)
+        if m2 == math.inf:
+            # Finite profits whose squared deviations overflow: draw again and sum the squares
+            # shrunk by an exact power of two, so nothing else rounds differently.
+            shrink = _DEVIATION_SHRINK
+            mean, m2 = moments(shrink)
     stderr = math.sqrt(m2 / (n - 1) / n) / shrink if n > 1 else 0.0
     for value in (mean, stderr):
         _require_finite("Monte-Carlo estimate", value)

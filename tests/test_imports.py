@@ -55,10 +55,12 @@ SCALAR_RUNS = [_argv(config, *args) for config in ALL_FAMILIES.values() for args
 # Every scalar run before any sweep, as loading only adds modules.
 CLOSED_FORM_RUNS = SCALAR_RUNS + [_argv(ALL_FAMILIES["truncated-normal"], *args)
                                   for args in SWEEP_COMMANDS]
-# Three chunks, two of them large enough to split ndtri over a helper thread.
+# Three chunks, two of them large enough to split ndtri over a helper thread; the same
+# draws of uniform demand, whose Monte-Carlo helper must load no more than the closed forms.
 SIMULATE_RUN = _argv(ALL_FAMILIES["truncated-normal"], "simulate", "--kind", "retailer",
                      "--n", str(2 * 131_072 + 3))
-RUNS = CLOSED_FORM_RUNS + [SIMULATE_RUN]
+UNIFORM_SIMULATE_RUN = _argv(None, *SIMULATE_RUN[2:])
+RUNS = CLOSED_FORM_RUNS + [UNIFORM_SIMULATE_RUN, SIMULATE_RUN]
 _IMPORTS = ("import freshopt, freshopt.cli\n"
             "from freshopt import demand, optimizer, oracle, profit, sweep, config")
 
@@ -150,9 +152,10 @@ def test_no_thread_outlives_a_run(footprint):
 
 
 def test_no_executor_loaded(concurrent_after):
-    # concurrent.futures costs about 8.5 ms and pulls in logging; freshopt starts its
-    # one helper thread itself.  numpy.testing, which scipy loads, imports
-    # concurrent.futures, but no executor module (thread, process) loads with it.
+    # concurrent.futures costs about 8.5 ms and pulls in logging; freshopt's helper threads
+    # are its own (demand._Helper), so uniform Monte-Carlo loads none of it.  numpy.testing,
+    # which scipy loads, imports concurrent.futures, but no executor module (thread,
+    # process) loads with it.
     assert all(not loaded for run, loaded in concurrent_after.items() if run != SIMULATE_RUN)
     executors = {"concurrent.futures.thread", "concurrent.futures.process"}
     assert not executors & concurrent_after[SIMULATE_RUN]

@@ -8,10 +8,12 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import ndtri
 
 from conftest import FAMILIES, random_feasible_setup
@@ -38,8 +40,18 @@ from freshopt import (
     supplier_expected_profit,
     total_fractile,
 )
-from freshopt.demand import _FAMILIES, _SPLIT_MIN, DemandDistribution
-from freshopt.oracle import MC_KINDS, _CHUNK, _MAX_SAMPLES, _lattice, _window_max, chunk_stream
+from freshopt.config import OracleSettings
+from freshopt.demand import _FAMILIES, _SPLIT_MIN, DemandDistribution, _Helper
+from freshopt.oracle import (
+    MC_KINDS,
+    _CHUNK,
+    _KEPT,
+    _MAX_SAMPLES,
+    _kept_pair,
+    _lattice,
+    _window_max,
+    chunk_stream,
+)
 
 REFERENCE_PLAN = OrderPlan(q_spot=240.0 / 6.3, q_option=2080.0 / 63.0)
 
@@ -139,10 +151,11 @@ class TestMcExpected:
 
     def test_rejects_sample_count_over_cap(self, baseline_demand, baseline_market,
                                            baseline_contract):
-        with pytest.raises(InvalidValue) as err:
-            mc_expected("chain", baseline_demand, baseline_market, baseline_contract,
-                        1.0, REFERENCE_PLAN, _MAX_SAMPLES + 1, 1)
-        assert err.value.problems == [("samples", "must be <= 1000000000, got 1000000001")]
+        for over in (_MAX_SAMPLES + 1, np.int64(_MAX_SAMPLES + 1)):
+            with pytest.raises(InvalidValue) as err:
+                mc_expected("chain", baseline_demand, baseline_market, baseline_contract,
+                            1.0, REFERENCE_PLAN, over, 1)
+            assert err.value.problems == [("samples", "must be <= 1000000000, got 1000000001")]
 
     def test_constant_profit_mean_is_exact(self):
         # Demand's true support lies below the spot stock, so the supplier never sells an
@@ -172,6 +185,11 @@ class TestMcExpected:
         (10, True, ("seed", "must be >= 0 and an integer, got True")),
         (True, 1, ("samples", "must be >= 1 and an integer, got True")),
         (10.0, 1, ("samples", "must be >= 1 and an integer, got 10.0")),
+        (np.True_, 1, ("samples", "must be >= 1 and an integer, got np.True_")),
+        (np.float64(10.0), 1, ("samples", "must be >= 1 and an integer, got np.float64(10.0)")),
+        (np.int64(0), 1, ("samples", "must be >= 1 and an integer, got np.int64(0)")),
+        (10, np.int64(-1), ("seed", "must be >= 0 and an integer, got np.int64(-1)")),
+        (10, np.False_, ("seed", "must be >= 0 and an integer, got np.False_")),
     ])
     def test_rejects_non_integer_draws(self, baseline_demand, baseline_market,
                                        baseline_contract, samples, seed, problem):
@@ -180,6 +198,15 @@ class TestMcExpected:
                         1.0, REFERENCE_PLAN, samples, seed)
         assert err.value.problems == [problem]
         assert str(err.value).startswith(("seed must be >= 0", "sample count must be >= 1"))
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint64, np.uint8])
+    def test_accepts_numpy_integers(self, baseline_demand, baseline_market, baseline_contract,
+                                    integer):
+        args = ("chain", baseline_demand, baseline_market, baseline_contract, 1.0, REFERENCE_PLAN)
+        est = mc_expected(*args, integer(200), integer(3))
+        assert _hex(est) == _hex(mc_expected(*args, 200, 3))
+        assert (type(est.n), type(est.seed), est.n, est.seed) == (int, int, 200, 3)
+        assert OracleSettings(samples=integer(200), seed=integer(3)) == OracleSettings(200, 3)
 
     def test_chunk_stream_is_spawned_child(self):
         for seed in (0, 7, 2**40):
@@ -278,10 +305,23 @@ def _record_threads(monkeypatch) -> tuple[set[int], list[tuple[threading.Thread,
     return idents, started
 
 
+def _record_jobs(monkeypatch) -> list[tuple[_Helper, object]]:
+    """Record every job submitted to a helper: [(helper, function)]."""
+    jobs: list[tuple[_Helper, object]] = []
+    submit = _Helper.submit
+
+    def recorded(helper, fn, *args):
+        jobs.append((helper, fn))
+        return submit(helper, fn, *args)
+
+    monkeypatch.setattr(_Helper, "submit", recorded)
+    return jobs
+
+
 class TestThreads:
-    """A run of two or more chunks on two CPUs reduces each chunk on one helper thread while
-    the caller draws the next, and a truncated-normal chunk maps half its levels through
-    ndtri on another; every public function stays on the calling thread."""
+    """A run of two or more chunks on two CPUs starts one helper thread, which reduces each
+    chunk while the caller draws the next and, on truncated normal, maps half of each chunk's
+    levels through ndtri; every public function stays on the calling thread."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_public_calls_run_on_calling_thread(self, family, monkeypatch):
@@ -290,16 +330,56 @@ class TestThreads:
         threads = threading.active_count()
         _report_cpus(monkeypatch, 2)
         idents, started = _record_threads(monkeypatch)
+        jobs = _record_jobs(monkeypatch)
         for kind in MC_KINDS:
             mc_expected(kind, d, m, o, k, plan, 2 * _CHUNK + 3, 11)  # chunks 2**17, 2**17, 3
         assert idents == {threading.get_ident()}
-        # One reducing helper per call, and one ndtri helper per chunk of at least
-        # _SPLIT_MIN truncated-normal draws.
-        assert len(started) == 3 + (6 if family == "truncated-normal" else 0)
-        assert sum(target is ndtri for _, target in started) == len(started) - 3
-        assert all(target is ndtri or target.__name__.startswith("_") for _, target in started)
+        # One helper per call; on truncated normal it also maps the head of each chunk of at
+        # least _SPLIT_MIN draws.
+        assert len(started) == 3
+        assert all(target.__name__.startswith("_") for _, target in started)
         assert not any(thread.is_alive() for thread, _ in started)
         assert threading.active_count() == threads
+        assert len({helper for helper, _ in jobs}) == 3
+        assert sum(fn is ndtri for _, fn in jobs) == (6 if family == "truncated-normal" else 0)
+        assert sum(fn is not ndtri for _, fn in jobs) == 3 * 3
+
+    def test_overflow_retry_uses_one_helper(self, monkeypatch):
+        # At k = 1e150 the retailer's squared deviations overflow, so its run is drawn twice.
+        d, m, o = Uniform(0.0, 100.0), *TestPipeline.OVERFLOW[2:4]
+        args = ("retailer", d, m, o, 1e150, optimal_plan(d, m, o, 1e150), 3 * _CHUNK, 3)
+        _report_cpus(monkeypatch, 1)
+        inline = _hex(mc_expected(*args))
+        _report_cpus(monkeypatch, 2)
+        _, started = _record_threads(monkeypatch)
+        jobs = _record_jobs(monkeypatch)
+        assert _hex(mc_expected(*args)) == inline
+        assert len(started) == 1 and not started[0][0].is_alive()
+        assert len(jobs) == 2 * 3 and len({helper for helper, _ in jobs}) == 1
+
+    def test_failing_ndtri_job_raises_on_the_caller(self, baseline_market, baseline_contract,
+                                                    monkeypatch):
+        caller = threading.get_ident()
+
+        def ndtri_failing_off_the_caller(u, out):
+            if threading.get_ident() != caller:
+                raise ArithmeticError("ndtri on the helper")
+            return ndtri(u, out=out)
+
+        d = TruncatedNormal(50.0, 20.0)
+        threads = threading.active_count()
+        _report_cpus(monkeypatch, 2)
+        monkeypatch.setattr(scipy.special, "ndtri", ndtri_failing_off_the_caller)
+        _, started = _record_threads(monkeypatch)
+        with pytest.raises(ArithmeticError, match="ndtri on the helper"):  # the lent helper
+            mc_expected("chain", d, baseline_market, baseline_contract, 1.0, REFERENCE_PLAN,
+                        2 * _CHUNK, 5)
+        with pytest.raises(ArithmeticError, match="ndtri on the helper"):  # a helper of its own
+            d.sample(np.random.default_rng(3), size=_SPLIT_MIN)
+        assert len(started) == 2
+        assert not any(thread.is_alive() for thread, _ in started)
+        assert threading.active_count() == threads
+        assert not _KEPT.locked()
 
     def test_no_helper_below_threshold_or_on_one_cpu(self, baseline_market, baseline_contract,
                                                      monkeypatch):
@@ -336,7 +416,9 @@ class TestPipeline:
         _report_cpus(monkeypatch, 2)
         _, started = _record_threads(monkeypatch)
         pipelined = [_hex(mc_expected(kind, d, m, o, k, plan, n, 11)) for kind, n in calls]
-        assert sum(target is not ndtri for _, target in started) == 3 * 3  # n > _CHUNK
+        # One helper per call of two or more chunks; a one-chunk truncated-normal call of
+        # at least _SPLIT_MIN draws starts one of its own in sample.
+        assert len(started) == 3 * 3 + (3 if family == "truncated-normal" else 0)
         _report_cpus(monkeypatch, 1)
         assert [_hex(mc_expected(kind, d, m, o, k, plan, n, 11)) for kind, n in calls] == pipelined
 
@@ -405,6 +487,127 @@ class TestPipeline:
         assert len(started) == 1
         assert not started[0][0].is_alive()
         assert threading.active_count() == threads
+
+
+def _recording(pointers: list[int], action=None, at: int = 1) -> Uniform:
+    """Uniform(0, 100) that records the data pointer of every buffer it draws into, and
+    calls action() during its at-th draw."""
+    class Recorded(Uniform):
+        def _inverse_transform(self, u):
+            pointers.append(u.ctypes.data)
+            if action is not None and len(pointers) == at:
+                action()
+            return super()._inverse_transform(u)
+    return Recorded(0.0, 100.0)
+
+
+class TestKeptBuffers:
+    """A call draws into the process's one kept pair of chunk buffers when no other call
+    holds it, and into a pair of its own otherwise; no buffer changes a bit."""
+
+    def _args(self, d, market, contract, n=3 * _CHUNK):
+        return ("retailer", d, market, contract, 1.2, REFERENCE_PLAN, n, 7)
+
+    def _inline(self, args, monkeypatch) -> tuple[str, str]:
+        _report_cpus(monkeypatch, 1)
+        try:
+            return _hex(mc_expected(*args))
+        finally:
+            _report_cpus(monkeypatch, 2)
+
+    def test_second_call_reuses_the_pair(self, baseline_market, baseline_contract, monkeypatch):
+        pointers = []
+        args = self._args(_recording(pointers), baseline_market, baseline_contract)
+        _report_cpus(monkeypatch, 2)
+        first = _hex(mc_expected(*args))
+        kept = {buffer.ctypes.data for buffer in _kept_pair()}
+        assert set(pointers) == kept and len(kept) == 2
+        pointers.clear()
+        tracemalloc.start()
+        try:
+            second = _hex(mc_expected(*args))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(pointers) == kept
+        assert peak < 1 << 20
+        assert first == second == self._inline(args, monkeypatch)
+
+    def test_nested_call_makes_its_own_pair(self, baseline_market, baseline_contract,
+                                            monkeypatch):
+        inner_pointers, outer_pointers, inner = [], [], []
+        inner_args = self._args(_recording(inner_pointers), baseline_market, baseline_contract,
+                                2 * _CHUNK + 3)
+        outer = _recording(outer_pointers, lambda: inner.append(_hex(mc_expected(*inner_args))))
+        args = self._args(outer, baseline_market, baseline_contract)
+        _report_cpus(monkeypatch, 2)
+        estimate = _hex(mc_expected(*args))
+        kept = {buffer.ctypes.data for buffer in _kept_pair()}
+        assert set(outer_pointers) == kept
+        assert len(set(inner_pointers)) == 2 and not set(inner_pointers) & kept
+        assert inner == [self._inline(inner_args, monkeypatch)]
+        assert estimate == self._inline(args, monkeypatch)
+
+    def test_call_on_a_second_thread_makes_its_own_pair(self, baseline_market, baseline_contract,
+                                                        monkeypatch):
+        other_pointers, pointers, other = [], [], []
+        other_args = self._args(_recording(other_pointers), baseline_market, baseline_contract)
+
+        def call_on_a_second_thread():
+            thread = threading.Thread(target=lambda: other.append(_hex(mc_expected(*other_args))))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+
+        args = self._args(_recording(pointers, call_on_a_second_thread), baseline_market,
+                          baseline_contract)
+        _report_cpus(monkeypatch, 2)
+        estimate = _hex(mc_expected(*args))
+        kept = {buffer.ctypes.data for buffer in _kept_pair()}
+        assert set(pointers) == kept
+        assert len(set(other_pointers)) == 2 and not set(other_pointers) & kept
+        assert other == [self._inline(other_args, monkeypatch)]
+        assert estimate == self._inline(args, monkeypatch)
+
+    def test_concurrent_calls_keep_their_bits(self, baseline_market, baseline_contract,
+                                              monkeypatch):
+        # More callers than cores, switching every microsecond: two calls drawing into one
+        # pair at once would change the bits.
+        args = self._args(Exponential(0.02), baseline_market, baseline_contract, 2 * _CHUNK + 3)
+        inline = self._inline(args, monkeypatch)
+        results = []
+        threads = [threading.Thread(target=lambda: results.extend(_hex(mc_expected(*args))
+                                                                  for _ in range(3)))
+                   for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [inline] * 12
+        assert not _KEPT.locked()
+
+    def test_failing_call_gives_the_pair_back(self, baseline_market, baseline_contract,
+                                              monkeypatch):
+        def fail():
+            raise ZeroDivisionError("second draw")
+
+        failing_pointers, pointers = [], []
+        _report_cpus(monkeypatch, 2)
+        with pytest.raises(ZeroDivisionError, match="second draw"):  # chunk 0 on the helper
+            mc_expected(*self._args(_recording(failing_pointers, fail, at=2), baseline_market,
+                                    baseline_contract))
+        assert not _KEPT.locked()
+        args = self._args(_recording(pointers), baseline_market, baseline_contract)
+        estimate = _hex(mc_expected(*args))
+        kept = {buffer.ctypes.data for buffer in _kept_pair()}
+        assert set(failing_pointers) == set(pointers) == kept
+        assert estimate == self._inline(args, monkeypatch)
 
 
 class TestGridSearch:

@@ -1,8 +1,8 @@
 """Static checks on the package source with the stdlib ``ast``: no module imports a name
 it never uses, no private module-level function or class goes unreferenced, and no
-module catches an error by a subclass of its family; the package's star-import surface;
-the rules of ``tools/line_count.py`` and ``tools/check_count.py``; and a ceiling on the
-input checks each CLI command makes."""
+module catches an error by a subclass of its family; one site makes every thread; the
+package's star-import surface; the rules of ``tools/line_count.py`` and
+``tools/check_count.py``; and a ceiling on the input checks each CLI command makes."""
 from __future__ import annotations
 
 import ast
@@ -117,6 +117,22 @@ def test_all_holds_no_module_and_no_private_name():
     assert [name for name in freshopt.__all__
             if isinstance(getattr(freshopt, name), types.ModuleType)
             or (name.startswith("_") and name != "__version__")] == []
+
+
+def test_one_site_makes_threads():
+    # Every thread the package starts is a demand._Helper's, so no call starts one of its own.
+    sites = [(name, node.lineno) for name, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _called_name(node) in ("Thread", "start_new_thread")]
+    helper, = [node for node in TREES["demand.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "_Helper"]
+    assert len(sites) == 1 and sites[0][0] == "demand.py"
+    assert helper.lineno < sites[0][1] <= helper.end_lineno
+
+
+def _called_name(call: ast.Call) -> str | None:
+    """The name a call's function is read by: ``f`` of ``f(...)`` and of ``mod.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
 def _tool(name: str):
